@@ -77,7 +77,6 @@ from .periodic import (
     continuous_period,
     discrete_period,
     hierarchy_report,
-    is_periodic,
     orbit_report,
     period_on_segment,
     periodic_matrix,

@@ -13,11 +13,10 @@ import json
 import math
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import __version__
-from .core import DomainError, orbit_trace
+from .core import DomainError, _mat2_mul, orbit_trace
 from .excursions import NAMED_STARTS, excursion_averages, named_start
 from .farey import (empirical_integral, farey_cardinality, index_values,
                     moment_sum, normalized_gaps)
@@ -168,11 +167,7 @@ def cmd_hall_cdf(args, parser) -> None:
                 return 0.0
             return roof_region_measure(0, math.pi**2 * d / (3 * length),
                                        method="quadrature").value
-        if args.threads > 1:
-            with ThreadPoolExecutor(max_workers=args.threads) as pool:
-                quads = list(pool.map(quad_at, grid))
-        else:
-            quads = [quad_at(d) for d in grid]
+        quads = [quad_at(d) for d in grid]
         columns = ["d", "cdf", "quadrature", "abs_diff", "is_kink"]
         rows = [(d, c, q, abs(c - q), int(round(d, 15) in markers))
                 for d, c, q in zip(grid, closed, quads)]
@@ -234,12 +229,7 @@ def _basis_from_args(args, parser) -> UnimodularBasis:
                 shear = ((Fraction(1), x), (Fraction(0), Fraction(1)))
             else:
                 shear = ((Fraction(1), Fraction(0)), (x, Fraction(1)))
-            m = (
-                (m[0][0] * shear[0][0] + m[0][1] * shear[1][0],
-                 m[0][0] * shear[0][1] + m[0][1] * shear[1][1]),
-                (m[1][0] * shear[0][0] + m[1][1] * shear[1][0],
-                 m[1][0] * shear[0][1] + m[1][1] * shear[1][1]),
-            )
+            m = _mat2_mul(m, shear)
         return UnimodularBasis(m[0][0], m[1][0], m[0][1], m[1][1])
     if args.basis is None:
         parser.error("provide --basis M11 M12 M21 M22 or --random-basis")
@@ -341,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--output", help="write to a file instead of stdout")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("farey", help="statistics of the level-Q Farey sequence")
     p.add_argument("Q", type=int)

@@ -14,6 +14,14 @@ with return time R(a, b) = 1/(ab).  Everything here supports two scalar
 flavors: exact (int/Fraction, used wherever correctness is at stake) and
 float (long ergodic runs, drift-monitored).  Mixing the two in one point
 is rejected.
+
+Orbits run on one kernel, `_orbit`.  By the scaling conjugacy
+T_t o M_t = M_t o T an exact orbit is an integer orbit: with the common
+denominator D of the point and the width t cleared, it is the map
+(x, y) -> (y, floor((tD + x)/y) y - x).  Fractions appear only at the API
+boundary, built for the values a function returns.  The one-step
+functions t_bcz_step, t_kappa and t_roof keep Fraction arithmetic and are
+the reference the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -100,12 +108,8 @@ class IntMatrix2:
         return self.a11 + self.a22
 
     def __matmul__(self, o: "IntMatrix2") -> "IntMatrix2":
-        return IntMatrix2(
-            self.a11 * o.a11 + self.a12 * o.a21,
-            self.a11 * o.a12 + self.a12 * o.a22,
-            self.a21 * o.a11 + self.a22 * o.a21,
-            self.a21 * o.a12 + self.a22 * o.a22,
-        )
+        (a11, a12), (a21, a22) = _mat2_mul(self.rows(), o.rows())
+        return IntMatrix2(a11, a12, a21, a22)
 
     def transpose(self) -> "IntMatrix2":
         return IntMatrix2(self.a11, self.a21, self.a12, self.a22)
@@ -119,9 +123,6 @@ class IntMatrix2:
         return ((self.a11, self.a12), (self.a21, self.a22))
 
 
-IDENTITY = IntMatrix2(1, 0, 0, 1)
-
-
 def tile_matrix(k: int) -> IntMatrix2:
     """A_k = [[0, 1], [-1, k]]; T acts by p -> p . A_k^T on the tile kappa = k."""
     return IntMatrix2(0, 1, -1, k)
@@ -130,53 +131,74 @@ def tile_matrix(k: int) -> IntMatrix2:
 def kappa(p: Point) -> int:
     """Index kappa(a, b) = floor((1+a)/b); equals k exactly on the tile Omega_k.
 
-    On the boundary b = 1 this gives 1 for a < 1 and 2 at (1, 1).
+    On the boundary b = 1 this gives 1 for a < 1 and 2 at (1, 1).  This is
+    t_kappa at width 1.
     """
-    check_section(p)
-    a, b = p
-    if is_exact(a):
-        return ((1 + Fraction(a)) / Fraction(b)).__floor__()
-    return math.floor((1.0 + a) / b)
+    return t_kappa(p, 1)
 
 
 def roof(p: Point) -> Scalar:
     """First-return time R(a, b) = 1/(ab); >= 1 on the section, = 1 only at (1, 1)."""
-    check_section(p)
-    a, b = p
-    if is_exact(a):
-        return Fraction(1, 1) / (Fraction(a) * Fraction(b))
-    return 1.0 / (a * b)
+    return t_roof(p, 1)
 
 
 def bcz_step(p: Point) -> Point:
-    """One application of the BCZ map.
+    """One application of the BCZ map: t_bcz_step at width 1.
 
     Exact flavor is closed on Omega by construction.  Float results are
     re-projected into Omega when within DRIFT_TOL; larger violations raise
     DriftError (piecewise-linear drift is additive, so this is a real bug
     or genuine numerical decay, never expected behaviour).
     """
-    flavor = check_section(p)
-    a, b = p
-    if flavor == "exact":
-        k = ((1 + Fraction(a)) / Fraction(b)).__floor__()
-        return (b, k * b - a)
-    k = math.floor((1.0 + a) / b)
-    b2 = k * b - a
-    return (b, _reproject(b, b2))
+    return t_bcz_step(p, 1)
 
 
-def _reproject(a: float, b: float) -> float:
-    """Clamp the second coordinate into (1-a, 1]; raise past DRIFT_TOL."""
-    if b > 1.0:
-        if b > 1.0 + DRIFT_TOL:
-            raise DriftError(f"float orbit drifted above the section: b = {b!r}")
-        b = 1.0
-    if b <= 1.0 - a:
-        if (1.0 - a) - b > DRIFT_TOL:
-            raise DriftError(f"float orbit drifted below the section: b = {b!r}")
-        b = math.nextafter(1.0 - a, 2.0)
+def _reproject(a: float, b: float, width: float = 1.0) -> float:
+    """Clamp the second coordinate into (width - a, width]; raise DriftError
+    past the tolerance DRIFT_TOL * max(1, width)."""
+    tol = DRIFT_TOL * max(1.0, width)
+    if b > width:
+        if b > width + tol:
+            raise DriftError(f"float orbit drifted above the width-{width:g} section: b = {b!r}")
+        b = width
+    if b <= width - a:
+        if (width - a) - b > tol:
+            raise DriftError(f"float orbit drifted below the width-{width:g} section: b = {b!r}")
+        b = math.nextafter(width - a, math.inf)
     return b
+
+
+def _orbit(p: Point, t: Scalar = 1):
+    """The orbit kernel: check p once and return (d, orbit).
+
+    `orbit` yields (x, y, kappa) without end: (x/d, y/d) runs through the
+    width-t orbit of p, and kappa is the index floor((t + x/d)/(y/d)) of
+    each visit.  An exact point with an exact width runs on integers, d
+    being the common denominator of p and t.  Anything else runs in floats
+    with d = 1.0 and is re-projected into the section after every step.
+    """
+    if check_section(p, width=t) == "exact" and is_exact(t):
+        fs = [Fraction(v) for v in (*p, t)]
+        d = math.lcm(*(f.denominator for f in fs))
+        x, y, w = (f.numerator * (d // f.denominator) for f in fs)
+        return d, _int_orbit(x, y, w)
+    return 1.0, _float_orbit(float(p[0]), float(p[1]), float(t))
+
+
+def _int_orbit(x: int, y: int, w: int):
+    while True:
+        k = (w + x) // y
+        yield x, y, k
+        x, y = y, k * y - x
+
+
+def _float_orbit(x: float, y: float, w: float):
+    while True:
+        k = math.floor((w + x) / y)
+        yield x, y, k
+        x, y = y, k * y - x
+        if not w - x < y <= w:
+            y = _reproject(x, y, w)
 
 
 def step_matrix(p: Point) -> IntMatrix2:
@@ -188,12 +210,11 @@ def cocycle(p: Point, n: int) -> IntMatrix2:
     """Ordered product A(T^{n-1} p) ... A(T p) A(p); T^n(p) = p . (result)^T."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    m = IDENTITY
-    q = p
-    for _ in range(n):
-        m = step_matrix(q) @ m
-        q = bcz_step(q)
-    return m
+    m11, m12, m21, m22 = 1, 0, 0, 1
+    for _, (_, _, k) in zip(range(n), _orbit(p)[1]):
+        # A_k @ m with A_k = [[0, 1], [-1, k]]
+        m11, m12, m21, m22 = m21, m22, k * m21 - m11, k * m22 - m12
+    return IntMatrix2(m11, m12, m21, m22)
 
 
 @dataclass
@@ -206,13 +227,18 @@ class OrbitTrace:
 
 
 def orbit_trace(p: Point, n: int) -> OrbitTrace:
+    d, orbit = _orbit(p)
+    exact = isinstance(d, int)
+    d2 = d * d
     points, returns, indices = [], [], []
-    q = p
-    for _ in range(n):
-        points.append(q)
-        returns.append(roof(q))
-        indices.append(kappa(q))
-        q = bcz_step(q)
+    a = p[0]
+    for _, (x, y, k) in zip(range(n), orbit):
+        # T(a, b) = (b, .): consecutive points share one coordinate object
+        b = Fraction(y, d) if exact else y
+        points.append((a, b))
+        returns.append(Fraction(d2, x * y) if exact else 1.0 / (x * y))
+        indices.append(k)
+        a = b
     return OrbitTrace(points, returns, indices)
 
 
@@ -314,17 +340,7 @@ def t_bcz_step(p: Point, t: Scalar) -> Point:
         return (y, k * y - x)
     x, y, tf = float(x), float(y), float(t)
     k = math.floor((tf + x) / y)
-    y2 = k * y - x
-    tol = DRIFT_TOL * max(1.0, tf)
-    if y2 > tf:
-        if y2 > tf + tol:
-            raise DriftError(f"float orbit drifted above the width-{tf:g} section")
-        y2 = tf
-    if y2 <= tf - y:
-        if (tf - y) - y2 > tol:
-            raise DriftError(f"float orbit drifted below the width-{tf:g} section")
-        y2 = math.nextafter(tf - y, math.inf)
-    return (y, y2)
+    return (y, _reproject(y, k * y - x, tf))
 
 
 def narrow_embed(p: Point, t: Scalar) -> Point:
@@ -347,15 +363,15 @@ def narrow_first_return(p: Point, t: Scalar, max_steps: int = 10**7) -> Point:
     Satisfies t_bcz_step(narrow_embed(p)) = narrow_embed(narrow_first_return(p)):
     strip visits of the unit orbit are exactly the width-t section visits.
     """
-    a, b = p
-    check_section(p)
-    if not a <= t:
-        raise DomainError(f"first coordinate {a} exceeds the strip width {t}")
-    q = bcz_step(p)
-    for _ in range(max_steps):
-        if q[0] <= t:
-            return q
-        q = bcz_step(q)
+    d, orbit = _orbit(p)
+    if not p[0] <= t:
+        raise DomainError(f"first coordinate {p[0]} exceeds the strip width {t}")
+    exact = isinstance(d, int)
+    limit = math.floor(t * d) if exact else t
+    next(orbit)
+    for _, (x, y, _) in zip(range(max_steps), orbit):
+        if x <= limit:
+            return (Fraction(x, d), Fraction(y, d)) if exact else (x, y)
     raise RuntimeError("no return to the strip within max_steps")
 
 

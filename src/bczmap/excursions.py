@@ -17,7 +17,7 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import DRIFT_TOL, DriftError, bcz_step, check_section, is_exact, roof
+from .core import DriftError, _orbit, _reproject, check_section, is_exact
 
 
 def vector_length_profile(v, s):
@@ -48,21 +48,21 @@ def handoff(p):
     fixed point (1, 1), where the profile is constant) the crossing time
     degenerates to an endpoint of the sojourn.
     """
-    check_section(p)
     a, b = p
-    if is_exact(a):
+    if check_section(p) == "exact":
         a, b = Fraction(a), Fraction(b)
-        one = Fraction(1)
-    else:
-        one = 1.0
+    return _handoff(a, b)
+
+
+def _handoff(a, b):
+    """handoff at a section point whose coordinates are both Fractions or
+    both floats."""
     m = peak_length((a, b))
     if m == 1 / (a + b):
-        time = one / (a * (a + b))
-    elif m == a:
-        time = (one / a - a) / b
-    else:
-        time = b / a
-    return time, m
+        return 1 / (a * (a + b)), m
+    if m == a:
+        return (1 / a - a) / b, m
+    return b / a, m
 
 
 @dataclass
@@ -86,18 +86,21 @@ def excursion_trace(start, n: int) -> ExcursionTrace:
     sup-norm profile have radius 1 around the visit, so the midpoint IS the
     visit time.  Works in either scalar flavor.
     """
-    check_section(start)
-    p = start
+    d, orbit = _orbit(start)
+    exact = isinstance(d, int)
+    d2 = d * d
     s = 0 * start[0]
     mt, ml, xt, xl = [], [], [], []
-    for _ in range(n):
+    a = Fraction(start[0]) if exact else start[0]
+    for _, (x, y, _) in zip(range(n), orbit):
+        b = Fraction(y, d) if exact else y
+        dt, peak = _handoff(a, b)
         mt.append(s)
-        ml.append(p[0])
-        dt, peak = handoff(p)
+        ml.append(a)
         xt.append(s + dt)
         xl.append(peak)
-        s = s + roof(p)
-        p = bcz_step(p)
+        s = s + (Fraction(d2, x * y) if exact else 1.0 / (x * y))
+        a = b
     return ExcursionTrace(mt, ml, xt, xl)
 
 
@@ -159,21 +162,14 @@ def excursion_averages(start, n: int, record_every: int = 0,
         sum_rpeak += 1.0 / m
         if record_every and (i % record_every == 0 or i == n):
             history.append((i, sum_alpha / i, sum_len / i, sum_rpeak / i, sum_peak / i))
-        # inline float BCZ step with re-projection
+        # the BCZ step inline: a generator costs this loop 10-20%
         k = math.floor((1.0 + a) / b)
         a, b = b, k * b - a
-        if b > 1.0:
-            if b > 1.0 + DRIFT_TOL:
-                raise DriftError(f"drift above the section at step {i}")
-            b = 1.0
+        if not 1.0 - a < b <= 1.0:
+            b = _reproject(a, b)
             repairs += 1
-        if b <= 1.0 - a:
-            if (1.0 - a) - b > DRIFT_TOL:
-                raise DriftError(f"drift below the section at step {i}")
-            b = math.nextafter(1.0 - a, 2.0)
-            repairs += 1
-        if max_repairs is not None and repairs > max_repairs:
-            raise DriftError(f"repair budget {max_repairs} exhausted at step {i}")
+            if max_repairs is not None and repairs > max_repairs:
+                raise DriftError(f"repair budget {max_repairs} exhausted at step {i}")
     return ExcursionAverages(
         sum_alpha / n, sum_len / n, sum_rpeak / n, sum_peak / n, n, repairs, history
     )

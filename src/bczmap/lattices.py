@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import is_exact, reduce_to_section, t_bcz_step, t_roof
+from .core import _orbit, is_exact, reduce_to_section
 
 
 def _slope(x, y):
@@ -329,19 +329,34 @@ def slope_gaps_via_bcz(basis: UnimodularBasis, t, n: int) -> SlopeGapSeries:
     """First n slope gaps through the width-t BCZ orbit.
 
     Gaps are the roof values along the orbit of the first-hit point; slopes
-    are their prefix sums from the hit time.  Exact bases run in exact
-    arithmetic; float bases run the drift-monitored float map.
+    are their prefix sums from the hit time.  Exact bases with an exact
+    width run on the integer orbit; anything else runs the drift-monitored
+    float map.
     """
     s1, p = first_section_hit(basis, t)
-    slopes = [s1]
-    gaps = []
-    s = s1
-    for _ in range(n):
-        g = t_roof(p, t)
-        gaps.append(g)
-        s = s + g
-        slopes.append(s)
-        p = t_bcz_step(p, t)
+    d, orbit = _orbit(p, t)
+    slopes, gaps = [s1], []
+    steps = zip(range(n), orbit)
+    if not isinstance(d, int):
+        s = s1
+        for _, (x, y, _) in steps:
+            g = 1.0 / (x * y)
+            s = s + g
+            gaps.append(g)
+            slopes.append(s)
+        return SlopeGapSeries(t, slopes, gaps)
+    # The first coordinates obey x_{i+2} = kappa_i x_{i+1} - x_i, so the
+    # roofs telescope: the first i of them sum to d^2 u_i / (x_0 x_i), with
+    # u_0 = 0, u_1 = 1 and u_{i+2} = kappa_i u_{i+1} - u_i.
+    d2 = d * d
+    x0 = int(p[0] * d)
+    e, f = s1.numerator, s1.denominator
+    u0, u1 = 0, 1
+    for _, (x, y, k) in steps:
+        gaps.append(Fraction(d2, x * y))
+        # s1 + d^2 u_{i+1} / (x_0 x_{i+1}) over one denominator, y = x_{i+1}
+        slopes.append(Fraction(e * x0 * y + f * d2 * u1, f * x0 * y))
+        u0, u1 = u1, k * u1 - u0
     return SlopeGapSeries(t, slopes, gaps)
 
 
@@ -356,20 +371,7 @@ def gap_distribution(basis: UnimodularBasis, t, n: int, c: float, d: float,
     """
     if not 0 <= c <= d:
         raise ValueError("need 0 <= c <= d")
-    s1, p = first_section_hit(basis, t)
+    vals = slope_gaps_via_bcz(basis, t, n).gaps
     if distinct:
-        seen = set()
-        for _ in range(n):
-            g = t_roof(p, t)
-            seen.add(g if is_exact(g) else round(g, 12))
-            p = t_bcz_step(p, t)
-        vals = seen
-        total = len(seen)
-    else:
-        vals = []
-        for _ in range(n):
-            vals.append(t_roof(p, t))
-            p = t_bcz_step(p, t)
-        total = n
-    hits = sum(1 for g in vals if c < g < d)
-    return hits / total
+        vals = {g if is_exact(g) else round(g, 12) for g in vals}
+    return sum(1 for g in vals if c < g < d) / len(vals)

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import DomainError, IntMatrix2, bcz_step, check_section, cocycle, kappa, roof
+from .core import DomainError, IntMatrix2, _mat2_mul, _orbit, check_section, cocycle
 from .farey import farey_cardinality, totient
 
 
@@ -26,12 +26,6 @@ def slope_fraction(p) -> Fraction:
         raise DomainError("periodic-orbit analysis requires exact rationals")
     a, b = Fraction(p[0]), Fraction(p[1])
     return b / a
-
-
-def is_periodic(p) -> bool:
-    """True iff the slope is rational; trivially true for exact inputs."""
-    slope_fraction(p)
-    return True
 
 
 def continuous_period(p) -> Fraction:
@@ -56,13 +50,13 @@ def discrete_period(p) -> int:
     """
     expected = predicted_period(p)
     cap = 10 * expected + 10
-    q = bcz_step(p)
-    steps = 1
-    while q != p:
+    orbit = _orbit(p)[1]
+    start = next(orbit)[:2]
+    for steps, (x, y, _) in enumerate(orbit, 1):
+        if (x, y) == start:
+            break
         if steps >= cap:
             raise RuntimeError(f"orbit of {p} did not close within {cap} steps")
-        q = bcz_step(q)
-        steps += 1
     if steps != expected:
         raise RuntimeError(
             f"period {steps} of {p} disagrees with the structural value {expected}"
@@ -102,16 +96,9 @@ def shear_conjugation_check(k: int, l: int) -> bool:
     n = k * k + l * l
     u = ((l, k), (-k, l))
     ut = ((l, -k), (k, l))
-    m = _mul(_mul(u, s.rows()), ut)
+    m = _mat2_mul(_mat2_mul(u, s.rows()), ut)
     return all(m[i][j] % n == 0 for i in range(2) for j in range(2)) and (
         m[0][0] // n, m[0][1] // n, m[1][0] // n, m[1][1] // n) == (1, n, 0, 1)
-
-
-def _mul(x, y):
-    return (
-        (x[0][0] * y[0][0] + x[0][1] * y[1][0], x[0][0] * y[0][1] + x[0][1] * y[1][1]),
-        (x[1][0] * y[0][0] + x[1][1] * y[1][0], x[1][0] * y[0][1] + x[1][1] * y[1][1]),
-    )
 
 
 def _check_coprime(k: int, l: int) -> None:
@@ -131,27 +118,25 @@ class PeriodicOrbitReport:
 
 
 def orbit_report(p) -> PeriodicOrbitReport:
-    """Full periodic-orbit data with the flow period re-derived from roofs."""
+    """Full periodic-orbit data with the flow period re-derived from roofs.
+
+    The roofs telescope: R(p_0) + ... + R(p_{n-1}) = m12 / (a_0 a_n) for the
+    cocycle m = cocycle(p, n), since the first coordinates a_i and the
+    entries m12 both obey x_{i+2} = kappa(p_i) x_{i+1} - x_i.  After one
+    period a_n = a_0.
+    """
     period = discrete_period(p)
     s = continuous_period(p)
-    total = Fraction(0)
-    q = p
-    for _ in range(period):
-        total += Fraction(roof(q))
-        q = bcz_step(q)
+    m = cocycle(p, period)
+    total = m.a12 / Fraction(p[0]) ** 2
     if total != s:
         raise RuntimeError(f"roof sum {total} differs from flow period {s}")
-    return PeriodicOrbitReport(p, slope_fraction(p), period, s, cocycle(p, period))
+    return PeriodicOrbitReport(p, slope_fraction(p), period, s, m)
 
 
 def kappa_itinerary(p, n: int) -> list:
     """kappa along the first n steps of the orbit of p."""
-    out = []
-    q = p
-    for _ in range(n):
-        out.append(kappa(q))
-        q = bcz_step(q)
-    return out
+    return [k for _, (_, _, k) in zip(range(n), _orbit(p)[1])]
 
 
 def hierarchy_report(q_max: int, samples: int = 5) -> list:

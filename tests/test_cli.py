@@ -182,15 +182,6 @@ def test_determinism_byte_identical(capsys, tmp_path):
     assert b"# seed: 7" in f1.read_bytes()
 
 
-def test_threads_do_not_change_output(capsys, tmp_path):
-    f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    base = ["hall-cdf", "--d-min", "0", "--d-max", "1", "--step", "0.1",
-            "--oracle", "both"]
-    assert main(base + ["--threads", "1", "--output", str(f1)]) == 0
-    assert main(base + ["--threads", "4", "--output", str(f2)]) == 0
-    assert f1.read_bytes() == f2.read_bytes()
-
-
 def test_measure_report(capsys):
     code, out, _ = run_cli(capsys, ["measure"])
     assert code == 0

@@ -2,11 +2,14 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bczmap.core import (
     DomainError,
     DriftError,
     IntMatrix2,
+    _orbit,
     bcz_step,
     cocycle,
     in_section,
@@ -19,10 +22,14 @@ from bczmap.core import (
     scale_point,
     step_matrix,
     t_bcz_step,
+    t_kappa,
     t_roof,
+    tile_matrix,
     to_upper_half_plane,
     verify_return_identity,
 )
+from bczmap.lattices import (UnimodularBasis, first_section_hit,
+                             shortest_vertical_length, slope_gaps_via_bcz)
 from bczmap.measure import tile_contains
 
 from conftest import random_section_point, random_rational
@@ -249,3 +256,67 @@ def test_float_reprojection_clamps():
         _reproject(0.5, 1.0 + 1e-8)
     with pytest.raises(DriftError):
         _reproject(0.5, 0.5 - 1e-8)
+    # (1 + a)/b rounds to exactly 3 here, so the first step lands one ulp
+    # above the section; the orbit kernel clamps it back like bcz_step
+    start = (0.8305930343327381, 0.6101976781109127)
+    assert orbit_trace(start, 2).points[1] == bcz_step(start) == (start[1], 1.0)
+    # on the width-4 section the tolerance is 4 * DRIFT_TOL
+    assert _reproject(2.0, 4.0 + 3e-9, 4.0) == 4.0
+    with pytest.raises(DriftError):
+        _reproject(2.0, 4.0 + 5e-9, 4.0)
+
+
+# -- the integer orbit kernel against the Fraction one-step functions ---------
+
+@st.composite
+def section_points(draw, max_den=300):
+    a = draw(st.fractions(min_value=0, max_value=1, max_denominator=max_den))
+    b = draw(st.fractions(min_value=1 - a, max_value=1, max_denominator=max_den))
+    assume(a > 0 and a + b > 1)
+    return (a, b)
+
+
+widths = st.fractions(min_value=F(1, 4), max_value=4, max_denominator=50).filter(lambda t: t > 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(section_points(), widths, st.integers(1, 80))
+def test_kernel_matches_fraction_oracle(p, t, n):
+    # the width-t kernel, step by step
+    q = scale_point(p, t)
+    d, orbit = _orbit(q, t)
+    for _, (x, y, k) in zip(range(n), orbit):
+        assert (F(x, d), F(y, d), k) == (*q, t_kappa(q, t))
+        q = t_bcz_step(q, t)
+
+    # orbit_trace and cocycle at width 1
+    tr = orbit_trace(p, n)
+    q, m = p, IntMatrix2(1, 0, 0, 1)
+    for i in range(n):
+        assert tr.points[i] == q
+        assert tr.returns[i] == t_roof(q, 1)
+        assert tr.indices[i] == t_kappa(q, 1)
+        m = tile_matrix(t_kappa(q, 1)) @ m
+        q = t_bcz_step(q, 1)
+    assert cocycle(p, n) == m
+
+    # the same orbit in floats runs the same arithmetic as the float step
+    fp = (float(p[0]), float(p[1]))
+    ftr = orbit_trace(fp, n)
+    q = fp
+    for i in range(n):
+        assert ftr.points[i] == q and ftr.returns[i] == roof(q) and ftr.indices[i] == kappa(q)
+        q = bcz_step(q)
+
+    # slope gaps at width t: roofs and their prefix sums along the orbit
+    basis = UnimodularBasis.from_section_point(p)
+    assume(shortest_vertical_length(basis) * t >= 1)
+    series = slope_gaps_via_bcz(basis, t, n)
+    s, q = first_section_hit(basis, t)
+    slopes, gaps = [s], []
+    for _ in range(n):
+        gaps.append(t_roof(q, t))
+        slopes.append(slopes[-1] + gaps[-1])
+        q = t_bcz_step(q, t)
+    assert series.gaps == gaps
+    assert series.slopes == slopes

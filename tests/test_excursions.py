@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from bczmap.core import bcz_step, roof
+from bczmap.core import DriftError, bcz_step, roof
 from bczmap.excursions import (
     ExcursionTrace,
     excursion_averages,
@@ -158,6 +158,17 @@ def test_excursion_history():
     res = excursion_averages(named_start("sqrt2"), 1000, record_every=500)
     assert [h[0] for h in res.history] == [500, 1000]
     assert res.history[-1][1] == pytest.approx(res.alpha_mean)
+
+
+def test_excursion_averages_drift_repairs():
+    # (1 + a)/b rounds to exactly 3 at this start, so the first step lands
+    # one ulp above the section and is clamped back; the step after the n-th
+    # visit is taken too, so even n = 1 reports the repair
+    start = (0.8305930343327381, 0.6101976781109127)
+    for n in (1, 2, 3):
+        assert excursion_averages(start, n).repairs == 1
+    with pytest.raises(DriftError, match="at step 1"):
+        excursion_averages(start, 1, max_repairs=0)
 
 
 def test_named_start_validation():

@@ -10,7 +10,6 @@ from bczmap.periodic import (
     continuous_period,
     discrete_period,
     hierarchy_report,
-    is_periodic,
     kappa_itinerary,
     orbit_report,
     period_on_segment,
@@ -24,12 +23,18 @@ from conftest import random_rational
 
 
 def test_is_periodic():
-    assert is_periodic((1, F(2, 3)))
-    assert is_periodic((F(3, 4), F(3, 4)))
+    # Every exact point of the section is periodic: bcz_step returns it to
+    # itself after discrete_period steps.  Points outside the section and
+    # float points are rejected.
+    for p in [(1, F(2, 3)), (F(3, 4), F(3, 4))]:
+        q = p
+        for _ in range(discrete_period(p)):
+            q = bcz_step(q)
+        assert q == p
     with pytest.raises(DomainError):
-        is_periodic((F(1, 2), F(1, 2)))  # boundary point, not in the section
+        discrete_period((F(1, 2), F(1, 2)))  # boundary point, not in the section
     with pytest.raises(DomainError):
-        is_periodic((0.7, 0.8))  # float flavor rejected
+        discrete_period((0.7, 0.8))  # float flavor rejected
 
 
 def test_discrete_period_examples():
@@ -134,3 +139,7 @@ def test_index_constant_along_segment():
 
 def test_slope_fraction():
     assert slope_fraction((F(3, 4), F(1, 2))) == F(2, 3)
+    with pytest.raises(DomainError):
+        slope_fraction((F(1, 2), F(1, 2)))  # boundary point, not in the section
+    with pytest.raises(DomainError):
+        slope_fraction((0.7, 0.8))  # float flavor rejected
