@@ -49,7 +49,11 @@ def emit(args, command: str, params: dict, columns: list, rows: list) -> None:
         "version": __version__,
         "seed": args.seed if args.seed is not None else "none",
     }
-    out = open(args.output, "w") if args.output else sys.stdout
+    try:
+        out = open(args.output, "w") if args.output else sys.stdout
+    except OSError as exc:  # an unwritable path is bad input: exit 2
+        print(f"bczmap: error: cannot write {args.output}: {exc.strerror}", file=sys.stderr)
+        raise SystemExit(2) from exc
     try:
         if args.format == "json":
             doc = {
@@ -99,6 +103,8 @@ def _interval(args, parser):
 def cmd_farey(args, parser) -> None:
     if args.Q < 1:
         parser.error("Q must be >= 1")
+    if args.stat == "index" and args.Q < 2:
+        parser.error("--stat index needs Q >= 2")
     interval = _interval(args, parser)
     params = {"Q": args.Q, "interval": f"[{_fmt(interval[0])};{_fmt(interval[1])}]",
               "stat": args.stat}

@@ -8,15 +8,24 @@ arithmetic:
 
     (q, q') -> (q', floor((Q + q)/q') * q' - q)
 
-which is the BCZ step with denominators cleared.  All empirical statistics
-of F(Q) (gaps, h-gaps, indices, denominator moments, excursion functionals)
-are averages against the uniform measure on the orbit points whose fraction
-lands in a prescribed interval I.
+which is the BCZ step with denominators cleared.  Numerators obey the same
+three-term recurrence with the same multiplier k_i = floor((Q + q_{i-1})/q_i),
+p_{i+1} = k_i p_i - p_{i-1}, and are carried along with the denominators.
+The orbit is cut into K = min(Q, isqrt(N)) lanes, one starting at each
+reduced j/K, whose first step comes from a modular inverse; the lanes step
+together as numpy arrays and each writes its stretch of F(Q) in place.
+
+F(Q) is sorted, so the fractions in an interval I form one contiguous index
+range, found by bisection with exact integer comparisons.  All empirical
+statistics of F(Q) (gaps, h-gaps, indices, denominator moments, excursion
+functionals) are averages against the uniform measure on the orbit points
+whose fraction lands in I.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -52,30 +61,20 @@ def farey_cardinality(Q: int) -> int:
 
 
 class FareySequence:
-    """Level-Q Farey fractions with parallel denominator/numerator arrays.
+    """Level-Q Farey fractions as parallel denominator and numerator arrays.
 
-    Denominators are stored eagerly (they fall out of the orbit); numerators
-    are recovered on demand from the unimodularity recurrence
-    p_{i+1} = (1 + p_i q_{i+1}) / q_i.
+    The cycle is stored closed: `q` and `p` hold N + 1 entries, the last one
+    gamma_{N+1} = 1/1, so each neighbour pair (q_i, q_{i+1}) is two views of
+    one array.  `denominators` and `numerators` are the first N entries.
     """
 
-    def __init__(self, level: int, denominators: np.ndarray, numerators=None):
+    def __init__(self, level: int, q: np.ndarray, p: np.ndarray):
         self.level = level
-        self.denominators = denominators
-        self._numerators = numerators
+        self.q, self.p = q, p
+        self.denominators, self.numerators = q[:-1], p[:-1]
 
     def __len__(self) -> int:
         return len(self.denominators)
-
-    @property
-    def numerators(self) -> np.ndarray:
-        if self._numerators is None:
-            q = self.denominators.tolist()
-            p = [0] * len(q)
-            for i in range(len(q) - 1):
-                p[i + 1] = (1 + p[i] * q[i + 1]) // q[i]
-            self._numerators = np.array(p, dtype=np.int64)
-        return self._numerators
 
     def fractions(self) -> list:
         return [Fraction(int(p), int(q)) for p, q in zip(self.numerators, self.denominators)]
@@ -83,33 +82,108 @@ class FareySequence:
     def orbit_points(self):
         """Section points (q_i/Q, q_{i+1}/Q), the i-th associated with gamma_i."""
         Q = self.level
-        q = self.denominators
-        return [
-            (Fraction(int(q[i]), Q), Fraction(int(q[(i + 1) % len(q)]), Q))
-            for i in range(len(q))
-        ]
+        q = self.q.tolist()
+        return [(Fraction(q[i], Q), Fraction(q[i + 1], Q)) for i in range(len(self))]
 
 
+#: bytes of denominators and numerators `_orbit_cache` may hold: levels up
+#: to Q = 1020, 2020 and 3020 together take about 70 MB.  The level used
+#: last stays cached even when it alone is larger.
+_CACHE_BYTES = 100 * 2**20
+
+#: level -> FareySequence, least recently used first
 _orbit_cache: dict[int, FareySequence] = {}
 
 
+def _lane_seeds(Q: int, K: int):
+    """Numerators a and denominators b of the reduced j/K, j = 0..K, and the
+    successor c/d in F(Q) of each but the last.
+
+    b c - a d = 1 with d <= Q maximal, so d is the largest d <= Q with
+    a d = -1 (mod b)."""
+    j = np.arange(K + 1, dtype=np.int64)
+    g = np.gcd(j, K)
+    a, b = j // g, K // g
+    d = np.array([-pow(x, -1, y) % y for x, y in zip(a[:-1].tolist(), b[:-1].tolist())],
+                 dtype=np.int64)
+    d += (Q - d) // b[:-1] * b[:-1]
+    c = (1 + a[:-1] * d) // b[:-1]
+    return a, b, c, d
+
+
+def _lane_lengths(Q: int, b: np.ndarray, d: np.ndarray, n: int) -> np.ndarray:
+    """Steps from each seed to the next, on denominators alone: the pair
+    (q_i, q_{i+1}) is an orbit point, so it fixes i within the period n.
+    A lane that has arrived would return only n steps later, so each lane
+    hits its next seed once."""
+    # the point after gamma_{N+1} = 1/1 is the start (1, Q) again
+    tb, td = b[1:], np.append(d[1:], Q)
+    x, y = b[:-1], d
+    lengths = np.zeros(len(d), dtype=np.int64)
+    left = len(d)
+    for s in range(1, n + 1):
+        k = (Q + x) // y
+        x, y = y, k * y - x
+        hit = (x == tb) & (y == td)
+        if hit.any():
+            lengths[hit] = s
+            left -= int(np.count_nonzero(hit))
+            if not left:
+                return lengths
+    raise RuntimeError(f"{left} lanes of F({Q}) did not reach their next seed in {n} steps")
+
+
+def _farey_lanes(Q: int) -> FareySequence:
+    """F(Q) from K lanes of the orbit stepped together; each lane must land
+    on the next seed, and the lanes must cover N(Q) fractions."""
+    n = farey_cardinality(Q)
+    K = min(Q, math.isqrt(n))
+    a, b, c, d = _lane_seeds(Q, K)
+    lengths = _lane_lengths(Q, b, d, n)
+    if int(lengths.sum()) != n:
+        raise RuntimeError(f"lanes of F({Q}) cover {int(lengths.sum())} fractions, not N = {n}")
+    # longest lane first, so the lanes still running are always a prefix
+    order = np.argsort(-lengths, kind="stable")
+    todo = lengths[order].tolist()
+    at = (np.cumsum(lengths) - lengths)[order]
+    p0, q0, p1, q1 = a[:-1][order], b[:-1][order], c[order], d[order]
+    end_p, end_q = a[1:][order], b[1:][order]
+    p = np.empty(n + 1, dtype=np.int64)
+    q = np.empty(n + 1, dtype=np.int64)
+    p[n] = q[n] = 1
+    m = K
+    for s in range(todo[0] + 1):
+        r = m
+        while r and todo[r - 1] == s:
+            r -= 1
+        if r < m and not (np.array_equal(p0[r:m], end_p[r:m])
+                          and np.array_equal(q0[r:m], end_q[r:m])):
+            raise RuntimeError(f"a lane of F({Q}) missed its next seed after {s} steps")
+        m = r
+        q[at[:m]] = q0[:m]
+        p[at[:m]] = p0[:m]
+        at[:m] += 1
+        k = (Q + q0[:m]) // q1[:m]
+        p0[:m] = k * p1[:m] - p0[:m]
+        q0[:m] = k * q1[:m] - q0[:m]
+        p0, p1, q0, q1 = p1, p0, q1, q0
+    return FareySequence(Q, q, p)
+
+
 def farey_orbit(Q: int) -> FareySequence:
-    """F(Q) generated by iterating the BCZ map from (1/Q, 1) until first return."""
+    """F(Q) generated by iterating the BCZ map from (1/Q, 1) until first return.
+
+    Levels are cached, least recently used first out once the cache holds
+    more than _CACHE_BYTES."""
     if Q < 1:
         raise ValueError("Q must be >= 1")
-    cached = _orbit_cache.get(Q)
-    if cached is not None:
-        return cached
-    n = farey_cardinality(Q)
-    qs = np.empty(n, dtype=np.int64)
-    q, r = 1, Q
-    for i in range(n):
-        qs[i] = q
-        q, r = r, ((Q + q) // r) * r - q
-    if (q, r) != (1, Q):
-        raise RuntimeError(f"orbit of (1/{Q}, 1) did not close after N({Q}) = {n} steps")
-    seq = FareySequence(Q, qs)
+    seq = _orbit_cache.pop(Q, None)
+    if seq is None:
+        seq = _farey_lanes(Q)
     _orbit_cache[Q] = seq
+    while len(_orbit_cache) > 1 and \
+            sum(s.q.nbytes + s.p.nbytes for s in _orbit_cache.values()) > _CACHE_BYTES:
+        del _orbit_cache[next(iter(_orbit_cache))]
     return seq
 
 
@@ -125,6 +199,7 @@ def farey_bruteforce(Q: int) -> FareySequence:
     for q in range(2, Q + 1):
         pairs.extend((p, q) for p in range(1, q) if math.gcd(p, q) == 1)
     pairs.sort(key=lambda pq: (pq[0] << 64) // pq[1])
+    pairs.append((1, 1))
     return FareySequence(
         Q,
         np.array([q for _, q in pairs], dtype=np.int64),
@@ -135,21 +210,18 @@ def farey_bruteforce(Q: int) -> FareySequence:
 def orbit_flow_period(Q: int) -> Fraction:
     """Exact sum of return times along the orbit of (1/Q, 1); equals Q^2.
 
-    Accumulated as a raw (num, den) pair: the partial sums telescope to
-    Q^2 p_{i+1}/q_{i+1}, so denominators stay <= Q and the arithmetic is cheap.
+    The return time Q^2/(q_i q_{i+1}) equals Q^2 (gamma_{i+1} - gamma_i)
+    when the neighbour determinant p_{i+1} q_i - p_i q_{i+1} is 1.  All N
+    determinants are checked; the sum then telescopes to
+    Q^2 (gamma_{N+1} - gamma_1).
     """
-    q = farey_orbit(Q).denominators.tolist()
-    n = len(q)
-    Q2 = Q * Q
-    num, den = 0, 1
-    for i in range(n):
-        qq = q[i] * q[(i + 1) % n]
-        num = num * qq + Q2 * den
-        den *= qq
-        g = math.gcd(num, den)
-        num //= g
-        den //= g
-    return Fraction(num, den)
+    seq = farey_orbit(Q)
+    p, q = seq.p, seq.q
+    det = p[1:] * q[:-1]
+    det -= p[:-1] * q[1:]
+    if np.any(det != 1):
+        raise RuntimeError(f"F({Q}) has a neighbour pair whose determinant is not 1")
+    return Q * Q * (Fraction(int(p[-1]), int(q[-1])) - Fraction(int(p[0]), int(q[0])))
 
 
 # -- interval selection and the empirical measure ---------------------------
@@ -162,46 +234,62 @@ def _as_interval(interval) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
-def _interval_mask(seq: FareySequence, interval) -> np.ndarray:
-    """Boolean mask of gamma_i in the closed interval (exact comparisons)."""
+def _index_range(seq: FareySequence, interval) -> tuple[int, int]:
+    """Indices [start, end) of the gamma_i in the closed interval.
+
+    F(Q) is sorted, so the selection is contiguous.  Its ends are bisected,
+    comparing p/q with a bound by exact integer cross-multiplication."""
     lo, hi = _as_interval(interval)
     p, q = seq.numerators, seq.denominators
-    # int64 cross-multiplication is exact only while the products fit
-    bound = max(lo.denominator, abs(lo.numerator), hi.denominator, hi.numerator)
-    if bound * seq.level < 2**62:
-        return (p * lo.denominator >= lo.numerator * q) & (p * hi.denominator <= hi.numerator * q)
-    pl, ql = p.tolist(), q.tolist()
-    return np.array([lo <= Fraction(a, b) <= hi for a, b in zip(pl, ql)])
+    idx = range(len(seq))
+    start = bisect_left(idx, True, key=lambda i: int(p[i]) * lo.denominator
+                        >= lo.numerator * int(q[i]))
+    end = bisect_left(idx, True, lo=start, key=lambda i: int(p[i]) * hi.denominator
+                      > hi.numerator * int(q[i]))
+    return start, end
 
 
 def interval_count(Q: int, interval=(0, 1)) -> int:
     """N_I(Q) = |F(Q) ∩ I|."""
     if interval == (0, 1):
         return farey_cardinality(Q)
-    return int(np.count_nonzero(_interval_mask(farey_orbit(Q), interval)))
+    start, end = _index_range(farey_orbit(Q), interval)
+    return end - start
 
 
-def _selected_pairs(Q: int, interval):
-    """Denominator pairs (q_i, q_{i+1}) for the fractions gamma_i in I."""
+def _selected_range(Q: int, interval):
+    """F(Q) and the nonempty index range [start, end) of its fractions in I."""
     seq = farey_orbit(Q)
-    q = seq.denominators
-    qn = np.roll(q, -1)
-    if interval == (0, 1):
-        return q, qn
-    mask = _interval_mask(seq, interval)
-    if not mask.any():
+    start, end = _index_range(seq, interval)
+    if start == end:
         raise ValueError(f"no Farey fraction of level {Q} in {interval}")
-    return q[mask], qn[mask]
+    return seq, start, end
+
+
+def _selected_window(Q: int, interval) -> np.ndarray:
+    """The denominators q_start .. q_end of the selected gamma_i and the one
+    after them, a view: the pairs (q_i, q_{i+1}) are window[:-1], window[1:]."""
+    seq, start, end = _selected_range(Q, interval)
+    return seq.q[start:end + 1]
+
+
+def _normalized(Q: int, length: float, qi: np.ndarray, qn: np.ndarray) -> np.ndarray:
+    """(3/pi^2) |I| Q^2 / (q_i q_{i+1}), the normalized gap after gamma_i."""
+    return (3 / math.pi**2) * length * Q * Q / (qi.astype(float) * qn)
 
 
 class EmpiricalMeasure:
-    """Uniform probability on the orbit points (q_i/Q, q_{i+1}/Q), gamma_i in I."""
+    """Uniform probability on the orbit points (q_i/Q, q_{i+1}/Q), gamma_i in I.
 
-    def __init__(self, level: int, interval, qi: np.ndarray, qn: np.ndarray):
+    `window` holds the consecutive denominators q_i of the selected gamma_i
+    and the one after the last; qi and qn are views of it.
+    """
+
+    def __init__(self, level: int, interval, window: np.ndarray):
         self.level = level
         self.interval = interval
-        self.qi = qi
-        self.qn = qn
+        self.window = window
+        self.qi, self.qn = window[:-1], window[1:]
 
     def __len__(self) -> int:
         return len(self.qi)
@@ -216,12 +304,12 @@ class EmpiricalMeasure:
 
     def integral(self, G: Callable) -> float:
         """G is called once with the two float coordinate arrays."""
-        return float(np.mean(G(self.qi / self.level, self.qn / self.level)))
+        x = self.window / self.level
+        return float(np.mean(G(x[:-1], x[1:])))
 
 
 def empirical_measure(Q: int, interval=(0, 1)) -> EmpiricalMeasure:
-    qi, qn = _selected_pairs(Q, interval)
-    return EmpiricalMeasure(Q, interval, qi, qn)
+    return EmpiricalMeasure(Q, interval, _selected_window(Q, interval))
 
 
 def empirical_integral(Q: int, interval, G: Callable) -> float:
@@ -232,9 +320,8 @@ def empirical_integral(Q: int, interval, G: Callable) -> float:
 def normalized_gaps(Q: int, interval=(0, 1)) -> np.ndarray:
     """(3/pi^2) |I| Q^2 (gamma_{i+1} - gamma_i) for the selected gamma_i."""
     lo, hi = _as_interval(interval)
-    length = float(hi - lo)
-    qi, qn = _selected_pairs(Q, interval)
-    return (3 / math.pi**2) * length * Q * Q / (qi.astype(float) * qn)
+    w = _selected_window(Q, interval)
+    return _normalized(Q, float(hi - lo), w[:-1], w[1:])
 
 
 def spacing_proportion(Q: int, interval, c: float, d: float) -> float:
@@ -255,21 +342,21 @@ def h_spacing_proportion(Q: int, interval, box: Sequence[tuple]) -> float:
         raise ValueError("box must contain at least one interval")
     lo, hi = _as_interval(interval)
     length = float(hi - lo)
-    seq = farey_orbit(Q)
-    q = seq.denominators
-    qn = np.roll(q, -1)
-    gaps = (3 / math.pi**2) * length * Q * Q / (q.astype(float) * qn)
-    if interval == (0, 1):
-        mask = np.ones(len(q), dtype=bool)
-    else:
-        mask = _interval_mask(seq, interval)
-        if not mask.any():
-            raise ValueError(f"no Farey fraction of level {Q} in {interval}")
-    inside = mask.copy()
+    seq, start, end = _selected_range(Q, interval)
+    n, q = len(seq), seq.q
+    # the gaps after gamma_start .. gamma_{stop-1}; past gamma_N they wrap
+    stop = end + len(box) - 1
+    head = min(stop, n)
+    gaps = _normalized(Q, length, q[start:head], q[start + 1:head + 1])
+    if stop > n:
+        m = min(stop - n, n)
+        tail = _normalized(Q, length, q[:m], q[1:m + 1])
+        gaps = np.concatenate((gaps, np.resize(tail, stop - n)))
+    inside = np.ones(end - start, dtype=bool)
     for j, (cj, dj) in enumerate(box):
-        gj = np.roll(gaps, -j)
+        gj = gaps[j:j + end - start]
         inside &= (gj > cj) & (gj < dj)
-    return float(np.count_nonzero(inside) / np.count_nonzero(mask))
+    return float(np.count_nonzero(inside) / (end - start))
 
 
 def index_values(Q: int, interval=(0, 1)) -> np.ndarray:
@@ -281,15 +368,15 @@ def index_values(Q: int, interval=(0, 1)) -> np.ndarray:
     if Q < 2:
         raise ValueError("indices need Q >= 2")
     seq = farey_orbit(Q)
-    q = seq.denominators
-    s = np.roll(q, 1) + np.roll(q, -1)
-    if np.any(s % q):
+    start, end = _index_range(seq, interval)
+    q, qi = seq.q, seq.q[start:end]
+    nu = q[start + 1:end + 1].copy()
+    nu[1:] += q[start:end - 1]
+    nu[:1] += q[(start - 1) % len(seq)]  # cyclic: gamma_N precedes gamma_1
+    if np.any(nu % qi):
         raise RuntimeError("index identity (q_{i-1}+q_{i+1}) | q_i failed")
-    nu = s // q
-    if interval == (0, 1):
-        return nu
-    mask = _interval_mask(seq, interval)
-    return nu[mask]
+    nu //= qi
+    return nu
 
 
 def index_values_via_kappa(Q: int) -> np.ndarray:
@@ -304,13 +391,12 @@ def moment_sum(Q: int, interval, s, t):
 
     Equals the empirical integral of x^s y^t; complex exponents supported.
     """
-    qi, qn = _selected_pairs(Q, interval)
-    a = qi / Q
-    b = qn / Q
+    x = _selected_window(Q, interval) / Q
     if isinstance(s, complex) or isinstance(t, complex):
-        val = np.mean(np.exp(s * np.log(a) + t * np.log(b)))
+        lx = np.log(x)
+        val = np.mean(np.exp(s * lx[:-1] + t * lx[1:]))
         return complex(val)
-    return float(np.mean(a**float(s) * b**float(t)))
+    return float(np.mean(x[:-1]**float(s) * x[1:]**float(t)))
 
 
 def counting_bound_check(Q: int, interval=(0, 1)) -> bool:

@@ -84,6 +84,8 @@ def _gauss_reduce(basis: UnimodularBasis):
     v = (basis.x2, basis.y2)
     cu, cv = (1, 0), (0, 1)  # coefficient columns w.r.t. the original basis
 
+    exact = basis.is_exact()  # one float entry makes the products floats
+
     def n2(w):
         return w[0] * w[0] + w[1] * w[1]
 
@@ -91,7 +93,7 @@ def _gauss_reduce(basis: UnimodularBasis):
         if n2(v) < n2(u):
             u, v = v, (-u[0], -u[1])
             cu, cv = cv, (-cu[0], -cu[1])
-        mu = round(Fraction(u[0] * v[0] + u[1] * v[1], n2(u))) if is_exact(u[0]) \
+        mu = round(Fraction(u[0] * v[0] + u[1] * v[1], n2(u))) if exact \
             else round((u[0] * v[0] + u[1] * v[1]) / n2(u))
         if mu == 0:
             break

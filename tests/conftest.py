@@ -1,6 +1,13 @@
 import random
 from fractions import Fraction
 
+from hypothesis import settings
+
+# Property tests run the same examples on every run and never fail on time:
+# the machines the suite runs on vary widely in speed.
+settings.register_profile("bczmap", deadline=None, derandomize=True)
+settings.load_profile("bczmap")
+
 
 def random_section_point(rng: random.Random, max_den: int = 1000):
     """Uniform-ish exact rational point of the section."""

@@ -65,6 +65,26 @@ def test_validation_exit_codes(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["farey", "1", "--stat", "index"],  # indices need Q >= 2
+    ["farey", "3", "--output", "{tmp}/missing/x.csv"],  # unwritable output path
+])
+def test_farey_bad_input_exit_2(capsys, tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(tmp=tmp_path) for a in argv])
+    assert exc.value.code == 2
+    assert "internal error" not in capsys.readouterr().err
+
+
+def test_slopes_mixed_exact_and_float_basis(capsys):
+    # exact 1 and 0 beside a float entry: Gauss reduction runs in floats
+    code, out, _ = run_cli(capsys, ["slopes", "--basis", "1", "0", "0.6180339887", "1",
+                                    "-t", "1", "-n", "50", "--gaps"])
+    assert code == 0
+    _, header, rows = parse_csv(out)
+    assert header == ["i", "gap"] and len(rows) == 50
+
+
 def test_farey_gaps_histogram(capsys):
     code, out, _ = run_cli(capsys, ["farey", "200", "--stat", "gaps", "--bins", "10"])
     assert code == 0

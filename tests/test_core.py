@@ -279,7 +279,7 @@ def section_points(draw, max_den=300):
 widths = st.fractions(min_value=F(1, 4), max_value=4, max_denominator=50).filter(lambda t: t > 0)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(section_points(), widths, st.integers(1, 80))
 def test_kernel_matches_fraction_oracle(p, t, n):
     # the width-t kernel, step by step

@@ -3,7 +3,10 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from bczmap import farey
 from bczmap.core import bcz_step
 from bczmap.farey import (
     counting_bound_check,
@@ -23,6 +26,37 @@ from bczmap.farey import (
 from bczmap.measure import MAX_PEAK_INTEGRAL, MIN_PEAK_INTEGRAL, grid_measure, hall_cdf
 
 PI2_3 = math.pi**2 / 3
+
+
+def scalar_orbit(Q):
+    """Oracle: F(Q) from one sequential orbit of (1/Q, 1), numerators
+    recovered from the unimodularity p_{i+1} = (1 + p_i q_{i+1}) / q_i."""
+    n = farey_cardinality(Q)
+    qs = []
+    q, r = 1, Q
+    for _ in range(n):
+        qs.append(q)
+        q, r = r, ((Q + q) // r) * r - q
+    assert (q, r) == (1, Q)
+    ps = [0] * n
+    for i in range(n - 1):
+        ps[i + 1] = (1 + ps[i] * qs[i + 1]) // qs[i]
+    return qs, ps
+
+
+def fraction_flow_sum(q, Q):
+    """Oracle: the sum of the return times Q^2/(q_i q_{i+1}) around the cycle,
+    as a gcd-reduced fraction."""
+    n = len(q)
+    num, den = 0, 1
+    for i in range(n):
+        qq = q[i] * q[(i + 1) % n]
+        num = num * qq + Q * Q * den
+        den *= qq
+        g = math.gcd(num, den)
+        num //= g
+        den //= g
+    return F(num, den)
 
 
 def test_cardinality():
@@ -70,7 +104,118 @@ def test_oracle_equivalence_medium():
 
 def test_flow_period_medium():
     for Q in range(1, 61):
-        assert orbit_flow_period(Q) == Q * Q
+        q = farey_orbit(Q).denominators.tolist()
+        assert orbit_flow_period(Q) == fraction_flow_sum(q, Q) == Q * Q
+
+
+def test_flow_period_rejects_corrupted_sequence(monkeypatch):
+    seq = farey_orbit(30)
+    for i in (0, 7, len(seq) - 1):
+        q = seq.q.copy()
+        q[i] += 1
+        bad = farey.FareySequence(30, q, seq.p)
+        monkeypatch.setattr(farey, "farey_orbit", lambda Q: bad)
+        with pytest.raises(RuntimeError):
+            orbit_flow_period(30)
+
+
+# K = isqrt(N) is 120, 180 and 210 at Q = 218, 327 and 382
+@settings(max_examples=25)
+@given(st.integers(1, 400))
+@example(1)
+@example(2)
+@example(3)
+@example(218)
+@example(327)
+@example(382)
+@example(400)
+def test_lanes_match_scalar_orbit_and_bruteforce(Q):
+    seq = farey._farey_lanes(Q)
+    qs, ps = scalar_orbit(Q)
+    brute = farey_bruteforce(Q)
+    assert seq.denominators.tolist() == qs == brute.denominators.tolist()
+    assert seq.numerators.tolist() == ps == brute.numerators.tolist()
+    assert seq.q[-1] == seq.p[-1] == 1
+
+
+@st.composite
+def level_and_interval(draw):
+    """A level Q and a closed interval whose ends are Farey fractions of
+    level Q, those moved by 10^-17, or arbitrary rationals."""
+    Q = draw(st.integers(1, 120))
+    fracs = farey_bruteforce(Q).fractions() + [F(1)]
+
+    def end():
+        kind = draw(st.sampled_from(["farey", "below", "above", "any"]))
+        if kind == "any":
+            return F(draw(st.integers(0, 10**6)), 10**6)
+        x = draw(st.sampled_from(fracs))
+        eps = F(1, 10**17)
+        if kind == "farey":
+            return x
+        return min(F(1), x + eps) if kind == "above" else max(F(0), x - eps)
+
+    return Q, tuple(sorted((end(), end())))
+
+
+@settings(max_examples=100)
+@given(level_and_interval())
+def test_bisected_selection_matches_fraction_mask(case):
+    Q, (lo, hi) = case
+    fracs = farey_bruteforce(Q).fractions()
+    inside = [i for i, f in enumerate(fracs) if lo <= f <= hi]
+    start, end = farey._index_range(farey_orbit(Q), (lo, hi))
+    assert list(range(start, end)) == inside
+    assert interval_count(Q, (lo, hi)) == len(inside)
+    if Q >= 2:
+        assert index_values(Q, (lo, hi)).tolist() == index_values(Q)[inside].tolist()
+
+
+def rolled_h_spacing(Q, interval, box):
+    """Oracle: the h-spacing proportion from a Fraction mask and rolled gaps."""
+    lo, hi = interval
+    fracs = farey_bruteforce(Q).fractions()
+    mask = np.array([lo <= f <= hi for f in fracs])
+    q = np.array([f.denominator for f in fracs])
+    gaps = (3 / math.pi**2) * float(hi - lo) * Q * Q / (q.astype(float) * np.roll(q, -1))
+    inside = mask.copy()
+    for j, (c, d) in enumerate(box):
+        gj = np.roll(gaps, -j)
+        inside &= (gj > c) & (gj < d)
+    return float(np.count_nonzero(inside) / np.count_nonzero(mask))
+
+
+@settings(max_examples=60)
+@given(level_and_interval(), st.lists(st.tuples(st.floats(0, 1), st.floats(0.5, 4)),
+                                      min_size=1, max_size=12))
+@example((1, (F(0), F(1))), [(0.0, 4.0)] * 5)
+@example((3, (F(1, 2), F(1))), [(0.0, 4.0), (0.5, 2.0)] * 4)
+def test_h_spacing_matches_rolled_oracle(case, box):
+    # boxes longer than the selection, or than F(Q) itself, wrap around the cycle
+    Q, interval = case
+    if interval_count(Q, interval) == 0:
+        with pytest.raises(ValueError):
+            h_spacing_proportion(Q, interval, box)
+    else:
+        assert h_spacing_proportion(Q, interval, box) == rolled_h_spacing(Q, interval, box)
+
+
+def test_orbit_cache_is_bounded_lru(monkeypatch):
+    monkeypatch.setattr(farey, "_orbit_cache", {})
+    # room for F(50) and F(70), whose p and q take equal bytes
+    monkeypatch.setattr(farey, "_CACHE_BYTES", sum(2 * farey._farey_lanes(Q).q.nbytes
+                                                   for Q in (50, 70)))
+    seen = [farey_orbit(Q) for Q in (50, 60, 50, 70)]
+    assert seen[0] is seen[2]
+    assert list(farey._orbit_cache) == [50, 70]  # 60 was the least recently used
+    again = farey_orbit(60)
+    assert again is not seen[1]
+    assert np.array_equal(again.q, seen[1].q) and np.array_equal(again.p, seen[1].p)
+    assert list(farey._orbit_cache) == [60]
+    # the level used last stays cached even when it alone exceeds the bound
+    monkeypatch.setattr(farey, "_CACHE_BYTES", 1)
+    assert farey_orbit(50) is farey_orbit(50)
+    assert list(farey._orbit_cache) == [50]
 
 
 def test_neighbor_identities():
