@@ -4,6 +4,10 @@ CSV output carries '#'-prefixed metadata lines (command, parameters,
 version, seed) above the header row; JSON mirrors the same content as
 {"meta": ..., "columns": ..., "rows": ...}.  Identical invocations
 (including the seed) produce byte-identical output.
+
+Exit codes: any DomainError (a ValueError), raised by the library or by the
+checks here, is bad input and exits 2; anything else exits 1.  `main` is
+the only place that maps an exception to an exit code.
 """
 
 from __future__ import annotations
@@ -18,8 +22,8 @@ from fractions import Fraction
 from . import __version__
 from .core import DomainError, _mat2_mul, orbit_trace
 from .excursions import NAMED_STARTS, excursion_averages, named_start
-from .farey import (empirical_integral, farey_cardinality, index_values,
-                    moment_sum, normalized_gaps)
+from .farey import (_as_interval, empirical_integral, farey_cardinality,
+                    index_values, moment_sum, normalized_gaps)
 from .lattices import (UnimodularBasis, slope_gaps_via_bcz,
                        strip_slopes_bruteforce)
 from .measure import (MAX_PEAK_INTEGRAL, MIN_PEAK_INTEGRAL, excursion_integrals,
@@ -51,9 +55,8 @@ def emit(args, command: str, params: dict, columns: list, rows: list) -> None:
     }
     try:
         out = open(args.output, "w") if args.output else sys.stdout
-    except OSError as exc:  # an unwritable path is bad input: exit 2
-        print(f"bczmap: error: cannot write {args.output}: {exc.strerror}", file=sys.stderr)
-        raise SystemExit(2) from exc
+    except OSError as exc:  # an unwritable path is bad input
+        raise DomainError(f"cannot write {args.output}: {exc.strerror}") from exc
     try:
         if args.format == "json":
             doc = {
@@ -74,7 +77,7 @@ def emit(args, command: str, params: dict, columns: list, rows: list) -> None:
             out.close()
 
 
-def parse_scalar(text: str, parser):
+def parse_scalar(text: str):
     """'p/q' parses exactly; decimal strings become floats (with a warning)."""
     try:
         if "/" in text:
@@ -86,31 +89,21 @@ def parse_scalar(text: str, parser):
             return float(text)
         return Fraction(int(text))
     except (ValueError, ZeroDivisionError):
-        parser.error(f"cannot parse scalar {text!r}")
-
-
-def _interval(args, parser):
-    if args.interval is None:
-        return (0, 1)
-    lo, hi = (parse_scalar(v, parser) for v in args.interval)
-    if not 0 <= lo <= hi <= 1:
-        parser.error("interval must satisfy 0 <= A <= B <= 1")
-    return (Fraction(lo), Fraction(hi))
+        raise DomainError(f"cannot parse scalar {text!r}") from None
 
 
 # -- subcommands ---------------------------------------------------------------
 
-def cmd_farey(args, parser) -> None:
-    if args.Q < 1:
-        parser.error("Q must be >= 1")
-    if args.stat == "index" and args.Q < 2:
-        parser.error("--stat index needs Q >= 2")
-    interval = _interval(args, parser)
+def cmd_farey(args) -> None:
+    interval = (0, 1) if args.interval is None else \
+        _as_interval([parse_scalar(v) for v in args.interval])
     params = {"Q": args.Q, "interval": f"[{_fmt(interval[0])};{_fmt(interval[1])}]",
               "stat": args.stat}
     if args.stat == "gaps":
-        g = normalized_gaps(args.Q, interval)
         lo, hi = args.range
+        if not (args.bins >= 1 and -math.inf < lo < hi < math.inf):
+            raise DomainError("need --bins >= 1 and a finite --range LO < HI")
+        g = normalized_gaps(args.Q, interval)
         edges = np.linspace(lo, hi, args.bins + 1)
         counts, _ = np.histogram(g, bins=edges)
         n = len(g)
@@ -122,6 +115,8 @@ def cmd_farey(args, parser) -> None:
         emit(args, "farey", params, ["bin_lo", "bin_hi", "count", "proportion"], rows)
     elif args.stat == "index":
         nu = index_values(args.Q, interval)
+        if not len(nu):
+            raise DomainError(f"no Farey fraction of level {args.Q} in {params['interval']}")
         alpha = args.alpha
         emp = float(np.mean(nu.astype(float) ** alpha))
         limit = kappa_moment(alpha) if 0 < alpha < 2 else float("nan")
@@ -134,7 +129,7 @@ def cmd_farey(args, parser) -> None:
         emp = moment_sum(args.Q, interval, s, t)
         try:
             limit = moment_integral(s, t)
-        except ValueError:
+        except DomainError:
             limit = float("nan")
         params.update(s=s, t=t)
         emit(args, "farey", params, ["s", "t", "empirical", "limit"],
@@ -149,11 +144,9 @@ def cmd_farey(args, parser) -> None:
         emit(args, "farey", params, ["statistic", "empirical", "limit"], rows)
 
 
-def cmd_hall_cdf(args, parser) -> None:
-    if args.step <= 0 or args.d_max < args.d_min:
-        parser.error("need step > 0 and d-max >= d-min")
-    if not 0 < args.interval_length <= 1:
-        parser.error("interval-length must lie in (0, 1]")
+def cmd_hall_cdf(args) -> None:
+    if not (0 < args.step < math.inf and -math.inf < args.d_min <= args.d_max < math.inf):
+        raise DomainError("need a finite step > 0 and finite d-max >= d-min")
     length = args.interval_length
     k1, k2 = hall_kinks(length)
     grid = list(np.arange(args.d_min, args.d_max + args.step / 2, args.step))
@@ -182,39 +175,32 @@ def cmd_hall_cdf(args, parser) -> None:
     emit(args, "hall-cdf", params, columns, rows)
 
 
-def cmd_orbit(args, parser) -> None:
-    a = parse_scalar(args.a, parser)
-    b = parse_scalar(args.b, parser)
-    try:
-        if args.periodic:
-            if not (isinstance(a, Fraction) and isinstance(b, Fraction)):
-                parser.error("--periodic requires exact (p/q) coordinates")
-            rep = orbit_report((a, b))
-            m = rep.matrix
-            params = {"a": a, "b": b}
-            rows = [(rep.discrete_period, rep.continuous_period, _fmt(rep.slope),
-                     m.a11, m.a12, m.a21, m.a22)]
-            emit(args, "orbit", params,
-                 ["period", "flow_period", "slope", "m11", "m12", "m21", "m22"], rows)
-            return
-        trace = orbit_trace((a, b), args.n)
-        rows = [
-            (i, p[0], p[1], r, k)
-            for i, (p, r, k) in enumerate(zip(trace.points, trace.returns, trace.indices))
-        ]
-        emit(args, "orbit", {"a": a, "b": b, "n": args.n},
-             ["i", "a", "b", "roof", "kappa"], rows)
-    except DomainError as exc:
-        parser.error(str(exc))
+def cmd_orbit(args) -> None:
+    a = parse_scalar(args.a)
+    b = parse_scalar(args.b)
+    if args.periodic:
+        rep = orbit_report((a, b))
+        m = rep.matrix
+        params = {"a": a, "b": b}
+        rows = [(rep.discrete_period, rep.continuous_period, _fmt(rep.slope),
+                 m.a11, m.a12, m.a21, m.a22)]
+        emit(args, "orbit", params,
+             ["period", "flow_period", "slope", "m11", "m12", "m21", "m22"], rows)
+        return
+    trace = orbit_trace((a, b), args.n)
+    rows = [
+        (i, p[0], p[1], r, k)
+        for i, (p, r, k) in enumerate(zip(trace.points, trace.returns, trace.indices))
+    ]
+    emit(args, "orbit", {"a": a, "b": b, "n": args.n},
+         ["i", "a", "b", "roof", "kappa"], rows)
 
 
-def cmd_excursions(args, parser) -> None:
+def cmd_excursions(args) -> None:
     if args.start is not None:
-        start = tuple(float(parse_scalar(v, parser)) for v in args.start)
+        start = tuple(float(parse_scalar(v)) for v in args.start)
     else:
         start = named_start(args.slope_irrational)
-    if args.n < 1:
-        parser.error("n must be >= 1")
     record = args.record_every or max(1, args.n // 100)
     res = excursion_averages(start, args.n, record_every=record)
     params = {"start_a": start[0], "start_b": start[1], "n": args.n,
@@ -223,10 +209,10 @@ def cmd_excursions(args, parser) -> None:
     emit(args, "excursions", params, ["n", "a_N", "l_N", "A_N", "L_N"], rows)
 
 
-def _basis_from_args(args, parser) -> UnimodularBasis:
+def _basis_from_args(args) -> UnimodularBasis:
     if args.random_basis:
         if args.seed is None:
-            parser.error("--random-basis requires --seed")
+            raise DomainError("--random-basis requires --seed")
         rng = random.Random(args.seed)
         m = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
         for _ in range(rng.randint(4, 8)):
@@ -238,26 +224,21 @@ def _basis_from_args(args, parser) -> UnimodularBasis:
             m = _mat2_mul(m, shear)
         return UnimodularBasis(m[0][0], m[1][0], m[0][1], m[1][1])
     if args.basis is None:
-        parser.error("provide --basis M11 M12 M21 M22 or --random-basis")
-    e = [parse_scalar(v, parser) for v in args.basis]
-    try:
-        return UnimodularBasis(e[0], e[2], e[1], e[3])  # row-major input, column storage
-    except ValueError as exc:
-        parser.error(str(exc))
+        raise DomainError("provide --basis M11 M12 M21 M22 or --random-basis")
+    e = [parse_scalar(v) for v in args.basis]
+    return UnimodularBasis(e[0], e[2], e[1], e[3])  # row-major input, column storage
 
 
-def cmd_slopes(args, parser) -> None:
-    basis = _basis_from_args(args, parser)
-    t = parse_scalar(args.t, parser)
-    if t <= 0:
-        parser.error("t must be positive")
+def cmd_slopes(args) -> None:
+    basis = _basis_from_args(args)
+    t = parse_scalar(args.t)
     c1, c2 = basis.columns()
     params = {"basis": f"[{_fmt(c1[0])};{_fmt(c2[0])};{_fmt(c1[1])};{_fmt(c2[1])}]",
               "t": t, "n": args.n}
     if args.bruteforce:
         if args.slope_max is None:
-            parser.error("--bruteforce requires --slope-max")
-        series = strip_slopes_bruteforce(basis, t, parse_scalar(args.slope_max, parser))
+            raise DomainError("--bruteforce requires --slope-max")
+        series = strip_slopes_bruteforce(basis, t, parse_scalar(args.slope_max))
         params["slope_max"] = args.slope_max
     else:
         series = slope_gaps_via_bcz(basis, t, args.n)
@@ -278,7 +259,7 @@ def cmd_slopes(args, parser) -> None:
         emit(args, "slopes", params, ["i", "slope"], rows)
 
 
-def cmd_periodic(args, parser) -> None:
+def cmd_periodic(args) -> None:
     if args.hierarchy is not None:
         recs = hierarchy_report(args.hierarchy)
         rows = [(r["Q"], r["period"], r["jump_to_next"]) for r in recs]
@@ -286,22 +267,18 @@ def cmd_periodic(args, parser) -> None:
              ["Q", "period", "jump_to_next"], rows)
         return
     if args.k is None or args.l is None:
-        parser.error("provide K L or --hierarchy QMAX")
+        raise DomainError("provide K L or --hierarchy QMAX")
     k, l = args.k, args.l
-    try:
-        m = segment_matrix(k, l)
-        rows = []
-        for r in range(1, k + 1):
-            rows.append((r, f"({l}/{l + r};{l}/{l + r - 1}]", period_on_segment(k, l, r)))
-        params = {"k": k, "l": l,
-                  "matrix": f"[{m.a11};{m.a12};{m.a21};{m.a22}]",
-                  "shear_conjugation": shear_conjugation_check(k, l)}
-        emit(args, "periodic", params, ["r", "a_range", "period"], rows)
-    except ValueError as exc:
-        parser.error(str(exc))
+    m = segment_matrix(k, l)
+    rows = [(r, f"({l}/{l + r};{l}/{l + r - 1}]", period_on_segment(k, l, r))
+            for r in range(1, k + 1)]
+    params = {"k": k, "l": l,
+              "matrix": f"[{m.a11};{m.a12};{m.a21};{m.a22}]",
+              "shear_conjugation": shear_conjugation_check(k, l)}
+    emit(args, "periodic", params, ["r", "a_range", "period"], rows)
 
 
-def cmd_measure(args, parser) -> None:
+def cmd_measure(args) -> None:
     rows = []
     part = tile_partition_defect(10**5)
     rows.append(("tile_partition_defect", part, 0.0, part))
@@ -414,9 +391,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.run(args, parser)
-    except SystemExit:
-        raise
+        args.run(args)
+    except DomainError as exc:  # bad input, from the library or the checks here
+        parser.error(str(exc))
     except BrokenPipeError:
         return 0
     except Exception as exc:  # internal error contract: exit code 1

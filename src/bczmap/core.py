@@ -39,7 +39,8 @@ DRIFT_TOL = 1e-9
 
 
 class DomainError(ValueError):
-    """Point outside the section (or scalar flavors mixed)."""
+    """Bad input: an argument outside the domain of the function it was
+    passed to, such as a point outside the section or a mixed-flavor point."""
 
 
 class DriftError(ArithmeticError):
@@ -209,7 +210,7 @@ def step_matrix(p: Point) -> IntMatrix2:
 def cocycle(p: Point, n: int) -> IntMatrix2:
     """Ordered product A(T^{n-1} p) ... A(T p) A(p); T^n(p) = p . (result)^T."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise DomainError("n must be >= 1")
     m11, m12, m21, m22 = 1, 0, 0, 1
     for _, (_, _, k) in zip(range(n), _orbit(p)[1]):
         # A_k @ m with A_k = [[0, 1], [-1, k]]
@@ -227,6 +228,8 @@ class OrbitTrace:
 
 
 def orbit_trace(p: Point, n: int) -> OrbitTrace:
+    if n < 0:
+        raise DomainError("n must be >= 0")
     d, orbit = _orbit(p)
     exact = isinstance(d, int)
     d2 = d * d

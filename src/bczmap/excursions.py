@@ -17,7 +17,7 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import DriftError, _orbit, _reproject, check_section, is_exact
+from .core import DomainError, DriftError, _orbit, _reproject, check_section, is_exact
 
 
 def vector_length_profile(v, s):
@@ -28,7 +28,7 @@ def vector_length_profile(v, s):
     """
     x, y = v
     if not x > 0:
-        raise ValueError("profile requires a positive first coordinate")
+        raise DomainError("profile requires a positive first coordinate")
     return max(x, abs(y - s * x))
 
 
@@ -86,6 +86,8 @@ def excursion_trace(start, n: int) -> ExcursionTrace:
     sup-norm profile have radius 1 around the visit, so the midpoint IS the
     visit time.  Works in either scalar flavor.
     """
+    if n < 0:
+        raise DomainError("n must be >= 0")
     d, orbit = _orbit(start)
     exact = isinstance(d, int)
     d2 = d * d
@@ -129,7 +131,7 @@ def named_start(name: str):
     try:
         return NAMED_STARTS[name]
     except KeyError:
-        raise ValueError(f"unknown start {name!r}; choose from {sorted(NAMED_STARTS)}") from None
+        raise DomainError(f"unknown start {name!r}; choose from {sorted(NAMED_STARTS)}") from None
 
 
 def excursion_averages(start, n: int, record_every: int = 0,
@@ -142,6 +144,8 @@ def excursion_averages(start, n: int, record_every: int = 0,
     within the drift tolerance; exceeding `max_repairs` (when set) or the
     tolerance aborts with DriftError.
     """
+    if n < 1 or record_every < 0:
+        raise DomainError("need n >= 1 and record_every >= 0")
     a, b = start
     if is_exact(a) and is_exact(b):
         warnings.warn(

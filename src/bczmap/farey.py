@@ -31,6 +31,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .core import DomainError
+
 PI2_3 = math.pi**2 / 3
 
 _totients_upto: np.ndarray = np.array([0, 1], dtype=np.int64)  # phi(0) unused
@@ -55,7 +57,7 @@ def totient(q: int) -> int:
 def farey_cardinality(Q: int) -> int:
     """N(Q) = sum_{q <= Q} phi(q), the length of F(Q) (0/1 included, 1/1 not)."""
     if Q < 1:
-        raise ValueError("Q must be >= 1")
+        raise DomainError("Q must be >= 1")
     _extend_totients(Q)
     return int(_totients_upto[1 : Q + 1].sum())
 
@@ -78,12 +80,6 @@ class FareySequence:
 
     def fractions(self) -> list:
         return [Fraction(int(p), int(q)) for p, q in zip(self.numerators, self.denominators)]
-
-    def orbit_points(self):
-        """Section points (q_i/Q, q_{i+1}/Q), the i-th associated with gamma_i."""
-        Q = self.level
-        q = self.q.tolist()
-        return [(Fraction(q[i], Q), Fraction(q[i + 1], Q)) for i in range(len(self))]
 
 
 #: bytes of denominators and numerators `_orbit_cache` may hold: levels up
@@ -176,7 +172,7 @@ def farey_orbit(Q: int) -> FareySequence:
     Levels are cached, least recently used first out once the cache holds
     more than _CACHE_BYTES."""
     if Q < 1:
-        raise ValueError("Q must be >= 1")
+        raise DomainError("Q must be >= 1")
     seq = _orbit_cache.pop(Q, None)
     if seq is None:
         seq = _farey_lanes(Q)
@@ -194,7 +190,7 @@ def farey_bruteforce(Q: int) -> FareySequence:
     distinct level-Q fractions differ by more than 2^-64 for any sane Q.
     """
     if Q < 1:
-        raise ValueError("Q must be >= 1")
+        raise DomainError("Q must be >= 1")
     pairs = [(0, 1)]
     for q in range(2, Q + 1):
         pairs.extend((p, q) for p in range(1, q) if math.gcd(p, q) == 1)
@@ -228,10 +224,10 @@ def orbit_flow_period(Q: int) -> Fraction:
 
 def _as_interval(interval) -> tuple[Fraction, Fraction]:
     lo, hi = interval
-    lo, hi = Fraction(lo), Fraction(hi)
+    # compared before conversion: Fraction refuses inf and nan
     if not (0 <= lo <= hi <= 1):
-        raise ValueError(f"interval [{lo}, {hi}] not inside [0, 1]")
-    return lo, hi
+        raise DomainError(f"interval [{lo}, {hi}] not inside [0, 1]")
+    return Fraction(lo), Fraction(hi)
 
 
 def _index_range(seq: FareySequence, interval) -> tuple[int, int]:
@@ -262,7 +258,8 @@ def _selected_range(Q: int, interval):
     seq = farey_orbit(Q)
     start, end = _index_range(seq, interval)
     if start == end:
-        raise ValueError(f"no Farey fraction of level {Q} in {interval}")
+        lo, hi = _as_interval(interval)
+        raise DomainError(f"no Farey fraction of level {Q} in [{lo}, {hi}]")
     return seq, start, end
 
 
@@ -327,7 +324,7 @@ def normalized_gaps(Q: int, interval=(0, 1)) -> np.ndarray:
 def spacing_proportion(Q: int, interval, c: float, d: float) -> float:
     """Fraction of selected gaps with normalized value in the open interval (c, d)."""
     if not 0 <= c <= d:
-        raise ValueError("need 0 <= c <= d")
+        raise DomainError("need 0 <= c <= d")
     g = normalized_gaps(Q, interval)
     return float(np.count_nonzero((g > c) & (g < d)) / len(g))
 
@@ -339,7 +336,7 @@ def h_spacing_proportion(Q: int, interval, box: Sequence[tuple]) -> float:
     between gamma_{i+j-1} and gamma_{i+j}; indices wrap cyclically.
     """
     if len(box) < 1:
-        raise ValueError("box must contain at least one interval")
+        raise DomainError("box must contain at least one interval")
     lo, hi = _as_interval(interval)
     length = float(hi - lo)
     seq, start, end = _selected_range(Q, interval)
@@ -366,7 +363,7 @@ def index_values(Q: int, interval=(0, 1)) -> np.ndarray:
     checked at runtime.
     """
     if Q < 2:
-        raise ValueError("indices need Q >= 2")
+        raise DomainError("indices need Q >= 2")
     seq = farey_orbit(Q)
     start, end = _index_range(seq, interval)
     q, qi = seq.q, seq.q[start:end]
@@ -403,7 +400,7 @@ def counting_bound_check(Q: int, interval=(0, 1)) -> bool:
     """N_I(Q) >= min(|I|/(18 pi), |I|^2/4) * Q^2."""
     n = interval_count(Q, interval)
     if n <= 0:
-        raise ValueError("counting bound undefined for an empty selection")
+        raise DomainError("counting bound undefined for an empty selection")
     lo, hi = _as_interval(interval)
     length = float(hi - lo)
     c1 = min(length / (18 * math.pi), length * length / 4)

@@ -13,13 +13,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import _orbit, is_exact, reduce_to_section
+from .core import DomainError, _orbit, is_exact, reduce_to_section
 
 
 def _slope(x, y):
     return Fraction(y) / Fraction(x) if is_exact(x) else y / x
 
 _FLOAT_DET_TOL = 1e-12
+
+#: iterations `_gauss_reduce` may take; the Fibonacci basis
+#: [[F(m + 1), F(m)], [F(m), F(m - 1)]] needs about m/2
+_GAUSS_MAX_ITER = 10_000
 
 
 @dataclass(frozen=True)
@@ -35,9 +39,9 @@ class UnimodularBasis:
         d = self.det()
         if self.is_exact():
             if d != 1:
-                raise ValueError(f"determinant {d} != 1")
-        elif abs(d - 1.0) > _FLOAT_DET_TOL:
-            raise ValueError(f"determinant {d!r} not within {_FLOAT_DET_TOL} of 1")
+                raise DomainError(f"determinant {d} != 1")
+        elif not abs(d - 1.0) <= _FLOAT_DET_TOL:  # a nan determinant fails too
+            raise DomainError(f"determinant {d!r} not within {_FLOAT_DET_TOL} of 1")
 
     def det(self):
         return self.x1 * self.y2 - self.x2 * self.y1
@@ -89,17 +93,17 @@ def _gauss_reduce(basis: UnimodularBasis):
     def n2(w):
         return w[0] * w[0] + w[1] * w[1]
 
-    for _ in range(10_000):
+    for _ in range(_GAUSS_MAX_ITER):
         if n2(v) < n2(u):
             u, v = v, (-u[0], -u[1])
             cu, cv = cv, (-cu[0], -cu[1])
         mu = round(Fraction(u[0] * v[0] + u[1] * v[1], n2(u))) if exact \
             else round((u[0] * v[0] + u[1] * v[1]) / n2(u))
         if mu == 0:
-            break
+            return (u, v), (cu, cv)
         v = (v[0] - mu * u[0], v[1] - mu * u[1])
         cv = (cv[0] - mu * cu[0], cv[1] - mu * cu[1])
-    return (u, v), (cu, cv)
+    raise RuntimeError(f"Gauss reduction did not finish in {_GAUSS_MAX_ITER} iterations")
 
 
 def shortest_vector_length(basis: UnimodularBasis):
@@ -263,6 +267,8 @@ def strip_slopes_bruteforce(basis: UnimodularBasis, t, slope_max) -> SlopeGapSer
     (shared slope means proportional vectors); a violation of strictness
     after sorting is an internal-consistency error.
     """
+    if not (0 < t < math.inf and 0 <= slope_max < math.inf):
+        raise DomainError(f"need a finite width t > 0 and slope_max >= 0, not {t}, {slope_max}")
     found = []
     for x, y, _, _ in _strip_vectors(basis, t, slope_max * t):
         if y > slope_max * x:
@@ -286,12 +292,14 @@ def first_section_hit(basis: UnimodularBasis, t=1):
     orbits never reach the section; the boundary case, e.g. the square
     lattice at t = 1, does meet it at the fixed corner).
     """
+    if not 0 < t < math.inf:
+        raise DomainError(f"width t = {t} must be positive and finite")
     ln = shortest_vertical_length(basis)
     if ln is not None:
         strictly_short = (ln * t < 1) if (is_exact(ln) and is_exact(t)) \
             else float(ln) * float(t) < 1.0 - 1e-12
         if strictly_short:
-            raise ValueError("lattice is vertically short; orbit misses the section")
+            raise DomainError("lattice is vertically short; orbit misses the section")
     y_max = 4
     best = None
     while best is None:
@@ -335,6 +343,8 @@ def slope_gaps_via_bcz(basis: UnimodularBasis, t, n: int) -> SlopeGapSeries:
     width run on the integer orbit; anything else runs the drift-monitored
     float map.
     """
+    if n < 0:
+        raise DomainError("n must be >= 0")
     s1, p = first_section_hit(basis, t)
     d, orbit = _orbit(p, t)
     slopes, gaps = [s1], []
@@ -372,7 +382,9 @@ def gap_distribution(basis: UnimodularBasis, t, n: int, c: float, d: float,
     periodic orbits.
     """
     if not 0 <= c <= d:
-        raise ValueError("need 0 <= c <= d")
+        raise DomainError("need 0 <= c <= d")
+    if n < 1:
+        raise DomainError("n must be >= 1")
     vals = slope_gaps_via_bcz(basis, t, n).gaps
     if distinct:
         vals = {g if is_exact(g) else round(g, 12) for g in vals}

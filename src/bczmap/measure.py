@@ -26,6 +26,7 @@ import numpy as np
 from scipy import integrate
 from scipy.special import loggamma, zeta
 
+from .core import DomainError
 from .excursions import peak_length
 
 PI2_3 = math.pi**2 / 3
@@ -40,7 +41,7 @@ MAX_PEAK_INTEGRAL = (2 / 3) * (7 - 4 * math.sqrt(2))   # ~ 0.8954305003
 def tile_measure(k: int) -> Fraction:
     """m(Omega_k): 1/3 for k = 1, 8/(k(k+1)(k+2)) for k >= 2 (m is twice area)."""
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise DomainError("k must be >= 1")
     if k == 1:
         return Fraction(1, 3)
     return Fraction(8, k * (k + 1) * (k + 2))
@@ -50,7 +51,7 @@ def tile_vertices(k: int) -> list:
     """Corners of Omega_k in cyclic order: a triangle for k = 1, else the
     quadrilateral cut out by b = (1+a)/k, a = 1, b = (1+a)/(k+1), a+b = 1."""
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise DomainError("k must be >= 1")
     if k == 1:
         return [(Fraction(0), Fraction(1)), (Fraction(1), Fraction(1)), (Fraction(1, 3), Fraction(2, 3))]
     return [
@@ -135,11 +136,11 @@ def roof_region_measure(c: float, d: float, method: str = "closed-form") -> Regi
     band {1/d < ab < 1/c} adaptively, splitting at the known shape changes.
     """
     if not 0 <= c <= d:
-        raise ValueError("need 0 <= c <= d")
+        raise DomainError("need 0 <= c <= d")
     if method == "closed-form":
         return RegionMeasureResult(roof_cdf(d) - roof_cdf(c), "closed-form", 0.0)
     if method != "quadrature":
-        raise ValueError(f"unknown method {method!r}")
+        raise DomainError(f"unknown method {method!r}")
     u1 = 0.0 if math.isinf(d) else 1.0 / d
     u2 = math.inf if c == 0 else 1.0 / c
 
@@ -161,7 +162,7 @@ def hall_cdf(d: float, interval_length: float = 1.0) -> float:
     Zero up to d = 3|I|/pi^2, second kink at d = 12|I|/pi^2, tends to 1.
     """
     if not 0 < interval_length <= 1:
-        raise ValueError("interval_length must lie in (0, 1]")
+        raise DomainError("interval_length must lie in (0, 1]")
     if d <= 0:
         return 0.0
     return roof_cdf(math.pi**2 * d / (3 * interval_length))
@@ -199,7 +200,7 @@ def roof_integral(method: str = "closed-form") -> float:
     if method == "closed-form":
         return PI2_3
     if method != "quadrature":
-        raise ValueError(f"unknown method {method!r}")
+        raise DomainError(f"unknown method {method!r}")
     val, _ = integrate_over_section(lambda a, b: 1.0 / (a * b))
     return val
 
@@ -240,8 +241,8 @@ def moment_integral(s, t):
         return special[key]
     sr = s.real if isinstance(s, complex) else float(s)
     tr = t.real if isinstance(t, complex) else float(t)
-    if sr <= -1 or tr <= -1:
-        raise ValueError(f"B_{{{s},{t}}} undefined: exponents must exceed -1")
+    if not (-1 < sr < math.inf and -1 < tr < math.inf):
+        raise DomainError(f"B_{{{s},{t}}} undefined: exponents must be finite and exceed -1")
     g = np.exp(loggamma(s + 1) + loggamma(t + 1) - loggamma(s + t + 3))
     val = 2.0 * (1.0 / ((s + 1) * (t + 1)) - g)
     if isinstance(s, complex) or isinstance(t, complex):
@@ -257,7 +258,7 @@ def kappa_moment(alpha: float, head: int = 1000) -> float:
     whose pieces are Hurwitz zeta values, giving ~1e-15 truncation error.
     """
     if not 0 < alpha < 2:
-        raise ValueError("alpha must lie in (0, 2); the moment diverges at 2")
+        raise DomainError("alpha must lie in (0, 2); the moment diverges at 2")
     s = math.fsum(k**alpha * 8.0 / (k * (k + 1) * (k + 2)) for k in range(2, head + 1))
     tail = 0.0
     sign = 1.0
@@ -283,7 +284,7 @@ def excursion_integrals(method: str = "closed-form") -> tuple:
     if method == "closed-form":
         return (MIN_PEAK_INTEGRAL, MAX_PEAK_INTEGRAL)
     if method != "quadrature":
-        raise ValueError(f"unknown method {method!r}")
+        raise DomainError(f"unknown method {method!r}")
 
     def breaks(a: float) -> list:
         return [a, (-a + math.sqrt(a * a + 4.0)) / 2.0, 1.0 / a - a]

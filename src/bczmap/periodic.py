@@ -84,7 +84,7 @@ def period_on_segment(k: int, l: int, r: int) -> int:
     the slope-k/l segment, 1 <= r <= k."""
     _check_coprime(k, l)
     if not 1 <= r <= k:
-        raise ValueError(f"r must lie in [1, {k}]")
+        raise DomainError(f"r must lie in [1, {k}]")
     return farey_cardinality(l + r - 1)
 
 
@@ -103,9 +103,9 @@ def shear_conjugation_check(k: int, l: int) -> bool:
 
 def _check_coprime(k: int, l: int) -> None:
     if not (1 <= k <= l):
-        raise ValueError("need 1 <= k <= l")
+        raise DomainError("need 1 <= k <= l")
     if math.gcd(k, l) != 1:
-        raise ValueError(f"k = {k} and l = {l} must be coprime")
+        raise DomainError(f"k = {k} and l = {l} must be coprime")
 
 
 @dataclass
@@ -146,7 +146,7 @@ def hierarchy_report(q_max: int, samples: int = 5) -> list:
     jump phi(Q+1) picked up at the segment boundary.
     """
     if q_max < 2:
-        raise ValueError("q_max must be >= 2")
+        raise DomainError("q_max must be >= 2")
     out = []
     for big_q in range(1, q_max + 1):
         lo = Fraction(big_q, big_q + 1)

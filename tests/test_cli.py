@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
 import math
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bczmap.cli import main
 
@@ -74,6 +79,78 @@ def test_farey_bad_input_exit_2(capsys, tmp_path, argv):
         main([a.format(tmp=tmp_path) for a in argv])
     assert exc.value.code == 2
     assert "internal error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    "slopes --basis 1 0 0 1 -t 1/3",  # vertically short lattice
+    "slopes --basis 1 0 0 1 -t 9e400",  # infinite width
+    "slopes --basis 1 0 0 1 -t 2 -n -5",
+    "slopes --basis 1 0 0 1 -t 2 --gaps -n 5 --c 1 --d 0",
+    "excursions --start 0.3 0.4 -n 5",  # start outside the section
+    "orbit 1/2 7/10 -n -3",
+    "farey 3 --stat gaps --interval 2/7 3/10",  # no fraction of F(3) selected
+    "farey 3 --stat excursion --interval 2/7 3/10",
+    "farey 3 --stat index --interval 2/7 3/10",
+    "farey 5 --range 5 1",
+    "farey 5 --bins 0",
+    "measure --s -2",
+    "periodic --hierarchy 1",
+])
+def test_bad_input_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    assert "internal error" not in capsys.readouterr().err
+
+
+#: valid calls, each small; the fuzz swaps one argument of one of them
+FUZZ_BASES = [
+    "farey 12 --stat gaps --bins 5 --range 0 4 --interval 1/4 3/4",
+    "farey 12 --stat index --alpha 1 --interval 1/4 3/4",
+    "farey 12 --stat moments --s 1 --t 2 --interval 1/4 3/4",
+    "farey 12 --stat excursion --interval 1/4 3/4",
+    "hall-cdf --d-min 0 --d-max 3 --step 0.5 --interval-length 1",
+    "orbit 1/2 7/10 -n 5",
+    "orbit 1 2/3 --periodic",
+    "excursions --start 0.5 0.7 -n 50 --record-every 10",
+    "slopes --basis 2 1 1 1 -t 2 -n 5 --gaps --c 1 --d 2",
+    "slopes --basis 1 0 0 1 -t 1 --bruteforce --slope-max 6",
+    "slopes --random-basis --seed 7 -t 1 -n 5",
+    "periodic 2 3",
+    "periodic --hierarchy 4",
+    "measure --s 1 --t 0 --alpha 1",
+]
+HOSTILE = ["0", "-3", "1/0", "9e400", "-1/2"]
+#: reversed, empty in F(12), and a single point
+HOSTILE_INTERVALS = [("3/4", "1/4"), ("1/14", "1/13"), ("1/3", "1/3")]
+NON_COPRIME = [("2", "4"), ("6", "9"), ("3", "3")]
+
+
+def _hostile_variants(base: str) -> list:
+    """base with one argument swapped for a hostile value; an interval and
+    the pair K L each count as one argument."""
+    argv = base.split()
+    out = [argv[:i] + [v] + argv[i + 1:]
+           for i, a in enumerate(argv) if re.match(r"-?\d", a) for v in HOSTILE]
+    if "--interval" in argv:
+        i = argv.index("--interval") + 1
+        out += [argv[:i] + list(pair) + argv[i + 2:] for pair in HOSTILE_INTERVALS]
+    if argv[0] == "periodic" and argv[1].isdigit():
+        out += [["periodic", *pair] for pair in NON_COPRIME]
+    return out
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(FUZZ_BASES).flatmap(lambda b: st.sampled_from(_hostile_variants(b))))
+def test_hostile_argument_never_exits_1(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2), (argv, err.getvalue())
+    assert "internal error" not in err.getvalue()
 
 
 def test_slopes_mixed_exact_and_float_basis(capsys):

@@ -59,6 +59,15 @@ def test_domain_errors():
         bcz_step((F(1, 2), 0.9))  # mixed flavors
 
 
+@pytest.mark.parametrize("call", [
+    lambda: orbit_trace((F(1, 2), F(7, 10)), -3),
+    lambda: cocycle((F(1, 2), F(7, 10)), 0),
+], ids=["orbit_trace n<0", "cocycle n<1"])
+def test_bad_arguments_raise_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
+
+
 def test_bcz_step_examples():
     for a in (F(51, 100), F(2, 3), F(9, 10), F(1)):
         assert bcz_step((a, a)) == (a, a)

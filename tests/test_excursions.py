@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from bczmap.core import DriftError, bcz_step, roof
+from bczmap.core import DomainError, DriftError, bcz_step, roof
 from bczmap.excursions import (
     ExcursionTrace,
     excursion_averages,
@@ -169,6 +169,18 @@ def test_excursion_averages_drift_repairs():
         assert excursion_averages(start, n).repairs == 1
     with pytest.raises(DriftError, match="at step 1"):
         excursion_averages(start, 1, max_repairs=0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: excursion_averages(named_start("golden"), 0),
+    lambda: excursion_averages(named_start("golden"), -3),
+    lambda: excursion_averages(named_start("golden"), 7, record_every=-3),
+    lambda: excursion_averages((0.3, 0.4), 5),  # start outside the section
+    lambda: excursion_trace((F(1, 2), F(7, 10)), -1),
+], ids=["averages n=0", "averages n<0", "averages record<0", "averages outside", "trace n<0"])
+def test_bad_arguments_raise_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_named_start_validation():

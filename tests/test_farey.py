@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bczmap import farey
-from bczmap.core import bcz_step
+from bczmap.core import DomainError, bcz_step
 from bczmap.farey import (
     counting_bound_check,
     empirical_integral,
@@ -19,6 +19,7 @@ from bczmap.farey import (
     index_values_via_kappa,
     interval_count,
     moment_sum,
+    normalized_gaps,
     orbit_flow_period,
     spacing_proportion,
     totient,
@@ -57,6 +58,20 @@ def fraction_flow_sum(q, Q):
         num //= g
         den //= g
     return F(num, den)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: farey_orbit(0),
+    lambda: farey_cardinality(-3),
+    lambda: index_values(1),
+    lambda: normalized_gaps(5, (F(3, 4), F(1, 4))),
+    lambda: normalized_gaps(5, (0, math.inf)),
+    lambda: empirical_integral(3, (F(2, 7), F(3, 10)), lambda a, b: a),  # empty selection
+], ids=["orbit Q=0", "cardinality Q<0", "index Q=1", "reversed interval", "infinite interval",
+        "empty selection"])
+def test_bad_arguments_raise_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_cardinality():

@@ -4,7 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from bczmap.core import in_section, t_roof
+from bczmap import lattices
+from bczmap.core import DomainError, in_section, t_roof
 from bczmap.farey import farey_bruteforce, farey_cardinality
 from bczmap.lattices import (
     UnimodularBasis,
@@ -44,6 +45,43 @@ def test_determinant_validation():
     with pytest.raises(ValueError):
         UnimodularBasis(1.0, 0.0, 0.0, 1.0 + 1e-6)
     UnimodularBasis(1.0, 0.0, 0.0, 1.0 + 1e-14)  # within float tolerance
+
+
+Z2 = UnimodularBasis.identity()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: slope_gaps_via_bcz(Z2, 2, -5),
+    lambda: gap_distribution(Z2, 2, 0, 1, 2),
+    lambda: gap_distribution(Z2, 2, 5, 1, 0),
+    lambda: first_section_hit(Z2, 0),
+    lambda: first_section_hit(Z2, -1),
+    lambda: first_section_hit(Z2, math.inf),
+    lambda: first_section_hit(Z2, F(1, 3)),  # vertically short
+    lambda: strip_slopes_bruteforce(Z2, 0, 6),
+    lambda: strip_slopes_bruteforce(Z2, 1, math.inf),
+    lambda: UnimodularBasis(1.0, math.inf, 0.0, 1.0),  # determinant nan
+], ids=["gaps n<0", "distribution n=0", "distribution c>d", "hit t=0", "hit t<0",
+        "hit t=inf", "hit short", "bruteforce t=0", "bruteforce slope_max=inf", "nan det"])
+def test_bad_arguments_raise_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+def _fibonacci_basis(m: int) -> UnimodularBasis:
+    """[[F(m + 1), F(m)], [F(m), F(m - 1)]], determinant 1 for even m."""
+    f = [0, 1]
+    while len(f) < m + 2:
+        f.append(f[-1] + f[-2])
+    return UnimodularBasis(f[m + 1], f[m], f[m], f[m - 1])
+
+
+def test_gauss_reduction_cap_raises(monkeypatch):
+    basis = _fibonacci_basis(20)
+    assert shortest_vector_length(basis) == 1  # the lattice is Z^2
+    monkeypatch.setattr(lattices, "_GAUSS_MAX_ITER", 5)
+    with pytest.raises(RuntimeError, match="5 iterations"):
+        shortest_vector_length(basis)
 
 
 def test_vertical_detection():

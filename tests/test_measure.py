@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from bczmap.core import DomainError
 from bczmap.measure import (
     excursion_integrals,
     grid_measure,
@@ -24,6 +25,21 @@ from bczmap.measure import (
 )
 
 PI2_3 = math.pi**2 / 3
+
+
+@pytest.mark.parametrize("call", [
+    lambda: tile_measure(0),
+    lambda: roof_region_measure(1, 0),
+    lambda: roof_region_measure(0, 1, method="simpson"),
+    lambda: hall_cdf(1.0, 0.0),
+    lambda: moment_integral(-2, 0),
+    lambda: moment_integral(math.inf, 0),
+    lambda: kappa_moment(2.0),
+], ids=["tile k=0", "region c>d", "unknown method", "hall length 0", "B pole",
+        "B infinite", "kappa alpha=2"])
+def test_bad_arguments_raise_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_tile_measures():

@@ -137,6 +137,17 @@ def test_index_constant_along_segment():
             assert kappa_itinerary((t, t / Q), n) == ref
 
 
+@pytest.mark.parametrize("call", [
+    lambda: hierarchy_report(1),
+    lambda: segment_matrix(2, 4),
+    lambda: segment_matrix(0, 3),
+    lambda: period_on_segment(2, 3, 3),
+], ids=["hierarchy q_max=1", "non-coprime", "k=0", "r>k"])
+def test_bad_arguments_raise_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
+
+
 def test_slope_fraction():
     assert slope_fraction((F(3, 4), F(1, 2))) == F(2, 3)
     with pytest.raises(DomainError):
