@@ -118,6 +118,8 @@ def cmd_farey(args) -> None:
         if not len(nu):
             raise DomainError(f"no Farey fraction of level {args.Q} in {params['interval']}")
         alpha = args.alpha
+        if not math.isfinite(alpha):
+            raise DomainError(f"--alpha must be finite, not {alpha}")
         emp = float(np.mean(nu.astype(float) ** alpha))
         limit = kappa_moment(alpha) if 0 < alpha < 2 else float("nan")
         params.update(alpha=alpha)
@@ -144,9 +146,15 @@ def cmd_farey(args) -> None:
         emit(args, "farey", params, ["statistic", "empirical", "limit"], rows)
 
 
+#: most d-grid points `hall-cdf` builds; the default grid has 301
+HALL_GRID_MAX = 10**5
+
+
 def cmd_hall_cdf(args) -> None:
     if not (0 < args.step < math.inf and -math.inf < args.d_min <= args.d_max < math.inf):
         raise DomainError("need a finite step > 0 and finite d-max >= d-min")
+    if (args.d_max - args.d_min) / args.step + 1 > HALL_GRID_MAX:
+        raise DomainError(f"the d-grid would exceed {HALL_GRID_MAX} points; raise --step")
     length = args.interval_length
     k1, k2 = hall_kinks(length)
     grid = list(np.arange(args.d_min, args.d_max + args.step / 2, args.step))
@@ -214,13 +222,10 @@ def _basis_from_args(args) -> UnimodularBasis:
         if args.seed is None:
             raise DomainError("--random-basis requires --seed")
         rng = random.Random(args.seed)
-        m = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+        m = ((1, 0), (0, 1))
         for _ in range(rng.randint(4, 8)):
             x = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-            if rng.random() < 0.5:
-                shear = ((Fraction(1), x), (Fraction(0), Fraction(1)))
-            else:
-                shear = ((Fraction(1), Fraction(0)), (x, Fraction(1)))
+            shear = ((1, x), (0, 1)) if rng.random() < 0.5 else ((1, 0), (x, 1))
             m = _mat2_mul(m, shear)
         return UnimodularBasis(m[0][0], m[1][0], m[0][1], m[1][1])
     if args.basis is None:

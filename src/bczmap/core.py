@@ -12,8 +12,15 @@ BCZ map
 
 with return time R(a, b) = 1/(ab).  Everything here supports two scalar
 flavors: exact (int/Fraction, used wherever correctness is at stake) and
-float (long ergodic runs, drift-monitored).  Mixing the two in one point
-is rejected.
+float (long ergodic runs, drift-monitored).  The flavor is decided once per
+input, by one rule: a point or basis is exact only when every entry (and
+the width) is int/Fraction, and then every result is a Fraction; one
+decimal entry makes the whole computation float.  A Fraction next to a
+float inside one point is refused.  `check_section` applies the rule to
+points, `reduce_to_section` to raw pairs and `lattices.UnimodularBasis` to
+bases, each converting the entries once; every function after them runs one
+expression for both flavors, since Fraction and float share /, floor, ceil
+and round.
 
 Orbits run on one kernel, `_orbit`.  By the scaling conjugacy
 T_t o M_t = M_t o T an exact orbit is an integer orbit: with the common
@@ -29,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import truediv
 from typing import Union
 
 Scalar = Union[int, Fraction, float]
@@ -51,18 +59,12 @@ def is_exact(x: Scalar) -> bool:
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
-def point_flavor(a: Scalar, b: Scalar) -> str:
-    """'exact' or 'float'; raises on a Fraction/float mix."""
-    ea, eb = is_exact(a), is_exact(b)
-    if ea and eb:
-        return "exact"
-    if isinstance(a, float) and isinstance(b, float):
-        return "float"
-    # int + float is ordinary promotion; Fraction + float is silent precision
-    # loss and is refused.
-    if isinstance(a, Fraction) or isinstance(b, Fraction):
-        raise DomainError(f"mixed exact/float point ({a!r}, {b!r})")
-    return "float"
+def _uniform(*values):
+    """The flavor rule: (values, exact), the values all converted to Fraction
+    when every one is int/Fraction, else all to float."""
+    if all(is_exact(v) for v in values):
+        return [Fraction(v) if isinstance(v, int) else v for v in values], True
+    return [float(v) for v in values], False
 
 
 def in_section(p: Point, width: Scalar = 1) -> bool:
@@ -71,22 +73,27 @@ def in_section(p: Point, width: Scalar = 1) -> bool:
     return 0 < a <= width and 0 < b <= width and a + b > width
 
 
-def check_section(p: Point, width: Scalar = 1) -> str:
-    """Validate membership and return the scalar flavor.
+def check_section(p: Point, width: Scalar = 1):
+    """Validate p against the width-`width` section and fix its flavor.
 
-    Float points are accepted within DRIFT_TOL of the section.
+    Returns (a, b, width, exact): all Fractions with exact = True when a, b
+    and the width are all int/Fraction, all floats otherwise (an int next to
+    a float is ordinary promotion).  A Fraction next to a float inside p is
+    silent precision loss and is refused.  Float points are accepted within
+    DRIFT_TOL * max(1, width) of the section.
     """
     a, b = p
-    flavor = point_flavor(a, b)
-    if flavor == "exact":
-        if not in_section(p, width):
-            raise DomainError(f"({a}, {b}) not in the width-{width} section")
+    if (isinstance(a, Fraction) or isinstance(b, Fraction)) and not (is_exact(a) and is_exact(b)):
+        raise DomainError(f"mixed exact/float point ({a!r}, {b!r})")
+    (a, b, width), exact = _uniform(a, b, width)
+    if exact:
+        inside = in_section((a, b), width)
     else:
-        w = float(width)
-        tol = DRIFT_TOL * max(1.0, w)
-        if not (0 < a <= w + tol and 0 < b <= w + tol and a + b > w - tol):
-            raise DomainError(f"({a}, {b}) not in the width-{w:g} section")
-    return flavor
+        tol = DRIFT_TOL * max(1.0, width)
+        inside = 0 < a <= width + tol and 0 < b <= width + tol and a + b > width - tol
+    if not inside:
+        raise DomainError(f"({a}, {b}) not in the width-{width} section")
+    return a, b, width, exact
 
 
 @dataclass(frozen=True)
@@ -170,20 +177,22 @@ def _reproject(a: float, b: float, width: float = 1.0) -> float:
 
 
 def _orbit(p: Point, t: Scalar = 1):
-    """The orbit kernel: check p once and return (d, orbit).
+    """The orbit kernel: check p once and return (d, ratio, orbit).
 
     `orbit` yields (x, y, kappa) without end: (x/d, y/d) runs through the
     width-t orbit of p, and kappa is the index floor((t + x/d)/(y/d)) of
-    each visit.  An exact point with an exact width runs on integers, d
-    being the common denominator of p and t.  Anything else runs in floats
-    with d = 1.0 and is re-projected into the section after every step.
+    each visit.  `ratio(n, m)` is n/m in the flavor of p: `Fraction` for an
+    exact point with an exact width, which runs on integers with d the
+    common denominator of p and t, and plain division for anything else,
+    which runs in floats with d = 1.0 and is re-projected into the section
+    after every step.
     """
-    if check_section(p, width=t) == "exact" and is_exact(t):
-        fs = [Fraction(v) for v in (*p, t)]
-        d = math.lcm(*(f.denominator for f in fs))
-        x, y, w = (f.numerator * (d // f.denominator) for f in fs)
-        return d, _int_orbit(x, y, w)
-    return 1.0, _float_orbit(float(p[0]), float(p[1]), float(t))
+    a, b, w, exact = check_section(p, width=t)
+    if not exact:
+        return 1.0, truediv, _float_orbit(a, b, w)
+    d = math.lcm(a.denominator, b.denominator, w.denominator)
+    x, y, w = (f.numerator * (d // f.denominator) for f in (a, b, w))
+    return d, Fraction, _int_orbit(x, y, w)
 
 
 def _int_orbit(x: int, y: int, w: int):
@@ -212,7 +221,7 @@ def cocycle(p: Point, n: int) -> IntMatrix2:
     if n < 1:
         raise DomainError("n must be >= 1")
     m11, m12, m21, m22 = 1, 0, 0, 1
-    for _, (_, _, k) in zip(range(n), _orbit(p)[1]):
+    for _, (_, _, k) in zip(range(n), _orbit(p)[-1]):
         # A_k @ m with A_k = [[0, 1], [-1, k]]
         m11, m12, m21, m22 = m21, m22, k * m21 - m11, k * m22 - m12
     return IntMatrix2(m11, m12, m21, m22)
@@ -230,16 +239,15 @@ class OrbitTrace:
 def orbit_trace(p: Point, n: int) -> OrbitTrace:
     if n < 0:
         raise DomainError("n must be >= 0")
-    d, orbit = _orbit(p)
-    exact = isinstance(d, int)
+    d, ratio, orbit = _orbit(p)
     d2 = d * d
     points, returns, indices = [], [], []
-    a = p[0]
+    a = check_section(p)[0]
     for _, (x, y, k) in zip(range(n), orbit):
         # T(a, b) = (b, .): consecutive points share one coordinate object
-        b = Fraction(y, d) if exact else y
+        b = ratio(y, d)
         points.append((a, b))
-        returns.append(Fraction(d2, x * y) if exact else 1.0 / (x * y))
+        returns.append(ratio(d2, x * y))
         indices.append(k)
         a = b
     return OrbitTrace(points, returns, indices)
@@ -250,33 +258,22 @@ def reduce_to_section(a: Scalar, b_raw: Scalar, width: Scalar = 1):
 
     Returns ((a, b), shift) where b = shift*a + b_raw is the unique
     representative with width - a < b <= width; shift = floor((width - b_raw)/a).
-    The post-condition is verified explicitly (and repaired for float
-    rounding at the interval edges).
+    a, b_raw and the width follow the flavor rule of `check_section`.  The
+    post-condition is verified explicitly (and repaired for float rounding
+    at the interval edges).
     """
+    (a, b_raw, width), _ = _uniform(a, b_raw, width)
     if not 0 < a <= width:
         raise DomainError(f"horizontal length {a} outside (0, {width}]")
-    if is_exact(a) and is_exact(b_raw):
-        shift = ((Fraction(width) - b_raw) / a).__floor__()
-    else:
-        a, b_raw, width = float(a), float(b_raw), float(width)
-        shift = math.floor((width - b_raw) / a)
-    b = shift * a + b_raw
-    # float rounding can land one step off; re-center, but never loop on
-    # inputs whose magnitude ratio makes the division meaningless
-    repairs = 0
-    while b > width:
-        shift -= 1
+    shift = math.floor((width - b_raw) / a)
+    # float rounding can land one step off either way; re-center, but never
+    # loop on inputs whose magnitude ratio makes the division meaningless
+    for _ in range(64):
         b = shift * a + b_raw
-        repairs += 1
-        if repairs > 64:
-            raise DomainError(f"cannot reduce b_raw={b_raw!r} at a={a!r}: magnitudes too disparate")
-    while b <= width - a:
-        shift += 1
-        b = shift * a + b_raw
-        repairs += 1
-        if repairs > 64:
-            raise DomainError(f"cannot reduce b_raw={b_raw!r} at a={a!r}: magnitudes too disparate")
-    return (a, b), shift
+        if width - a < b <= width:
+            return (a, b), shift
+        shift += 1 if b <= width - a else -1
+    raise DomainError(f"cannot reduce b_raw={b_raw!r} at a={a!r}: magnitudes too disparate")
 
 
 def verify_return_identity(p: Point) -> bool:
@@ -286,16 +283,16 @@ def verify_return_identity(p: Point) -> bool:
     multiplying matrix is the transpose of the tile matrix A_{kappa(p)} =
     [[0, 1], [-1, kappa]].
     """
-    if check_section(p) != "exact":
+    a, b, _, exact = check_section(p)
+    if not exact:
         raise DomainError("verify_return_identity requires the exact flavor")
-    a, b = Fraction(p[0]), Fraction(p[1])
     r = 1 / (a * b)
     h = ((1, 0), (-r, 1))
     pa = ((a, b), (0, 1 / a))
     w = step_matrix(p).transpose().rows()
     left = _mat2_mul(_mat2_mul(h, pa), w)
     ta, tb = bcz_step(p)
-    right = ((Fraction(ta), Fraction(tb)), (0, 1 / Fraction(ta)))
+    right = ((ta, tb), (0, 1 / ta))
     return left == right
 
 
@@ -315,35 +312,25 @@ def scale_point(p: Point, t: Scalar) -> Point:
 
 
 def t_kappa(p: Point, t: Scalar) -> int:
-    check_section(p, width=t)
-    x, y = p
-    if is_exact(x) and is_exact(t):
-        return ((Fraction(t) + x) / Fraction(y)).__floor__()
-    return math.floor((float(t) + x) / y)
+    x, y, t, _ = check_section(p, width=t)
+    return math.floor((t + x) / y)
 
 
 def t_roof(p: Point, t: Scalar) -> Scalar:
     """Return time on the width-t section: 1/(xy), bounded below by 1/t^2."""
-    check_section(p, width=t)
-    x, y = p
-    if is_exact(x):
-        return Fraction(1, 1) / (Fraction(x) * Fraction(y))
-    return 1.0 / (x * y)
+    x, y, _, _ = check_section(p, width=t)
+    return 1 / (x * y)
 
 
 def t_bcz_step(p: Point, t: Scalar) -> Point:
     """The width-t return map T_t(x, y) = (y, -x + floor((t+x)/y) * y).
 
-    Satisfies the scaling conjugacy T_t o M_t = M_t o T exactly.
+    Satisfies the scaling conjugacy T_t o M_t = M_t o T exactly.  An exact
+    step stays in the section, so only a float step is ever re-projected.
     """
-    flavor = check_section(p, width=t)
-    x, y = p
-    if flavor == "exact" and is_exact(t):
-        k = ((Fraction(t) + x) / Fraction(y)).__floor__()
-        return (y, k * y - x)
-    x, y, tf = float(x), float(y), float(t)
-    k = math.floor((tf + x) / y)
-    return (y, _reproject(y, k * y - x, tf))
+    x, y, t, exact = check_section(p, width=t)
+    y2 = math.floor((t + x) / y) * y - x
+    return (y, y2 if exact else _reproject(y, y2, t))
 
 
 def narrow_embed(p: Point, t: Scalar) -> Point:
@@ -366,15 +353,14 @@ def narrow_first_return(p: Point, t: Scalar, max_steps: int = 10**7) -> Point:
     Satisfies t_bcz_step(narrow_embed(p)) = narrow_embed(narrow_first_return(p)):
     strip visits of the unit orbit are exactly the width-t section visits.
     """
-    d, orbit = _orbit(p)
+    d, ratio, orbit = _orbit(p)
     if not p[0] <= t:
         raise DomainError(f"first coordinate {p[0]} exceeds the strip width {t}")
-    exact = isinstance(d, int)
-    limit = math.floor(t * d) if exact else t
+    limit = t * d
     next(orbit)
     for _, (x, y, _) in zip(range(max_steps), orbit):
         if x <= limit:
-            return (Fraction(x, d), Fraction(y, d)) if exact else (x, y)
+            return (ratio(x, d), ratio(y, d))
     raise RuntimeError("no return to the strip within max_steps")
 
 
@@ -384,13 +370,6 @@ def to_upper_half_plane(p: Point):
     Returns (x, y) with y = 1/a^2 >= 1 and x = b/a reduced mod 1 into
     (-1/2, 1/2].
     """
-    check_section(p)
-    a, b = p
-    if is_exact(a):
-        a, b = Fraction(a), Fraction(b)
-        x = b / a
-        n = (x - Fraction(1, 2)).__ceil__()
-        return (x - n, 1 / (a * a))
+    a, b, _, _ = check_section(p)
     x = b / a
-    n = math.ceil(x - 0.5)
-    return (x - n, 1.0 / (a * a))
+    return (x - math.ceil((2 * b - a) / (2 * a)), 1 / (a * a))

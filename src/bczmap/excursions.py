@@ -15,9 +15,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .core import DomainError, DriftError, _orbit, _reproject, check_section, is_exact
+from .core import DomainError, DriftError, _orbit, _reproject, check_section
 
 
 def vector_length_profile(v, s):
@@ -35,9 +34,7 @@ def vector_length_profile(v, s):
 def peak_length(p):
     """Excursion peak M(a, b) = max(a, b, 1/(a+b))."""
     a, b = p
-    if is_exact(a) and is_exact(b):
-        return max(Fraction(a), Fraction(b), 1 / (Fraction(a) + Fraction(b)))
-    return max(a, b, 1.0 / (a + b))
+    return max(a, b, 1 / (a + b))
 
 
 def handoff(p):
@@ -48,9 +45,7 @@ def handoff(p):
     fixed point (1, 1), where the profile is constant) the crossing time
     degenerates to an endpoint of the sojourn.
     """
-    a, b = p
-    if check_section(p) == "exact":
-        a, b = Fraction(a), Fraction(b)
+    a, b, _, _ = check_section(p)
     return _handoff(a, b)
 
 
@@ -88,20 +83,19 @@ def excursion_trace(start, n: int) -> ExcursionTrace:
     """
     if n < 0:
         raise DomainError("n must be >= 0")
-    d, orbit = _orbit(start)
-    exact = isinstance(d, int)
+    d, ratio, orbit = _orbit(start)
     d2 = d * d
-    s = 0 * start[0]
+    s = ratio(0, 1)
     mt, ml, xt, xl = [], [], [], []
-    a = Fraction(start[0]) if exact else start[0]
+    a = check_section(start)[0]
     for _, (x, y, _) in zip(range(n), orbit):
-        b = Fraction(y, d) if exact else y
+        b = ratio(y, d)
         dt, peak = _handoff(a, b)
         mt.append(s)
         ml.append(a)
         xt.append(s + dt)
         xl.append(peak)
-        s = s + (Fraction(d2, x * y) if exact else 1.0 / (x * y))
+        s = s + ratio(d2, x * y)
         a = b
     return ExcursionTrace(mt, ml, xt, xl)
 
@@ -146,15 +140,14 @@ def excursion_averages(start, n: int, record_every: int = 0,
     """
     if n < 1 or record_every < 0:
         raise DomainError("need n >= 1 and record_every >= 0")
-    a, b = start
-    if is_exact(a) and is_exact(b):
+    a, b, _, exact = check_section(start)
+    if exact:
         warnings.warn(
             "rational slope: the orbit is periodic, averages converge to "
             "orbit means rather than the space averages",
             stacklevel=2,
         )
-        a, b = float(a), float(b)
-    check_section((a, b))
+    a, b = float(a), float(b)
     sum_alpha = sum_len = sum_peak = sum_rpeak = 0.0
     repairs = 0
     history = []

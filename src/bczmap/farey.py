@@ -24,6 +24,7 @@ whose fraction lands in I.
 
 from __future__ import annotations
 
+import cmath
 import math
 from bisect import bisect_left
 from fractions import Fraction
@@ -386,8 +387,11 @@ def index_values_via_kappa(Q: int) -> np.ndarray:
 def moment_sum(Q: int, interval, s, t):
     """Normalized denominator moment sum (1/(N_I Q^{s+t})) sum q_i^s q_{i+1}^t.
 
-    Equals the empirical integral of x^s y^t; complex exponents supported.
+    Equals the empirical integral of x^s y^t; complex exponents supported,
+    non-finite ones refused.
     """
+    if not (cmath.isfinite(s) and cmath.isfinite(t)):
+        raise DomainError(f"moment exponents must be finite, not {s}, {t}")
     x = _selected_window(Q, interval) / Q
     if isinstance(s, complex) or isinstance(t, complex):
         lx = np.log(x)

@@ -13,11 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import DomainError, _orbit, is_exact, reduce_to_section
-
-
-def _slope(x, y):
-    return Fraction(y) / Fraction(x) if is_exact(x) else y / x
+from .core import DomainError, _orbit, _uniform, check_section, reduce_to_section
 
 _FLOAT_DET_TOL = 1e-12
 
@@ -28,7 +24,11 @@ _GAUSS_MAX_ITER = 10_000
 
 @dataclass(frozen=True)
 class UnimodularBasis:
-    """Columns (x1, y1), (x2, y2) spanning a determinant-1 lattice."""
+    """Columns (x1, y1), (x2, y2) spanning a determinant-1 lattice.
+
+    The entries follow the flavor rule of `core.check_section`: they are
+    stored as Fractions when all four are int/Fraction, else all as floats.
+    """
 
     x1: object
     y1: object
@@ -36,8 +36,11 @@ class UnimodularBasis:
     y2: object
 
     def __post_init__(self):
+        entries, exact = _uniform(self.x1, self.y1, self.x2, self.y2)
+        for name, v in zip(("x1", "y1", "x2", "y2"), entries):
+            object.__setattr__(self, name, v)
         d = self.det()
-        if self.is_exact():
+        if exact:
             if d != 1:
                 raise DomainError(f"determinant {d} != 1")
         elif not abs(d - 1.0) <= _FLOAT_DET_TOL:  # a nan determinant fails too
@@ -45,9 +48,6 @@ class UnimodularBasis:
 
     def det(self):
         return self.x1 * self.y2 - self.x2 * self.y1
-
-    def is_exact(self) -> bool:
-        return all(is_exact(v) for v in (self.x1, self.y1, self.x2, self.y2))
 
     def columns(self):
         return (self.x1, self.y1), (self.x2, self.y2)
@@ -63,22 +63,14 @@ class UnimodularBasis:
     @staticmethod
     def from_section_point(p) -> "UnimodularBasis":
         """The standard basis p_{a,b} = [[a, b], [0, 1/a]] of a section point."""
-        a, b = p
-        if is_exact(a) and is_exact(b):
-            return UnimodularBasis(Fraction(a), Fraction(0), Fraction(b), 1 / Fraction(a))
-        return UnimodularBasis(float(a), 0.0, float(b), 1.0 / a)
-
-
-def exact_basis(x1, y1, x2, y2) -> UnimodularBasis:
-    return UnimodularBasis(Fraction(x1), Fraction(y1), Fraction(x2), Fraction(y2))
+        a, b, _, _ = check_section(p)
+        return UnimodularBasis(a, 0, b, 1 / a)
 
 
 def shear_basis(slope) -> UnimodularBasis:
     """Columns (1, 0) and (slope, 1): the lattice hit at time 0 with
     section point (1, slope mod 1)."""
-    if is_exact(slope):
-        return UnimodularBasis(Fraction(1), Fraction(0), Fraction(slope), Fraction(1))
-    return UnimodularBasis(1.0, 0.0, float(slope), 1.0)
+    return UnimodularBasis(1, 0, slope, 1)
 
 
 def _gauss_reduce(basis: UnimodularBasis):
@@ -88,8 +80,6 @@ def _gauss_reduce(basis: UnimodularBasis):
     v = (basis.x2, basis.y2)
     cu, cv = (1, 0), (0, 1)  # coefficient columns w.r.t. the original basis
 
-    exact = basis.is_exact()  # one float entry makes the products floats
-
     def n2(w):
         return w[0] * w[0] + w[1] * w[1]
 
@@ -97,8 +87,7 @@ def _gauss_reduce(basis: UnimodularBasis):
         if n2(v) < n2(u):
             u, v = v, (-u[0], -u[1])
             cu, cv = cv, (-cu[0], -cu[1])
-        mu = round(Fraction(u[0] * v[0] + u[1] * v[1], n2(u))) if exact \
-            else round((u[0] * v[0] + u[1] * v[1]) / n2(u))
+        mu = round((u[0] * v[0] + u[1] * v[1]) / n2(u))
         if mu == 0:
             return (u, v), (cu, cv)
         v = (v[0] - mu * u[0], v[1] - mu * u[1])
@@ -132,22 +121,16 @@ def shortest_vertical_length(basis: UnimodularBasis):
     assumed to have no vertical vectors (caveat documented: float entries
     are approximations, so rationality of their ratio is meaningless).
     """
-    c1, c2 = basis.columns()
-    if basis.is_exact():
-        x1, x2 = Fraction(c1[0]), Fraction(c2[0])
-        if x1 == 0:
-            return abs(c1[1])
-        if x2 == 0:
-            return abs(c2[1])
-        # primitive solution of m x1 + n x2 = 0: (m, n) = (num, -den) of x2/x1
-        ratio = x2 / x1
-        m, n = ratio.numerator, -ratio.denominator
-        return abs(m * c1[1] + n * c2[1])
-    if c1[0] == 0.0:
-        return abs(c1[1])
-    if c2[0] == 0.0:
-        return abs(c2[1])
-    return None
+    (x1, y1), (x2, y2) = basis.columns()
+    if x1 == 0:
+        return abs(y1)
+    if x2 == 0:
+        return abs(y2)
+    if not isinstance(x1, Fraction):
+        return None
+    # primitive solution of m x1 + n x2 = 0: (m, n) = (num, -den) of x2/x1
+    ratio = x2 / x1
+    return abs(ratio.numerator * y1 - ratio.denominator * y2)
 
 
 def has_short_vertical(basis: UnimodularBasis, t=1) -> bool:
@@ -157,9 +140,7 @@ def has_short_vertical(basis: UnimodularBasis, t=1) -> bool:
     only degenerately) meet the width-t section.
     """
     ln = shortest_vertical_length(basis)
-    if ln is None:
-        return False
-    return ln * t <= 1 if is_exact(ln) and is_exact(t) else float(ln) <= 1.0 / float(t)
+    return ln is not None and ln * t <= 1
 
 
 # -- strip enumeration --------------------------------------------------------
@@ -273,7 +254,7 @@ def strip_slopes_bruteforce(basis: UnimodularBasis, t, slope_max) -> SlopeGapSer
     for x, y, _, _ in _strip_vectors(basis, t, slope_max * t):
         if y > slope_max * x:
             continue
-        found.append(_slope(x, y))
+        found.append(y / x)
     found.sort()
     for s1, s2 in zip(found, found[1:]):
         if s1 == s2:
@@ -295,16 +276,13 @@ def first_section_hit(basis: UnimodularBasis, t=1):
     if not 0 < t < math.inf:
         raise DomainError(f"width t = {t} must be positive and finite")
     ln = shortest_vertical_length(basis)
-    if ln is not None:
-        strictly_short = (ln * t < 1) if (is_exact(ln) and is_exact(t)) \
-            else float(ln) * float(t) < 1.0 - 1e-12
-        if strictly_short:
-            raise DomainError("lattice is vertically short; orbit misses the section")
+    if ln is not None and ln * t < 1:
+        raise DomainError("lattice is vertically short; orbit misses the section")
     y_max = 4
     best = None
     while best is None:
         for x, y, m, n in _strip_vectors(basis, t, y_max):
-            slope = _slope(x, y)
+            slope = y / x
             if best is None or slope < best[0]:
                 best = (slope, x, y, m, n)
         y_max *= 4
@@ -313,7 +291,7 @@ def first_section_hit(basis: UnimodularBasis, t=1):
     # completeness pass: anything with a smaller slope has y < slope * t
     if best[0] > 0:
         for x, y, m, n in _strip_vectors(basis, t, best[0] * t):
-            slope = _slope(x, y)
+            slope = y / x
             if slope < best[0]:
                 best = (slope, x, y, m, n)
     s1, x0, _, m0, n0 = best
@@ -346,10 +324,10 @@ def slope_gaps_via_bcz(basis: UnimodularBasis, t, n: int) -> SlopeGapSeries:
     if n < 0:
         raise DomainError("n must be >= 0")
     s1, p = first_section_hit(basis, t)
-    d, orbit = _orbit(p, t)
+    d, _, orbit = _orbit(p, t)
     slopes, gaps = [s1], []
     steps = zip(range(n), orbit)
-    if not isinstance(d, int):
+    if isinstance(d, float):
         s = s1
         for _, (x, y, _) in steps:
             g = 1.0 / (x * y)
@@ -372,20 +350,13 @@ def slope_gaps_via_bcz(basis: UnimodularBasis, t, n: int) -> SlopeGapSeries:
     return SlopeGapSeries(t, slopes, gaps)
 
 
-def gap_distribution(basis: UnimodularBasis, t, n: int, c: float, d: float,
-                     distinct: bool = False) -> float:
-    """Fraction of the first n slope gaps lying in (c, d).
-
-    Counted with multiplicity by default (this is the quantity that converges
-    to m(R^{-1}(t^2 c, t^2 d)) for width t).  With distinct=True the gaps are
-    deduplicated as a set of values first, which only differs materially on
-    periodic orbits.
-    """
+def gap_distribution(basis: UnimodularBasis, t, n: int, c: float, d: float) -> float:
+    """Fraction of the first n slope gaps lying in (c, d), counted with
+    multiplicity: the quantity that converges to m(R^{-1}(t^2 c, t^2 d)) for
+    width t."""
     if not 0 <= c <= d:
         raise DomainError("need 0 <= c <= d")
     if n < 1:
         raise DomainError("n must be >= 1")
-    vals = slope_gaps_via_bcz(basis, t, n).gaps
-    if distinct:
-        vals = {g if is_exact(g) else round(g, 12) for g in vals}
-    return sum(1 for g in vals if c < g < d) / len(vals)
+    gaps = slope_gaps_via_bcz(basis, t, n).gaps
+    return sum(1 for g in gaps if c < g < d) / len(gaps)

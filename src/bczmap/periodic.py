@@ -22,17 +22,16 @@ from .farey import farey_cardinality, totient
 
 def slope_fraction(p) -> Fraction:
     """b/a in lowest terms (exact flavor only)."""
-    if check_section(p) != "exact":
+    a, b, _, exact = check_section(p)
+    if not exact:
         raise DomainError("periodic-orbit analysis requires exact rationals")
-    a, b = Fraction(p[0]), Fraction(p[1])
     return b / a
 
 
 def continuous_period(p) -> Fraction:
     """Flow period l^2/a^2 where b/a = k/l in lowest terms."""
-    slope = slope_fraction(p)
-    a = Fraction(p[0])
-    return Fraction(slope.denominator, 1) ** 2 / (a * a)
+    l = slope_fraction(p).denominator
+    return (l / check_section(p)[0]) ** 2
 
 
 def predicted_period(p) -> int:
@@ -50,7 +49,7 @@ def discrete_period(p) -> int:
     """
     expected = predicted_period(p)
     cap = 10 * expected + 10
-    orbit = _orbit(p)[1]
+    orbit = _orbit(p)[-1]
     start = next(orbit)[:2]
     for steps, (x, y, _) in enumerate(orbit, 1):
         if (x, y) == start:
@@ -128,7 +127,7 @@ def orbit_report(p) -> PeriodicOrbitReport:
     period = discrete_period(p)
     s = continuous_period(p)
     m = cocycle(p, period)
-    total = m.a12 / Fraction(p[0]) ** 2
+    total = m.a12 / check_section(p)[0] ** 2
     if total != s:
         raise RuntimeError(f"roof sum {total} differs from flow period {s}")
     return PeriodicOrbitReport(p, slope_fraction(p), period, s, m)
@@ -136,7 +135,7 @@ def orbit_report(p) -> PeriodicOrbitReport:
 
 def kappa_itinerary(p, n: int) -> list:
     """kappa along the first n steps of the orbit of p."""
-    return [k for _, (_, _, k) in zip(range(n), _orbit(p)[1])]
+    return [k for _, (_, _, k) in zip(range(n), _orbit(p)[-1])]
 
 
 def hierarchy_report(q_max: int, samples: int = 5) -> list:

@@ -95,6 +95,12 @@ def test_farey_bad_input_exit_2(capsys, tmp_path, argv):
     "farey 5 --bins 0",
     "measure --s -2",
     "periodic --hierarchy 1",
+    "farey 50 --stat moments --s nan",  # non-finite exponents
+    "farey 50 --stat moments --s inf",
+    "farey 50 --stat index --alpha nan",
+    "farey 50 --stat index --alpha inf",
+    "hall-cdf --step 1e-9",  # d-grids too large to build
+    "hall-cdf --d-max 1e300 --step 1",
 ])
 def test_bad_input_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -160,6 +166,15 @@ def test_slopes_mixed_exact_and_float_basis(capsys):
     assert code == 0
     _, header, rows = parse_csv(out)
     assert header == ["i", "gap"] and len(rows) == 50
+
+
+def test_mixed_basis_prints_its_decimal_spelling(capsys):
+    # one decimal entry makes the whole basis float, like writing 1.0 for 1
+    tail = ["-t", "1", "-n", "4"]
+    _, mixed, _ = run_cli(capsys, ["slopes", "--basis", "1", "0", "0.5", "1", *tail])
+    _, decimal, _ = run_cli(capsys, ["slopes", "--basis", "1.0", "0", "0.5", "1", *tail])
+    assert mixed == decimal
+    assert [r[1] for r in parse_csv(mixed)[2]] == ["0.5", "1.5", "2.5", "3.5", "4.5"]
 
 
 def test_farey_gaps_histogram(capsys):

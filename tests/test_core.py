@@ -1,8 +1,9 @@
 import random
 from fractions import Fraction as F
+from numbers import Number
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bczmap.core import (
@@ -28,6 +29,7 @@ from bczmap.core import (
     to_upper_half_plane,
     verify_return_identity,
 )
+from bczmap.excursions import handoff
 from bczmap.lattices import (UnimodularBasis, first_section_hit,
                              shortest_vertical_length, slope_gaps_via_bcz)
 from bczmap.measure import tile_contains
@@ -293,7 +295,7 @@ widths = st.fractions(min_value=F(1, 4), max_value=4, max_denominator=50).filter
 def test_kernel_matches_fraction_oracle(p, t, n):
     # the width-t kernel, step by step
     q = scale_point(p, t)
-    d, orbit = _orbit(q, t)
+    d, _, orbit = _orbit(q, t)
     for _, (x, y, k) in zip(range(n), orbit):
         assert (F(x, d), F(y, d), k) == (*q, t_kappa(q, t))
         q = t_bcz_step(q, t)
@@ -329,3 +331,67 @@ def test_kernel_matches_fraction_oracle(p, t, n):
         q = t_bcz_step(q, t)
     assert series.gaps == gaps
     assert series.slopes == slopes
+
+
+# -- one flavor per input ------------------------------------------------------
+
+def _leaves(x):
+    return [x] if isinstance(x, Number) else [v for part in x for v in _leaves(part)]
+
+
+def _flavored_results(p, t, b_raw):
+    """The functions that fix a flavor from their input, at a unit-section
+    point p, its width-t image q and the raw pair (q's a, b_raw) at width t."""
+    q = scale_point(p, t)
+    return {
+        "t_kappa": t_kappa(q, t),
+        "t_roof": t_roof(q, t),
+        "t_bcz_step": t_bcz_step(q, t),
+        "to_upper_half_plane": to_upper_half_plane(p),
+        "handoff": handoff(p),
+        "reduce_to_section": reduce_to_section(q[0], b_raw, t),
+    }
+
+
+@settings(max_examples=150)
+@given(section_points(), widths, st.fractions(min_value=-5, max_value=5, max_denominator=50))
+@example(p=(F(1), F(3, 5)), t=F(1), b_raw=F(1, 2))
+def test_exact_inputs_give_fractions_and_float_images_agree(p, t, b_raw):
+    # floor and ceil jump where their argument is an integer, and a float
+    # image may round to either side of the jump
+    q = scale_point(p, t)
+    assume(((t + q[0]) / q[1]).denominator != 1)
+    assume(((2 * p[1] - p[0]) / (2 * p[0])).denominator != 1)
+    assume(((t - b_raw) / q[0]).denominator != 1)
+    exact = _flavored_results(p, t, b_raw)
+
+    # b and b_raw always become floats, so every call sees a decimal entry;
+    # an integral a or t stays an int, and must still run in floats
+    def image(v):
+        return int(v) if v.denominator == 1 else float(v)
+
+    floats = _flavored_results((image(p[0]), float(p[1])), image(t), float(b_raw))
+    for name, value in exact.items():
+        for ev, fv in zip(_leaves(value), _leaves(floats[name]), strict=True):
+            if type(ev) is int:  # kappa and the shift are ints in both flavors
+                assert type(fv) is int and ev == fv, name
+            else:
+                assert type(ev) is F and type(fv) is float, name
+                assert abs(fv - ev) <= 1e-9 * max(1, abs(ev)), name
+
+
+@pytest.mark.parametrize("call, value", [
+    (lambda: roof((1, 0.5)), 2.0),
+    (lambda: t_roof((F(1, 2), F(3, 4)), 1.0), 8 / 3),
+    (lambda: to_upper_half_plane((1, 0.6)), (-0.4, 1.0)),
+    (lambda: handoff((1, 0.6)), (0.0, 1.0)),
+    (lambda: reduce_to_section(1, 1, 1.0)[0], (1.0, 1.0)),
+    (lambda: orbit_trace((1, 0.6), 1).points[0], (1.0, 0.6)),
+    (lambda: slope_gaps_via_bcz(UnimodularBasis(1, 0.5, 0, 1), 1, 2).slopes, (0.5, 1.5, 2.5)),
+], ids=["roof", "t_roof float width", "to_upper_half_plane",
+        "handoff", "reduce_to_section float width", "orbit_trace", "mixed basis"])
+def test_int_float_mix_runs_in_floats(call, value):
+    # one decimal entry makes the whole computation float
+    out = _leaves(call())
+    assert all(type(v) is float for v in out)
+    assert out == pytest.approx(_leaves(value), abs=1e-12)

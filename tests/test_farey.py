@@ -67,8 +67,9 @@ def fraction_flow_sum(q, Q):
     lambda: normalized_gaps(5, (F(3, 4), F(1, 4))),
     lambda: normalized_gaps(5, (0, math.inf)),
     lambda: empirical_integral(3, (F(2, 7), F(3, 10)), lambda a, b: a),  # empty selection
+    lambda: moment_sum(5, (0, 1), complex(1, math.nan), 1),
 ], ids=["orbit Q=0", "cardinality Q<0", "index Q=1", "reversed interval", "infinite interval",
-        "empty selection"])
+        "empty selection", "non-finite exponent"])
 def test_bad_arguments_raise_domain_error(call):
     with pytest.raises(DomainError):
         call()

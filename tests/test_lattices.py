@@ -9,7 +9,6 @@ from bczmap.core import DomainError, in_section, t_roof
 from bczmap.farey import farey_bruteforce, farey_cardinality
 from bczmap.lattices import (
     UnimodularBasis,
-    exact_basis,
     first_section_hit,
     gap_distribution,
     has_short_vertical,
@@ -92,7 +91,7 @@ def test_vertical_detection():
     assert not has_short_vertical(ident, 2)
     # basis of (1/Q, 1): shortest vertical is (0, Q)
     for Q in (2, 3, 5):
-        b = exact_basis(F(1, Q), 0, 1, Q)
+        b = UnimodularBasis(F(1, Q), 0, 1, Q)
         assert shortest_vertical_length(b) == Q
         assert not has_short_vertical(b, 1)
         assert has_short_vertical(b, F(1, Q))
@@ -105,7 +104,7 @@ def test_vertical_detection():
 def test_vertical_detection_hidden_combination():
     # vertical vector only appears as a combination: columns (2, 1), (1, 1)
     # give 2m + n = 0 at (m, n) = (1, -2), i.e. the vector (0, -1)
-    b = exact_basis(2, 1, 1, 1)
+    b = UnimodularBasis(2, 1, 1, 1)
     assert shortest_vertical_length(b) == 1
     assert has_short_vertical(b, 1)
 
@@ -115,7 +114,7 @@ def test_shortest_vector_length():
     rng = random.Random(40)
     for _ in range(50):
         a, b = random_section_point(rng, max_den=30)
-        basis = exact_basis(a, 0, b, 1 / F(a))
+        basis = UnimodularBasis(a, 0, b, 1 / F(a))
         assert shortest_vector_length(basis) == a
 
 
@@ -128,20 +127,20 @@ def test_strip_slopes_identity():
 def test_strip_slopes_scaled_lattice_are_farey():
     # columns (1/Q, 0), (0, Q): slopes in the unit strip are Q^2 * F(Q)
     Q = 4
-    basis = exact_basis(F(1, Q), 0, 0, Q)
+    basis = UnimodularBasis(F(1, Q), 0, 0, Q)
     got = strip_slopes_bruteforce(basis, 1, Q * Q).slopes
     expected = sorted({f * Q * Q for f in farey_bruteforce(Q).fractions()} | {Q * Q})
     assert got == expected
 
 
 def test_first_hit_examples():
-    assert first_section_hit(exact_basis(1, 0, 1, 1), 1) == (0, (1, 1))
-    assert first_section_hit(exact_basis(F(1, 5), 0, 1, 5), 1) == (0, (F(1, 5), 1))
+    assert first_section_hit(UnimodularBasis(1, 0, 1, 1), 1) == (0, (1, 1))
+    assert first_section_hit(UnimodularBasis(F(1, 5), 0, 1, 5), 1) == (0, (F(1, 5), 1))
 
 
 def test_first_hit_vertically_short_refused():
     # columns (1, 0), (0, 1) shrunk: lattice 2Z x Z/2 has vertical (0, 1/2)
-    b = exact_basis(2, 0, 0, F(1, 2))
+    b = UnimodularBasis(2, 0, 0, F(1, 2))
     with pytest.raises(ValueError):
         first_section_hit(b, 1)
 
@@ -238,18 +237,6 @@ def test_gap_distribution_windows():
     assert gap_distribution(basis, 1.0, 2000, 0, 1.0) == 0.0  # roofs >= 1
     frac = gap_distribution(basis, 1.0, 2 * 10**5, 1.0, 2.0)
     assert abs(frac - roof_region_measure(1.0, 2.0).value) < 2e-2
-
-
-def test_gap_distribution_distinct_on_periodic():
-    # periodic lattice: with multiplicity the proportion weights repeats,
-    # as a set each value counts once
-    ident = UnimodularBasis.identity()
-    n0 = farey_cardinality(5)
-    dup = gap_distribution(ident, 5, 10 * n0, 0.5, math.inf)
-    dis = gap_distribution(ident, 5, 10 * n0, 0.5, math.inf, distinct=True)
-    assert 0 <= dis <= 1 and 0 <= dup <= 1
-    with pytest.raises(ValueError):
-        gap_distribution(ident, 5, 10, 2, 1)
 
 
 def test_golden_shear_basis_point():
