@@ -200,7 +200,7 @@ def _strip_vectors(basis: UnimodularBasis, t, y_max, max_iter: int = 50_000_000)
             on = cu[1] * m + cv[1] * n
             if math.gcd(om, on) != 1:
                 continue
-            yield x, y, om, on
+            yield x, y + 0, om, on  # + 0 turns a float -0.0 into 0.0
 
 
 def _interval_solve(a, c, upper, strict_lo: bool):
@@ -268,7 +268,8 @@ def first_section_hit(basis: UnimodularBasis, t=1):
 
     The hit time is the minimal nonnegative slope among primitive strip
     vectors; the section point is built by completing the hit vector to a
-    unimodular basis and reducing the second coordinate.  Refused for
+    unimodular basis and reducing the second coordinate.  Both are Fractions
+    when the basis and t are exact, else floats.  Refused for
     lattices whose vertical vectors are strictly shorter than 1/t (those
     orbits never reach the section; the boundary case, e.g. the square
     lattice at t = 1, does meet it at the fixed corner).
@@ -294,7 +295,8 @@ def first_section_hit(basis: UnimodularBasis, t=1):
             slope = y / x
             if slope < best[0]:
                 best = (slope, x, y, m, n)
-    s1, x0, _, m0, n0 = best
+    _, x0, _, m0, n0 = best
+    (s1, t), _ = _uniform(best[0], t)  # the flavor rule, for the hit time too
     # extend (m0, n0) to a determinant-1 integer coefficient matrix; the hit
     # vector and w then form a basis, and after flowing by s1 only the
     # x-component of w matters (det 1 forces the y-component to 1/x0)

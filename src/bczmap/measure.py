@@ -1,7 +1,9 @@
 """The invariant measure m = 2 da db on the Farey triangle.
 
 Closed forms live next to an adaptive-quadrature oracle so every constant
-is checked by two independent routes.  The central object is the mass
+is checked by two independent routes.  The closed forms are pure Python;
+scipy is needed only by the quadrature oracles and is imported on their
+first call.  The central object is the mass
 
     H(x) = m({R < x}),    R(a, b) = 1/(ab),
 
@@ -17,14 +19,13 @@ with r = sqrt(1 - 4u) and a+- = (1 +- r)/2.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
-from scipy.special import loggamma, zeta
 
 from .core import DomainError
 from .excursions import peak_length
@@ -34,6 +35,52 @@ PI2_3 = math.pi**2 / 3
 #: exact excursion-peak integrals: int 1/M dm and int M dm
 MIN_PEAK_INTEGRAL = (2 / 3) * (13 - 8 * math.sqrt(2))  # ~ 1.1241943340
 MAX_PEAK_INTEGRAL = (2 / 3) * (7 - 4 * math.sqrt(2))   # ~ 0.8954305003
+
+#: Bernoulli numbers B_2, B_4, ..., B_12
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730)
+
+
+def _quad(*args, **kwargs):
+    """scipy.integrate.quad, imported on first use: importing scipy costs
+    more than most commands, and only the quadrature oracles need it."""
+    from scipy.integrate import quad
+    return quad(*args, **kwargs)
+
+
+def _hurwitz_zeta(s: float, a: float) -> float:
+    """zeta(s, a) = sum_{k >= 0} (k + a)^{-s} for real s > 1 and a > 0.
+
+    Terms are added directly until a >= 16 + 2s; from there the
+    Euler-Maclaurin tail with six Bernoulli terms is below 1e-15 relative.
+    """
+    head = []
+    while a < 16 + 2 * s:
+        head.append(a ** -s)
+        a += 1
+    tail = a ** (1 - s) / (s - 1) + 0.5 * a ** -s
+    term, fact = s * a ** (-s - 1), 2.0  # (s)_{2j-1} a^{-s-2j+1} and (2j)!
+    for j, b in enumerate(_BERNOULLI, 1):
+        tail += b / fact * term
+        term *= (s + 2 * j - 1) * (s + 2 * j) / (a * a)
+        fact *= (2 * j + 1) * (2 * j + 2)
+    return math.fsum(head) + tail
+
+
+def _lgamma(z: complex) -> complex:
+    """log Gamma(z) for Re z > 0, up to a multiple of 2 pi i.
+
+    The recurrence Gamma(z) = Gamma(z + n) / (z (z+1) ... (z+n-1)) raises |z|
+    to 16, where the Stirling series with six Bernoulli terms is exact to
+    rounding.
+    """
+    z, prod = complex(z), 1.0
+    while abs(z) < 16:
+        prod *= z
+        z += 1
+    w = 1 / z
+    series = sum(b / (2 * j * (2 * j - 1)) * w ** (2 * j - 1)
+                 for j, b in enumerate(_BERNOULLI, 1))
+    return (z - 0.5) * cmath.log(z) - z + 0.5 * math.log(2 * math.pi) + series - cmath.log(prod)
 
 
 # -- tiles -------------------------------------------------------------------
@@ -149,7 +196,7 @@ def roof_region_measure(c: float, d: float, method: str = "closed-form") -> Regi
         hi = 1.0 if math.isinf(u2) else min(1.0, u2 / a)
         return max(0.0, hi - lo)
 
-    val, err = integrate.quad(
+    val, err = _quad(
         slice_len, 0.0, 1.0, points=_band_breakpoints(u1, u2), limit=200,
         epsabs=1e-12, epsrel=1e-12,
     )
@@ -187,11 +234,11 @@ def integrate_over_section(f: Callable, inner_breaks: Callable | None = None,
         pts = None
         if inner_breaks is not None:
             pts = [p for p in inner_breaks(a) if lo < p < 1.0] or None
-        v, _ = integrate.quad(lambda b: f(a, b), lo, 1.0, points=pts,
-                              limit=200, epsabs=epsabs, epsrel=1e-12)
+        v, _ = _quad(lambda b: f(a, b), lo, 1.0, points=pts,
+                     limit=200, epsabs=epsabs, epsrel=1e-12)
         return v
 
-    val, err = integrate.quad(inner, 0.0, 1.0, limit=300, epsabs=epsabs, epsrel=1e-12)
+    val, err = _quad(inner, 0.0, 1.0, limit=300, epsabs=epsabs, epsrel=1e-12)
     return 2.0 * val, 2.0 * err
 
 
@@ -203,30 +250,6 @@ def roof_integral(method: str = "closed-form") -> float:
         raise DomainError(f"unknown method {method!r}")
     val, _ = integrate_over_section(lambda a, b: 1.0 / (a * b))
     return val
-
-
-def roof_power_integral_truncated(p: float, r_max: float) -> float:
-    """Quadrature of int_{R <= r_max} R^p dm; diverges with r_max iff p >= 2.
-
-    The inner b-integral over the band {ab >= 1/r_max} is analytic, leaving a
-    1D adaptive integral with known breakpoints.
-    """
-    u1 = 1.0 / r_max
-
-    def antider(b: float) -> float:
-        if p == 1.0:
-            return math.log(b)
-        return b ** (1.0 - p) / (1.0 - p)
-
-    def slice_val(a: float) -> float:
-        lo = max(1.0 - a, u1 / a)
-        if lo >= 1.0:
-            return 0.0
-        return a ** (-p) * (antider(1.0) - antider(lo))
-
-    val, _ = integrate.quad(slice_val, 0.0, 1.0, points=_band_breakpoints(u1, math.inf),
-                            limit=300, epsabs=1e-10, epsrel=1e-10)
-    return 2.0 * val
 
 
 def moment_integral(s, t):
@@ -243,11 +266,11 @@ def moment_integral(s, t):
     tr = t.real if isinstance(t, complex) else float(t)
     if not (-1 < sr < math.inf and -1 < tr < math.inf):
         raise DomainError(f"B_{{{s},{t}}} undefined: exponents must be finite and exceed -1")
-    g = np.exp(loggamma(s + 1) + loggamma(t + 1) - loggamma(s + t + 3))
+    g = cmath.exp(_lgamma(s + 1) + _lgamma(t + 1) - _lgamma(s + t + 3))
     val = 2.0 * (1.0 / ((s + 1) * (t + 1)) - g)
     if isinstance(s, complex) or isinstance(t, complex):
-        return complex(val)
-    return float(val.real if isinstance(val, complex) else val)
+        return val
+    return val.real
 
 
 def kappa_moment(alpha: float, head: int = 1000) -> float:
@@ -263,17 +286,12 @@ def kappa_moment(alpha: float, head: int = 1000) -> float:
     tail = 0.0
     sign = 1.0
     for j in range(60):
-        term = sign * (2.0 ** (j + 1) - 1.0) * float(zeta(3.0 - alpha + j, head + 1))
+        term = sign * (2.0 ** (j + 1) - 1.0) * _hurwitz_zeta(3.0 - alpha + j, head + 1)
         tail += term
         if abs(term) < 1e-18:
             break
         sign = -sign
     return 1.0 / 3.0 + s + 8.0 * tail
-
-
-def kappa_moment_tail_bound(alpha: float) -> float:
-    """Crude analytic bound 1/3 + 8 zeta(3 - alpha) dominating the moment."""
-    return 1.0 / 3.0 + 8.0 * float(zeta(3.0 - alpha, 1))
 
 
 def excursion_integrals(method: str = "closed-form") -> tuple:

@@ -2,7 +2,11 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -122,6 +126,9 @@ FUZZ_BASES = [
     "slopes --basis 2 1 1 1 -t 2 -n 5 --gaps --c 1 --d 2",
     "slopes --basis 1 0 0 1 -t 1 --bruteforce --slope-max 6",
     "slopes --random-basis --seed 7 -t 1 -n 5",
+    "slopes --basis 3 1 1 2/3 -t 2.5 -n 3",  # exact basis, decimal width
+    "slopes --basis 1 0 0.5 1 -t 3/2 -n 3 --gaps",  # exact/decimal mix
+    "slopes --basis 1.5 0.5 1.0 1.0 -t 1 -n 3",
     "periodic 2 3",
     "periodic --hierarchy 4",
     "measure --s 1 --t 0 --alpha 1",
@@ -175,6 +182,68 @@ def test_mixed_basis_prints_its_decimal_spelling(capsys):
     _, decimal, _ = run_cli(capsys, ["slopes", "--basis", "1.0", "0", "0.5", "1", *tail])
     assert mixed == decimal
     assert [r[1] for r in parse_csv(mixed)[2]] == ["0.5", "1.5", "2.5", "3.5", "4.5"]
+
+
+def test_decimal_width_makes_the_whole_run_float(capsys):
+    code, out, _ = run_cli(capsys, ["slopes", "--basis", "3", "1", "1", "2/3",
+                                    "-t", "2.5", "-n", "3"])
+    assert code == 0
+    assert [r[1] for r in parse_csv(out)[2]] == [
+        "0.166666666667", "0.666666666667", "1.16666666667", "1.66666666667"]
+
+
+@pytest.mark.parametrize("mode", [["-n", "3"], ["--bruteforce", "--slope-max", "3"]])
+def test_float_basis_prints_no_negative_zero(capsys, mode):
+    code, out, _ = run_cli(capsys, ["slopes", "--basis", "1.5", "0.5", "1.0", "1.0",
+                                    "-t", "1", *mode])
+    assert code == 0
+    assert [r[1] for r in parse_csv(out)[2]][:2] == ["0", "2"]
+
+
+#: every command but `measure` and the quadrature oracle of `hall-cdf`
+SCIPY_FREE = [
+    "orbit 1/5 1 -n 12",
+    "orbit 1 2/3 --periodic",
+    "farey 60 --stat gaps --bins 10",
+    "farey 60 --stat index --alpha 1.5",
+    "farey 60 --stat moments --s 0.5 --t 2",
+    "farey 60 --stat excursion",
+    "slopes --basis 1 0 0 1 -t 25 --gaps -n 20 --c 0.1 --d 1",
+    "slopes --basis 1 0 0.5 1 -t 1 --bruteforce --slope-max 3",
+    "periodic 2 3",
+    "periodic --hierarchy 5",
+    "excursions --slope-irrational golden -n 1000",
+    "hall-cdf --d-max 1 --step 0.1",
+]
+SCIPY_USERS = ["measure --s 1 --t 0 --alpha 1.5", "hall-cdf --d-max 1 --step 0.1 --oracle both"]
+
+SCIPY_PROBE = """
+import contextlib, io, json, sys
+import bczmap
+from bczmap.cli import main
+loaded = {"import bczmap": "scipy" in sys.modules}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv.split())
+    loaded[argv] = ("scipy" in sys.modules, code)
+print(json.dumps(loaded))
+"""
+
+
+def test_scipy_is_loaded_only_by_the_quadrature_oracles():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE,
+                           json.dumps(SCIPY_FREE + SCIPY_USERS)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert loaded.pop("import bczmap") is False
+    for argv in SCIPY_FREE:
+        assert loaded[argv] == [False, 0], argv
+    # the oracles still run, and the probe does see scipy once they have
+    assert [loaded[argv] for argv in SCIPY_USERS] == [[True, 0], [True, 0]]
 
 
 def test_farey_gaps_histogram(capsys):

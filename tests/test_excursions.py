@@ -1,11 +1,16 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from bczmap.core import DomainError, DriftError, bcz_step, roof
 from bczmap.excursions import (
+    NAMED_STARTS,
     ExcursionTrace,
+    _handoff,
     excursion_averages,
     excursion_trace,
     handoff,
@@ -17,6 +22,7 @@ from bczmap.lattices import UnimodularBasis, shortest_vector_length
 from bczmap.measure import MAX_PEAK_INTEGRAL, MIN_PEAK_INTEGRAL
 
 from conftest import random_section_point
+from oracles import excursion_averages_loop
 
 
 def test_profile_basic():
@@ -140,6 +146,59 @@ def test_trace_minima_gaps_are_roofs():
         assert mt <= xt
 
 
+@st.composite
+def exact_section_points(draw, max_den=60):
+    da = draw(st.integers(1, max_den))
+    a = F(draw(st.integers(1, da)), da)
+    db = draw(st.integers(1, max_den))
+    return a, F(draw(st.integers(math.floor((1 - a) * db) + 1, db)), db)
+
+
+# the fixed point, and the ties a = b, b = 1/(a+b) and a = 1/(a+b)
+@example((F(1), F(1)))
+@example((F(9, 10), F(9, 10)))
+@example((F(11, 30), F(5, 6)))
+@example((F(5, 6), F(11, 30)))
+@given(exact_section_points())
+def test_trace_handoff_matches_oracle(p):
+    # the integer hand-off equals _handoff on the visited points, exactly
+    # for an exact start and to rounding for its float image
+    n = 25
+    for start, exact in ((p, True), ((float(p[0]), float(p[1])), False)):
+        tr = excursion_trace(start, n + 1)
+        for i in range(n):
+            a, b = tr.minima_lengths[i], tr.minima_lengths[i + 1]
+            dt, peak = _handoff(a, b)
+            got = (tr.maxima_times[i], tr.maxima_lengths[i])
+            want = (tr.minima_times[i] + dt, peak)
+            if exact:
+                assert got == want and all(isinstance(v, F) for v in got)
+            else:
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+@st.composite
+def float_section_points(draw):
+    a = draw(st.floats(0.01, 1.0))
+    return a, draw(st.floats(1.0 - a, 1.0, exclude_min=True))
+
+
+# a start whose first step lands one ulp above the section (see below)
+REPAIR_START = (0.8305930343327381, 0.6101976781109127)
+
+
+@given(st.one_of(st.just(REPAIR_START), st.sampled_from(sorted(NAMED_STARTS.values())),
+                 float_section_points()),
+       st.integers(1, 300), st.integers(0, 40), st.one_of(st.none(), st.integers(0, 2)))
+def test_averages_bit_identical_to_plain_loop(start, n, record_every, max_repairs):
+    def run(f):
+        try:
+            return repr(f(start, n, record_every=record_every, max_repairs=max_repairs))
+        except DriftError as exc:
+            return f"DriftError: {exc}"
+    assert run(excursion_averages) == run(excursion_averages_loop)
+
+
 def test_excursion_averages_smoke():
     res = excursion_averages(named_start("golden"), 20000)
     assert abs(res.alpha_mean - 2.0) < 0.1
@@ -164,7 +223,7 @@ def test_excursion_averages_drift_repairs():
     # (1 + a)/b rounds to exactly 3 at this start, so the first step lands
     # one ulp above the section and is clamped back; the step after the n-th
     # visit is taken too, so even n = 1 reports the repair
-    start = (0.8305930343327381, 0.6101976781109127)
+    start = REPAIR_START
     for n in (1, 2, 3):
         assert excursion_averages(start, n).repairs == 1
     with pytest.raises(DriftError, match="at step 1"):

@@ -3,26 +3,30 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.special import loggamma, zeta
 
 from bczmap.core import DomainError
 from bczmap.measure import (
+    _hurwitz_zeta,
     excursion_integrals,
     grid_measure,
     hall_cdf,
     hall_kinks,
     integrate_over_section,
     kappa_moment,
-    kappa_moment_tail_bound,
     moment_integral,
     roof_cdf,
     roof_integral,
-    roof_power_integral_truncated,
     roof_region_measure,
     tile_measure,
     tile_measure_shoelace,
     tile_partition_defect,
     tile_vertices,
 )
+
+from oracles import kappa_moment_tail_bound, roof_power_integral_truncated
 
 PI2_3 = math.pi**2 / 3
 
@@ -181,6 +185,37 @@ def test_moment_integral_complex():
     v = moment_integral(complex(1, 0.5), 0)
     assert isinstance(v, complex)
     assert moment_integral(complex(1, 0), complex(0, 0)) == pytest.approx(2 / 3)
+
+
+@given(st.one_of(st.floats(1.0, 5.0, exclude_min=True), st.floats(5.0, 40.0)),
+       st.one_of(st.floats(0.01, 40.0), st.integers(1, 5000)))
+def test_hurwitz_zeta_vs_scipy(s, a):
+    ref = float(zeta(s, a))
+    assert _hurwitz_zeta(s, a) == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+def _moment_reference(s, t):
+    g = np.exp(loggamma(s + 1) + loggamma(t + 1) - loggamma(s + t + 3))
+    return 2.0 * (1.0 / ((s + 1) * (t + 1)) - g)
+
+
+EXPONENT = st.floats(-0.5, 6.0)
+
+
+@given(EXPONENT, EXPONENT)
+def test_moment_integral_vs_scipy_real(s, t):
+    v = moment_integral(s, t)
+    assert isinstance(v, float)
+    assert v == pytest.approx(float(_moment_reference(s, t)), rel=1e-13, abs=0.0)
+
+
+@given(st.builds(complex, EXPONENT, st.floats(-6.0, 6.0)),
+       st.one_of(EXPONENT, st.builds(complex, EXPONENT, st.floats(-3.0, 3.0))))
+def test_moment_integral_vs_scipy_complex(s, t):
+    v = moment_integral(s, t)
+    ref = complex(_moment_reference(s, t))
+    assert isinstance(v, complex)
+    assert abs(v - ref) <= 1e-13 * abs(ref)
 
 
 def test_kappa_moment():
