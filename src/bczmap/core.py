@@ -80,7 +80,8 @@ def check_section(p: Point, width: Scalar = 1):
     and the width are all int/Fraction, all floats otherwise (an int next to
     a float is ordinary promotion).  A Fraction next to a float inside p is
     silent precision loss and is refused.  Float points are accepted within
-    DRIFT_TOL * max(1, width) of the section.
+    DRIFT_TOL * max(1, width) of the section, unless their index
+    (width + a)/b overflows.
     """
     a, b = p
     if (isinstance(a, Fraction) or isinstance(b, Fraction)) and not (is_exact(a) and is_exact(b)):
@@ -93,6 +94,8 @@ def check_section(p: Point, width: Scalar = 1):
         inside = 0 < a <= width + tol and 0 < b <= width + tol and a + b > width - tol
     if not inside:
         raise DomainError(f"({a}, {b}) not in the width-{width} section")
+    if not exact and (width + a) / b == math.inf:
+        raise DomainError(f"({a}, {b}) is too close to the cusp: its index overflows a float")
     return a, b, width, exact
 
 
@@ -118,9 +121,6 @@ class IntMatrix2:
     def __matmul__(self, o: "IntMatrix2") -> "IntMatrix2":
         (a11, a12), (a21, a22) = _mat2_mul(self.rows(), o.rows())
         return IntMatrix2(a11, a12, a21, a22)
-
-    def transpose(self) -> "IntMatrix2":
-        return IntMatrix2(self.a11, self.a21, self.a12, self.a22)
 
     def act_on_point(self, p: Point) -> Point:
         """Row vector action p . M^T."""
@@ -172,7 +172,9 @@ def _reproject(a: float, b: float, width: float = 1.0) -> float:
     if b <= width - a:
         if (width - a) - b > tol:
             raise DriftError(f"float orbit drifted below the width-{width:g} section: b = {b!r}")
-        b = math.nextafter(width - a, math.inf)
+        # when a is below half an ulp of the width, width - a rounds to the
+        # width itself, which is then the one float inside (width - a, width]
+        b = min(math.nextafter(width - a, math.inf), width)
     return b
 
 
@@ -280,8 +282,8 @@ def verify_return_identity(p: Point) -> bool:
     """Exact check of the return identity h_{R(p)} . p_{a,b} . A(p)^T = p_{T(p)}.
 
     Here p_{a,b} = [[a, b], [0, 1/a]] and h_s = [[1, 0], [-s, 1]].  Note the
-    multiplying matrix is the transpose of the tile matrix A_{kappa(p)} =
-    [[0, 1], [-1, kappa]].
+    multiplying matrix is the transpose [[0, -1], [1, kappa]] of the tile
+    matrix A_{kappa(p)} = [[0, 1], [-1, kappa]].
     """
     a, b, _, exact = check_section(p)
     if not exact:
@@ -289,7 +291,7 @@ def verify_return_identity(p: Point) -> bool:
     r = 1 / (a * b)
     h = ((1, 0), (-r, 1))
     pa = ((a, b), (0, 1 / a))
-    w = step_matrix(p).transpose().rows()
+    w = ((0, -1), (1, kappa(p)))
     left = _mat2_mul(_mat2_mul(h, pa), w)
     ta, tb = bcz_step(p)
     right = ((ta, tb), (0, 1 / ta))
@@ -331,37 +333,6 @@ def t_bcz_step(p: Point, t: Scalar) -> Point:
     x, y, t, exact = check_section(p, width=t)
     y2 = math.floor((t + x) / y) * y - x
     return (y, y2 if exact else _reproject(y, y2, t))
-
-
-def narrow_embed(p: Point, t: Scalar) -> Point:
-    """Identify a unit-section point with a <= t with its width-t coordinates.
-
-    Same lattice, second coordinate reduced mod a into (t - a, t].  This is
-    the map carrying the first-return dynamics on the strip {a <= t} onto
-    the width-t return map.
-    """
-    a, b = p
-    check_section(p)
-    if not a <= t:
-        raise DomainError(f"first coordinate {a} exceeds the strip width {t}")
-    return reduce_to_section(a, b, width=t)[0]
-
-
-def narrow_first_return(p: Point, t: Scalar, max_steps: int = 10**7) -> Point:
-    """First return of the BCZ map to the strip {(a, b) in Omega : a <= t}.
-
-    Satisfies t_bcz_step(narrow_embed(p)) = narrow_embed(narrow_first_return(p)):
-    strip visits of the unit orbit are exactly the width-t section visits.
-    """
-    d, ratio, orbit = _orbit(p)
-    if not p[0] <= t:
-        raise DomainError(f"first coordinate {p[0]} exceeds the strip width {t}")
-    limit = t * d
-    next(orbit)
-    for _, (x, y, _) in zip(range(max_steps), orbit):
-        if x <= limit:
-            return (ratio(x, d), ratio(y, d))
-    raise RuntimeError("no return to the strip within max_steps")
 
 
 def to_upper_half_plane(p: Point):

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
 from bisect import bisect_left
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -39,10 +40,19 @@ PI2_3 = math.pi**2 / 3
 _totients_upto: np.ndarray = np.array([0, 1], dtype=np.int64)  # phi(0) unused
 
 
+def _check_memory(nbytes: int, what: str) -> None:
+    """Refuse, before allocating, arrays that could not fit in physical memory."""
+    total = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if nbytes > total:
+        raise DomainError(f"{what} needs {nbytes / 2**30:.3g} GiB, more than the "
+                          f"{total / 2**30:.3g} GiB of physical memory")
+
+
 def _extend_totients(n: int) -> None:
     global _totients_upto
     if n < len(_totients_upto):
         return
+    _check_memory(8 * (n + 1), f"the totients up to {n}")
     phi = np.arange(n + 1, dtype=np.int64)
     for p in range(2, n + 1):
         if phi[p] == p:  # p prime
@@ -134,6 +144,7 @@ def _farey_lanes(Q: int) -> FareySequence:
     """F(Q) from K lanes of the orbit stepped together; each lane must land
     on the next seed, and the lanes must cover N(Q) fractions."""
     n = farey_cardinality(Q)
+    _check_memory(16 * (n + 1), f"F({Q}), with {n} fractions,")
     K = min(Q, math.isqrt(n))
     a, b, c, d = _lane_seeds(Q, K)
     lengths = _lane_lengths(Q, b, d, n)
@@ -375,13 +386,6 @@ def index_values(Q: int, interval=(0, 1)) -> np.ndarray:
         raise RuntimeError("index identity (q_{i-1}+q_{i+1}) | q_i failed")
     nu //= qi
     return nu
-
-
-def index_values_via_kappa(Q: int) -> np.ndarray:
-    """The same indices through the section map: nu(gamma_i) = kappa(T^{i-2}(1/Q, 1))."""
-    q = farey_orbit(Q).denominators
-    qm = np.roll(q, 1)
-    return (Q + qm) // q
 
 
 def moment_sum(Q: int, interval, s, t):

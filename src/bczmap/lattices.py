@@ -21,6 +21,10 @@ _FLOAT_DET_TOL = 1e-12
 #: [[F(m + 1), F(m)], [F(m), F(m - 1)]] needs about m/2
 _GAUSS_MAX_ITER = 10_000
 
+#: lattice points `_strip_vectors` may visit; a strip holding more is a
+#: request too large to serve, like a d-grid past `cli.HALL_GRID_MAX`
+_STRIP_MAX_POINTS = 50_000_000
+
 
 @dataclass(frozen=True)
 class UnimodularBasis:
@@ -150,7 +154,7 @@ def _coeff_range(vals):
     return math.floor(lo) - 1, math.ceil(hi) + 1
 
 
-def _strip_vectors(basis: UnimodularBasis, t, y_max, max_iter: int = 50_000_000):
+def _strip_vectors(basis: UnimodularBasis, t, y_max):
     """Primitive lattice vectors with 0 < x <= t and 0 <= y <= y_max.
 
     Gauss-reduces first, then sweeps the coefficient whose corner range is
@@ -186,8 +190,9 @@ def _strip_vectors(basis: UnimodularBasis, t, y_max, max_iter: int = 50_000_000)
         if jlo > jhi:
             continue
         count += jhi - jlo + 1
-        if count > max_iter:
-            raise RuntimeError("strip enumeration radius overflow")
+        if count > _STRIP_MAX_POINTS:
+            raise DomainError(f"the strip holds more than {_STRIP_MAX_POINTS} lattice points;"
+                              " narrow the width or the slope range")
         for j in range(jlo, jhi + 1):
             if sweep_m:
                 m, n = i, j
@@ -209,27 +214,11 @@ def _interval_solve(a, c, upper, strict_lo: bool):
     if a == 0:
         ok = (0 < c <= upper) if strict_lo else (0 <= c <= upper)
         return (0, -1) if not ok else (-(10**18), 10**18)
+    x, y = (0 - c) / a, (upper - c) / a
+    # the least integer above x is floor(x) + 1, the greatest below it ceil(x) - 1
     if a > 0:
-        lo = _int_above((0 - c) / a, strict=strict_lo)
-        hi = _int_below((upper - c) / a, strict=False)
-    else:
-        lo = _int_above((upper - c) / a, strict=False)
-        hi = _int_below((0 - c) / a, strict=strict_lo)
-    return lo, hi
-
-
-def _int_above(x, strict: bool):
-    n = math.ceil(x)
-    if strict and n == x:
-        n += 1
-    return n
-
-
-def _int_below(x, strict: bool):
-    n = math.floor(x)
-    if strict and n == x:
-        n -= 1
-    return n
+        return (math.floor(x) + 1 if strict_lo else math.ceil(x)), math.floor(y)
+    return math.ceil(y), (math.ceil(x) - 1 if strict_lo else math.floor(x))
 
 
 @dataclass

@@ -1,9 +1,9 @@
 """The invariant measure m = 2 da db on the Farey triangle.
 
 Closed forms live next to an adaptive-quadrature oracle so every constant
-is checked by two independent routes.  The closed forms are pure Python;
-scipy is needed only by the quadrature oracles and is imported on their
-first call.  The central object is the mass
+is checked by two independent routes.  The module imports neither numpy
+nor scipy: the closed forms are pure Python, and the quadrature oracles
+import scipy on their first call.  The central object is the mass
 
     H(x) = m({R < x}),    R(a, b) = 1/(ab),
 
@@ -24,8 +24,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
-
-import numpy as np
 
 from .core import DomainError
 from .excursions import peak_length
@@ -94,42 +92,6 @@ def tile_measure(k: int) -> Fraction:
     return Fraction(8, k * (k + 1) * (k + 2))
 
 
-def tile_vertices(k: int) -> list:
-    """Corners of Omega_k in cyclic order: a triangle for k = 1, else the
-    quadrilateral cut out by b = (1+a)/k, a = 1, b = (1+a)/(k+1), a+b = 1."""
-    if k < 1:
-        raise DomainError("k must be >= 1")
-    if k == 1:
-        return [(Fraction(0), Fraction(1)), (Fraction(1), Fraction(1)), (Fraction(1, 3), Fraction(2, 3))]
-    return [
-        (Fraction(1), Fraction(2, k)),
-        (Fraction(1), Fraction(2, k + 1)),
-        (Fraction(k, k + 2), Fraction(2, k + 2)),
-        (Fraction(k - 1, k + 1), Fraction(2, k + 1)),
-    ]
-
-
-def tile_contains(k: int, p) -> bool:
-    """Half-plane membership in Omega_k: (1+a)/(k+1) < b <= (1+a)/k, inside Omega.
-
-    Written multiplicatively so exact scalars stay exact.
-    """
-    a, b = p
-    if not (0 < a <= 1 and 0 < b <= 1 and a + b > 1):
-        return False
-    return (k + 1) * b > 1 + a >= k * b
-
-
-def tile_measure_shoelace(k: int) -> Fraction:
-    """Independent tile mass from the vertex polygon (shoelace formula, exact)."""
-    v = tile_vertices(k)
-    twice_area = sum(
-        v[i][0] * v[(i + 1) % len(v)][1] - v[(i + 1) % len(v)][0] * v[i][1]
-        for i in range(len(v))
-    )
-    return abs(twice_area)  # m = 2 * area
-
-
 def tile_partition_defect(k_max: int = 10**6) -> float:
     """|sum_{k <= k_max} m(Omega_k) + tail - 1| with the exact telescoped tail.
 
@@ -143,7 +105,9 @@ def tile_partition_defect(k_max: int = 10**6) -> float:
 # -- the gap law -------------------------------------------------------------
 
 def roof_cdf(x: float) -> float:
-    """Closed-form H(x) = m({R < x}); 0 for x <= 1, kinks at x = 1 and x = 4."""
+    """Closed-form H(x) = m({R < x}); 0 for x <= 1, kinks at x = 1 and x = 4.
+
+    Rounding is clamped, so every result lies in [0, 1]."""
     if x <= 1:
         return 0.0
     if math.isinf(x):
@@ -153,7 +117,9 @@ def roof_cdf(x: float) -> float:
     if u >= 0.25:
         return 2.0 * base
     r = math.sqrt(1.0 - 4.0 * u)
-    return 2.0 * (base - 0.5 * r + u * math.log((1.0 + r) / (1.0 - r)))
+    if r == 1.0:  # H = 1 - 2u^2 + ... has rounded to 1, and 1 - r to 0
+        return 1.0
+    return min(1.0, 2.0 * (base - 0.5 * r + u * math.log((1.0 + r) / (1.0 - r))))
 
 
 @dataclass
@@ -222,8 +188,7 @@ def hall_kinks(interval_length: float = 1.0) -> tuple:
 
 # -- integrals over the section ----------------------------------------------
 
-def integrate_over_section(f: Callable, inner_breaks: Callable | None = None,
-                           epsabs: float = 1e-11) -> tuple:
+def integrate_over_section(f: Callable, inner_breaks: Callable | None = None) -> tuple:
     """Adaptive nested quadrature of f against m over the triangle.
 
     inner_breaks(a), when given, lists known kink locations of b -> f(a, b).
@@ -235,10 +200,10 @@ def integrate_over_section(f: Callable, inner_breaks: Callable | None = None,
         if inner_breaks is not None:
             pts = [p for p in inner_breaks(a) if lo < p < 1.0] or None
         v, _ = _quad(lambda b: f(a, b), lo, 1.0, points=pts,
-                     limit=200, epsabs=epsabs, epsrel=1e-12)
+                     limit=200, epsabs=1e-11, epsrel=1e-12)
         return v
 
-    val, err = _quad(inner, 0.0, 1.0, limit=300, epsabs=epsabs, epsrel=1e-12)
+    val, err = _quad(inner, 0.0, 1.0, limit=300, epsabs=1e-11, epsrel=1e-12)
     return 2.0 * val, 2.0 * err
 
 
@@ -311,19 +276,3 @@ def excursion_integrals(method: str = "closed-form") -> tuple:
     hi, _ = integrate_over_section(lambda a, b: peak_length((a, b)), breaks)
     return (lo, hi)
 
-
-def grid_measure(indicator: Callable, n: int = 4000, block: int = 256) -> float:
-    """Midpoint-grid mass of {indicator} ∩ Omega; indicator takes coordinate arrays.
-
-    First-order accurate in 1/n along the region boundary; good enough as an
-    independent oracle for percent-level checks of composite regions.
-    """
-    h = 1.0 / n
-    a = (np.arange(n, dtype=np.float64) + 0.5) * h
-    count = 0
-    for i0 in range(0, n, block):
-        b = (np.arange(i0, min(i0 + block, n), dtype=np.float64) + 0.5) * h
-        A, B = np.meshgrid(a, b)
-        mask = (A + B > 1.0) & indicator(A, B)
-        count += int(np.count_nonzero(mask))
-    return 2.0 * count * h * h

@@ -133,24 +133,18 @@ def orbit_report(p) -> PeriodicOrbitReport:
     return PeriodicOrbitReport(p, slope_fraction(p), period, s, m)
 
 
-def kappa_itinerary(p, n: int) -> list:
-    """kappa along the first n steps of the orbit of p."""
-    return [k for _, (_, _, k) in zip(range(n), _orbit(p)[-1])]
-
-
-def hierarchy_report(q_max: int, samples: int = 5) -> list:
+def hierarchy_report(q_max: int) -> list:
     """Periods along the scaling family (t/Q, t), t in (Q/(Q+1), 1].
 
-    Each record confirms the constant period N(Q) across sampled t and the
-    jump phi(Q+1) picked up at the segment boundary.
+    Each record confirms the constant period N(Q) at five interior t and at
+    t = 1, and the jump phi(Q+1) picked up at the segment boundary.
     """
     if q_max < 2:
         raise DomainError("q_max must be >= 2")
     out = []
     for big_q in range(1, q_max + 1):
         lo = Fraction(big_q, big_q + 1)
-        ts = [lo + (1 - lo) * Fraction(j, samples + 1) for j in range(1, samples + 1)]
-        ts.append(Fraction(1))
+        ts = [lo + (1 - lo) * Fraction(j, 6) for j in range(1, 7)]  # five samples and t = 1
         periods = {discrete_period((t / big_q, t)) for t in ts}
         if periods != {farey_cardinality(big_q)}:
             raise RuntimeError(f"period not constant on the Q = {big_q} segment: {periods}")

@@ -5,13 +5,109 @@ Python and are checked against scipy's special functions and quadrature.
 """
 
 import math
+from fractions import Fraction
+from typing import Callable
 
+import numpy as np
 from scipy.integrate import quad
 from scipy.special import zeta
 
-from bczmap.core import DriftError, _reproject, check_section
+from bczmap.core import (DomainError, DriftError, _orbit, _reproject, check_section,
+                         reduce_to_section)
 from bczmap.excursions import ExcursionAverages
+from bczmap.farey import farey_orbit
 from bczmap.measure import _band_breakpoints
+
+
+def tile_vertices(k: int) -> list:
+    """Corners of Omega_k in cyclic order: a triangle for k = 1, else the
+    quadrilateral cut out by b = (1+a)/k, a = 1, b = (1+a)/(k+1), a+b = 1."""
+    if k < 1:
+        raise DomainError("k must be >= 1")
+    if k == 1:
+        return [(Fraction(0), Fraction(1)), (Fraction(1), Fraction(1)), (Fraction(1, 3), Fraction(2, 3))]
+    return [
+        (Fraction(1), Fraction(2, k)),
+        (Fraction(1), Fraction(2, k + 1)),
+        (Fraction(k, k + 2), Fraction(2, k + 2)),
+        (Fraction(k - 1, k + 1), Fraction(2, k + 1)),
+    ]
+
+
+def tile_contains(k: int, p) -> bool:
+    """Half-plane membership in Omega_k: (1+a)/(k+1) < b <= (1+a)/k, inside Omega.
+
+    Written multiplicatively so exact scalars stay exact.
+    """
+    a, b = p
+    if not (0 < a <= 1 and 0 < b <= 1 and a + b > 1):
+        return False
+    return (k + 1) * b > 1 + a >= k * b
+
+
+def tile_measure_shoelace(k: int) -> Fraction:
+    """Independent tile mass from the vertex polygon (shoelace formula, exact)."""
+    v = tile_vertices(k)
+    twice_area = sum(
+        v[i][0] * v[(i + 1) % len(v)][1] - v[(i + 1) % len(v)][0] * v[i][1]
+        for i in range(len(v))
+    )
+    return abs(twice_area)  # m = 2 * area
+
+
+def grid_measure(indicator: Callable, n: int = 4000, block: int = 256) -> float:
+    """Midpoint-grid mass of {indicator} ∩ Omega; indicator takes coordinate arrays.
+
+    First-order accurate in 1/n along the region boundary; good enough as an
+    independent oracle for percent-level checks of composite regions.
+    """
+    h = 1.0 / n
+    a = (np.arange(n, dtype=np.float64) + 0.5) * h
+    count = 0
+    for i0 in range(0, n, block):
+        b = (np.arange(i0, min(i0 + block, n), dtype=np.float64) + 0.5) * h
+        A, B = np.meshgrid(a, b)
+        mask = (A + B > 1.0) & indicator(A, B)
+        count += int(np.count_nonzero(mask))
+    return 2.0 * count * h * h
+
+
+def index_values_via_kappa(Q: int) -> np.ndarray:
+    """Farey indices through the section map: nu(gamma_i) = kappa(T^{i-2}(1/Q, 1))."""
+    q = farey_orbit(Q).denominators
+    qm = np.roll(q, 1)
+    return (Q + qm) // q
+
+
+def narrow_embed(p, t):
+    """Identify a unit-section point with a <= t with its width-t coordinates.
+
+    Same lattice, second coordinate reduced mod a into (t - a, t].  This is
+    the map carrying the first-return dynamics on the strip {a <= t} onto
+    the width-t return map.
+    """
+    a, b = p
+    check_section(p)
+    if not a <= t:
+        raise DomainError(f"first coordinate {a} exceeds the strip width {t}")
+    return reduce_to_section(a, b, width=t)[0]
+
+
+def narrow_first_return(p, t, max_steps: int = 10**7):
+    """First return of the BCZ map to the strip {(a, b) in Omega : a <= t}.
+
+    Satisfies t_bcz_step(narrow_embed(p)) = narrow_embed(narrow_first_return(p)):
+    strip visits of the unit orbit are exactly the width-t section visits.
+    """
+    d, ratio, orbit = _orbit(p)
+    if not p[0] <= t:
+        raise DomainError(f"first coordinate {p[0]} exceeds the strip width {t}")
+    limit = t * d
+    next(orbit)
+    for _, (x, y, _) in zip(range(max_steps), orbit):
+        if x <= limit:
+            return (ratio(x, d), ratio(y, d))
+    raise RuntimeError("no return to the strip within max_steps")
 
 
 def roof_power_integral_truncated(p: float, r_max: float) -> float:

@@ -48,7 +48,6 @@ from bczmap.measure import (
     moment_integral,
     roof_integral,
     roof_region_measure,
-    tile_contains,
     tile_partition_defect,
 )
 from bczmap.periodic import (
@@ -60,6 +59,7 @@ from bczmap.periodic import (
 )
 
 from conftest import random_rational, random_section_point
+from oracles import tile_contains
 
 PI2_3 = math.pi**2 / 3
 

@@ -113,6 +113,36 @@ def test_bad_input_exit_2(capsys, argv):
     assert "internal error" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    f"farey {2**70}",  # requests too large to hold, refused before allocating
+    f"periodic 1 {2**70}",
+    f"orbit 1/{2**70} 1 --periodic",
+    "slopes --basis 2 1 1 1 -t 100000000 -n 3",  # more strip points than the cap
+    "excursions --start 1 1e-320 -n 5",  # the float index (1 + a)/b overflows
+])
+def test_requests_beyond_the_library_range_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    assert "internal error" not in capsys.readouterr().err
+
+
+def test_orbit_next_to_the_cusp_stays_in_the_section(capsys):
+    code, out, _ = run_cli(capsys, ["orbit", "1.0", "1e-300", "-n", "4"])
+    assert code == 0
+    rows = parse_csv(out)[2]
+    assert [r[1:3] for r in rows] == [["1", "1e-300"], ["1e-300", "1"], ["1", "1"], ["1", "1"]]
+    assert [r[4] for r in rows[1:]] == ["1", "2", "2"]
+
+
+def test_slope_gap_window_to_a_huge_bound(capsys):
+    # the limit mass m({1 < R < 1e17}) is 1 in floats, with no division by zero
+    code, out, _ = run_cli(capsys, ["slopes", "--basis", "2", "1", "1", "1", "-t", "1",
+                                    "--gaps", "-n", "5", "--c", "1", "--d", "1e17"])
+    assert code == 0
+    assert parse_csv(out)[0]["params"].endswith(" limit_mass=1")
+
+
 #: valid calls, each small; the fuzz swaps one argument of one of them
 FUZZ_BASES = [
     "farey 12 --stat gaps --bins 5 --range 0 4 --interval 1/4 3/4",

@@ -12,11 +12,10 @@ from bczmap.core import (
     IntMatrix2,
     _orbit,
     bcz_step,
+    check_section,
     cocycle,
     in_section,
     kappa,
-    narrow_embed,
-    narrow_first_return,
     orbit_trace,
     reduce_to_section,
     roof,
@@ -32,9 +31,9 @@ from bczmap.core import (
 from bczmap.excursions import handoff
 from bczmap.lattices import (UnimodularBasis, first_section_hit,
                              shortest_vertical_length, slope_gaps_via_bcz)
-from bczmap.measure import tile_contains
 
 from conftest import random_section_point, random_rational
+from oracles import narrow_embed, narrow_first_return, tile_contains
 
 
 def test_kappa_examples():
@@ -275,6 +274,66 @@ def test_float_reprojection_clamps():
     assert _reproject(2.0, 4.0 + 3e-9, 4.0) == 4.0
     with pytest.raises(DriftError):
         _reproject(2.0, 4.0 + 5e-9, 4.0)
+
+
+def test_reprojection_near_the_cusp_stays_in_the_section():
+    from bczmap.core import _reproject
+
+    # 1 - 1e-300 rounds to 1, and the one float in (1 - 1e-300, 1] is 1
+    assert _reproject(1e-300, 1.0) == 1.0
+    assert _reproject(1e-300, 25.0, 25.0) == 25.0
+    tr = orbit_trace((1.0, 1e-300), 4)
+    assert all(in_section((F(a), F(b))) for a, b in tr.points)
+    assert tr.points[1] == (1e-300, 1.0) and min(tr.indices) >= 1
+
+
+def test_float_start_whose_index_overflows_is_refused():
+    # (1 + 1)/1e-320 is inf: no float kappa, so refuse the start, not step it
+    with pytest.raises(DomainError):
+        check_section((1.0, 1e-320))
+    with pytest.raises(DomainError):
+        orbit_trace((1.0, 1e-320), 3)
+    with pytest.raises(DomainError):
+        t_bcz_step((25.0, 1e-320), 25)
+    assert check_section((1.0, 1e-300))[:2] == (1.0, 1e-300)
+
+
+@st.composite
+def near_edge_starts(draw):
+    """A float start of the width-w section within 1e-320..1e-12 of an edge."""
+    w = draw(st.sampled_from([1.0, 25.0]))
+    gap = draw(st.floats(1e-320, 1e-12))
+    s = w * draw(st.floats(0.0, 1.0))
+    p = draw(st.sampled_from([
+        (w, gap), (gap, w),  # the two corners next to the open diagonal
+        (w - gap, s), (s, w - gap),  # just inside a = w and b = w
+        (s, w - s + gap),  # just above the diagonal a + b = w
+    ]))
+    assume(in_section((F(p[0]), F(p[1])), F(w)))
+    return p, w
+
+
+@settings(max_examples=300)
+@given(near_edge_starts())
+@example(start=((1.0, 1e-300), 1.0))
+@example(start=((1.0, 1e-320), 1.0))
+@example(start=((25.0, 1e-300), 25.0))
+def test_float_orbit_near_an_edge_stays_in_the_section(start):
+    p, w = start
+    try:
+        check_section(p, w)
+    except DomainError:  # refused at the start: the float index overflows
+        return
+    for _, (x, y, k) in zip(range(30), _orbit(p, w)[-1]):
+        assert in_section((F(x), F(y)), F(w)) and k >= 1
+    q = p
+    for _ in range(30):
+        q = t_bcz_step(q, w)
+        assert in_section((F(q[0]), F(q[1])), F(w))
+    if w == 1.0:
+        tr = orbit_trace(p, 30)
+        assert all(in_section((F(a), F(b))) for a, b in tr.points)
+        assert min(tr.indices) >= 1
 
 
 # -- the integer orbit kernel against the Fraction one-step functions ---------

@@ -1,4 +1,5 @@
 import math
+import os
 from fractions import Fraction as F
 
 import numpy as np
@@ -16,7 +17,6 @@ from bczmap.farey import (
     farey_orbit,
     h_spacing_proportion,
     index_values,
-    index_values_via_kappa,
     interval_count,
     moment_sum,
     normalized_gaps,
@@ -24,7 +24,9 @@ from bczmap.farey import (
     spacing_proportion,
     totient,
 )
-from bczmap.measure import MAX_PEAK_INTEGRAL, MIN_PEAK_INTEGRAL, grid_measure, hall_cdf
+from bczmap.measure import MAX_PEAK_INTEGRAL, MIN_PEAK_INTEGRAL, hall_cdf
+
+from oracles import grid_measure, index_values_via_kappa
 
 PI2_3 = math.pi**2 / 3
 
@@ -232,6 +234,38 @@ def test_orbit_cache_is_bounded_lru(monkeypatch):
     monkeypatch.setattr(farey, "_CACHE_BYTES", 1)
     assert farey_orbit(50) is farey_orbit(50)
     assert list(farey._orbit_cache) == [50]
+
+
+@pytest.mark.parametrize("call", [farey_cardinality, farey_orbit, interval_count])
+def test_level_beyond_memory_is_refused(call):
+    # the totients alone would take 2^73 bytes; numpy is never asked for them
+    with pytest.raises(DomainError, match="physical memory"):
+        call(2**70)
+
+
+def _fake_memory(monkeypatch, nbytes):
+    sysconf = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": nbytes}
+    monkeypatch.setattr(os, "sysconf", sysconf.__getitem__)
+
+
+def test_totients_beyond_memory_are_refused_before_allocating(monkeypatch):
+    monkeypatch.setattr(farey, "_totients_upto", np.array([0, 1], dtype=np.int64))
+    _fake_memory(monkeypatch, 8 * 1000)
+    assert farey_cardinality(999) == sum(totient(q) for q in range(1, 1000))
+    with pytest.raises(DomainError, match="totients up to 1000"):
+        farey_cardinality(1000)
+    assert len(farey._totients_upto) == 1000
+
+
+def test_lanes_beyond_memory_are_refused_before_allocating(monkeypatch):
+    monkeypatch.setattr(farey, "_orbit_cache", {})
+    n = farey_cardinality(300)
+    _fake_memory(monkeypatch, 16 * (n + 1))
+    assert len(farey_orbit(300)) == n
+    farey._orbit_cache.clear()
+    _fake_memory(monkeypatch, 16 * (n + 1) - 1)
+    with pytest.raises(DomainError, match=f"F\\(300\\), with {n} fractions"):
+        farey_orbit(300)
 
 
 def test_neighbor_identities():

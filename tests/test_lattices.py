@@ -83,6 +83,16 @@ def test_gauss_reduction_cap_raises(monkeypatch):
         shortest_vector_length(basis)
 
 
+def test_strip_too_large_to_enumerate_is_bad_input(monkeypatch):
+    # a width-10^8 strip holds about 10^8 points below the first hit
+    basis = UnimodularBasis(2, 1, 1, 1)
+    with pytest.raises(DomainError, match="lattice points"):
+        slope_gaps_via_bcz(basis, 10**8, 3)
+    monkeypatch.setattr(lattices, "_STRIP_MAX_POINTS", 10)
+    with pytest.raises(DomainError, match="more than 10 lattice points"):
+        strip_slopes_bruteforce(basis, 1, 20)
+
+
 def test_vertical_detection():
     ident = UnimodularBasis.identity()
     assert shortest_vertical_length(ident) == 1

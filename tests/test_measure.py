@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.special import loggamma, zeta
 
@@ -11,7 +11,6 @@ from bczmap.core import DomainError
 from bczmap.measure import (
     _hurwitz_zeta,
     excursion_integrals,
-    grid_measure,
     hall_cdf,
     hall_kinks,
     integrate_over_section,
@@ -21,12 +20,11 @@ from bczmap.measure import (
     roof_integral,
     roof_region_measure,
     tile_measure,
-    tile_measure_shoelace,
     tile_partition_defect,
-    tile_vertices,
 )
 
-from oracles import kappa_moment_tail_bound, roof_power_integral_truncated
+from oracles import (grid_measure, kappa_moment_tail_bound, roof_power_integral_truncated,
+                     tile_measure_shoelace, tile_vertices)
 
 PI2_3 = math.pi**2 / 3
 
@@ -83,6 +81,21 @@ def test_roof_cdf_shape():
     vals = [roof_cdf(x) for x in xs]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
     assert vals[-1] > 0.999
+
+
+def test_roof_cdf_for_large_x_is_one():
+    # H = 1 - 2u^2 + ... with u = 1/x: 1 up to rounding once x passes ~1e8
+    assert roof_cdf(3e16) == 1.0  # the unclamped formula gives 1 + 2^-52
+    assert roof_cdf(1e17) == 1.0  # here 1 - r is 0 in floats
+    assert roof_region_measure(1.0, 1e17).value == 1.0
+    assert roof_region_measure(1e17, 1e300).value == 0.0
+
+
+@given(st.one_of(st.floats(1.0, 2.0), st.floats(-1e308, 1e308)))
+@example(x=7e10)
+@example(x=1e17)
+def test_roof_cdf_is_a_probability(x):
+    assert 0.0 <= roof_cdf(x) <= 1.0
 
 
 def test_roof_region_measure_examples():

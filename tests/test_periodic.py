@@ -4,13 +4,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from bczmap.core import DomainError, bcz_step, roof
+from bczmap.core import DomainError, bcz_step, orbit_trace, roof
 from bczmap.farey import farey_cardinality, totient
 from bczmap.periodic import (
     continuous_period,
     discrete_period,
     hierarchy_report,
-    kappa_itinerary,
     orbit_report,
     period_on_segment,
     periodic_matrix,
@@ -131,10 +130,10 @@ def test_index_constant_along_segment():
     rng = random.Random(21)
     for Q in range(1, 51):
         n = farey_cardinality(Q)
-        ref = kappa_itinerary((1, F(1, Q)), n)
+        ref = orbit_trace((1, F(1, Q)), n).indices
         for _ in range(5):
             t = random_rational(rng, F(Q, Q + 1), F(1), max_den=60)
-            assert kappa_itinerary((t, t / Q), n) == ref
+            assert orbit_trace((t, t / Q), n).indices == ref
 
 
 @pytest.mark.parametrize("call", [
