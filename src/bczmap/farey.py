@@ -19,7 +19,8 @@ F(Q) is sorted, so the fractions in an interval I form one contiguous index
 range, found by bisection with exact integer comparisons.  All empirical
 statistics of F(Q) (gaps, h-gaps, indices, denominator moments, excursion
 functionals) are averages against the uniform measure on the orbit points
-whose fraction lands in I.
+whose fraction lands in I, read from one run of consecutive denominators:
+`_window`, the one place where the cycle wraps from 1/1 back to 0/1.
 """
 
 from __future__ import annotations
@@ -40,21 +41,25 @@ PI2_3 = math.pi**2 / 3
 _totients_upto: np.ndarray = np.array([0, 1], dtype=np.int64)  # phi(0) unused
 
 
-def _check_memory(nbytes: int, what: str) -> None:
-    """Refuse, before allocating, arrays that could not fit in physical memory."""
+def _check_memory(nbytes: int, what: str) -> int:
+    """Refuse, before allocating, arrays that could not fit in physical
+    memory; return the physical memory in bytes."""
     total = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if nbytes > total:
         raise DomainError(f"{what} needs {nbytes / 2**30:.3g} GiB, more than the "
                           f"{total / 2**30:.3g} GiB of physical memory")
+    return total
 
 
 def _extend_totients(n: int) -> None:
     global _totients_upto
     if n < len(_totients_upto):
         return
-    _check_memory(8 * (n + 1), f"the totients up to {n}")
-    phi = np.arange(n + 1, dtype=np.int64)
-    for p in range(2, n + 1):
+    total = _check_memory(8 * (n + 1), f"the totients up to {n}")
+    # at least double, memory allowing: asking for q = 1, 2, 3, ... sieves O(log q) times
+    size = max(n + 1, min(2 * len(_totients_upto), total // 8))
+    phi = np.arange(size, dtype=np.int64)
+    for p in range(2, size):
         if phi[p] == p:  # p prime
             phi[p::p] -= phi[p::p] // p
     _totients_upto = phi
@@ -265,26 +270,28 @@ def interval_count(Q: int, interval=(0, 1)) -> int:
     return end - start
 
 
-def _selected_range(Q: int, interval):
-    """F(Q) and the nonempty index range [start, end) of its fractions in I."""
+def _window(Q: int, interval, before: int = 0, after: int = 1, *,
+            allow_empty: bool = False) -> np.ndarray:
+    """Denominators q_{start-before} .. q_{end-1+after} of the gamma_i in the
+    closed interval, indices mod N (before <= N): a view of `seq.q` up to
+    gamma_{N+1} = 1/1, else one copy that tiles whole cycles only when
+    `after` exceeds N.  An empty selection raises unless allowed."""
+    lo, hi = _as_interval(interval)
     seq = farey_orbit(Q)
     start, end = _index_range(seq, interval)
-    if start == end:
-        lo, hi = _as_interval(interval)
+    if start == end and not allow_empty:
         raise DomainError(f"no Farey fraction of level {Q} in [{lo}, {hi}]")
-    return seq, start, end
+    a, b, n, d = start - before, end + after, len(seq), seq.denominators
+    if a >= 0 and b <= n + 1:
+        return seq.q[a:b]
+    cycles, rest = divmod(max(b - n, 0), n)
+    return np.concatenate([d[n + min(a, 0):], d[max(a, 0):b]] + [d] * cycles + [d[:rest]])
 
 
-def _selected_window(Q: int, interval) -> np.ndarray:
-    """The denominators q_start .. q_end of the selected gamma_i and the one
-    after them, a view: the pairs (q_i, q_{i+1}) are window[:-1], window[1:]."""
-    seq, start, end = _selected_range(Q, interval)
-    return seq.q[start:end + 1]
-
-
-def _normalized(Q: int, length: float, qi: np.ndarray, qn: np.ndarray) -> np.ndarray:
-    """(3/pi^2) |I| Q^2 / (q_i q_{i+1}), the normalized gap after gamma_i."""
-    return (3 / math.pi**2) * length * Q * Q / (qi.astype(float) * qn)
+def _normalized(Q: int, interval, w: np.ndarray) -> np.ndarray:
+    """(3/pi^2) |I| Q^2 / (q_i q_{i+1}) for the neighbour pairs of the window w."""
+    lo, hi = _as_interval(interval)
+    return (3 / math.pi**2) * float(hi - lo) * Q * Q / (w[:-1].astype(float) * w[1:])
 
 
 class EmpiricalMeasure:
@@ -311,26 +318,25 @@ class EmpiricalMeasure:
         Q = self.level
         return [(Fraction(int(a), Q), Fraction(int(b), Q)) for a, b in zip(self.qi, self.qn)]
 
-    def integral(self, G: Callable) -> float:
-        """G is called once with the two float coordinate arrays."""
+    def integral(self, G: Callable):
+        """G is called once with the two float coordinate arrays; a real G
+        gives a float, a complex one a complex."""
         x = self.window / self.level
-        return float(np.mean(G(x[:-1], x[1:])))
+        return np.mean(G(x[:-1], x[1:])).item()
 
 
 def empirical_measure(Q: int, interval=(0, 1)) -> EmpiricalMeasure:
-    return EmpiricalMeasure(Q, interval, _selected_window(Q, interval))
+    return EmpiricalMeasure(Q, interval, _window(Q, interval))
 
 
-def empirical_integral(Q: int, interval, G: Callable) -> float:
+def empirical_integral(Q: int, interval, G: Callable):
     """rho_{Q,I}(G): mean of G over the orbit points with gamma_i in I."""
     return empirical_measure(Q, interval).integral(G)
 
 
 def normalized_gaps(Q: int, interval=(0, 1)) -> np.ndarray:
     """(3/pi^2) |I| Q^2 (gamma_{i+1} - gamma_i) for the selected gamma_i."""
-    lo, hi = _as_interval(interval)
-    w = _selected_window(Q, interval)
-    return _normalized(Q, float(hi - lo), w[:-1], w[1:])
+    return _normalized(Q, interval, _window(Q, interval))
 
 
 def spacing_proportion(Q: int, interval, c: float, d: float) -> float:
@@ -349,23 +355,13 @@ def h_spacing_proportion(Q: int, interval, box: Sequence[tuple]) -> float:
     """
     if len(box) < 1:
         raise DomainError("box must contain at least one interval")
-    lo, hi = _as_interval(interval)
-    length = float(hi - lo)
-    seq, start, end = _selected_range(Q, interval)
-    n, q = len(seq), seq.q
-    # the gaps after gamma_start .. gamma_{stop-1}; past gamma_N they wrap
-    stop = end + len(box) - 1
-    head = min(stop, n)
-    gaps = _normalized(Q, length, q[start:head], q[start + 1:head + 1])
-    if stop > n:
-        m = min(stop - n, n)
-        tail = _normalized(Q, length, q[:m], q[1:m + 1])
-        gaps = np.concatenate((gaps, np.resize(tail, stop - n)))
-    inside = np.ones(end - start, dtype=bool)
+    gaps = _normalized(Q, interval, _window(Q, interval, after=len(box)))
+    m = len(gaps) - len(box) + 1  # the number of selected gamma_i
+    inside = np.ones(m, dtype=bool)
     for j, (cj, dj) in enumerate(box):
-        gj = gaps[j:j + end - start]
+        gj = gaps[j:j + m]
         inside &= (gj > cj) & (gj < dj)
-    return float(np.count_nonzero(inside) / (end - start))
+    return float(np.count_nonzero(inside) / m)
 
 
 def index_values(Q: int, interval=(0, 1)) -> np.ndarray:
@@ -376,12 +372,8 @@ def index_values(Q: int, interval=(0, 1)) -> np.ndarray:
     """
     if Q < 2:
         raise DomainError("indices need Q >= 2")
-    seq = farey_orbit(Q)
-    start, end = _index_range(seq, interval)
-    q, qi = seq.q, seq.q[start:end]
-    nu = q[start + 1:end + 1].copy()
-    nu[1:] += q[start:end - 1]
-    nu[:1] += q[(start - 1) % len(seq)]  # cyclic: gamma_N precedes gamma_1
+    w = _window(Q, interval, before=1, allow_empty=True)
+    qi, nu = w[1:-1], w[:-2] + w[2:]
     if np.any(nu % qi):
         raise RuntimeError("index identity (q_{i-1}+q_{i+1}) | q_i failed")
     nu //= qi
@@ -396,12 +388,9 @@ def moment_sum(Q: int, interval, s, t):
     """
     if not (cmath.isfinite(s) and cmath.isfinite(t)):
         raise DomainError(f"moment exponents must be finite, not {s}, {t}")
-    x = _selected_window(Q, interval) / Q
     if isinstance(s, complex) or isinstance(t, complex):
-        lx = np.log(x)
-        val = np.mean(np.exp(s * lx[:-1] + t * lx[1:]))
-        return complex(val)
-    return float(np.mean(x[:-1]**float(s) * x[1:]**float(t)))
+        return empirical_integral(Q, interval, lambda x, y: np.exp(s * np.log(x) + t * np.log(y)))
+    return empirical_integral(Q, interval, lambda x, y: x**float(s) * y**float(t))
 
 
 def counting_bound_check(Q: int, interval=(0, 1)) -> bool:

@@ -157,8 +157,9 @@ def _coeff_range(vals):
 def _strip_vectors(basis: UnimodularBasis, t, y_max):
     """Primitive lattice vectors with 0 < x <= t and 0 <= y <= y_max.
 
-    Gauss-reduces first, then sweeps the coefficient whose corner range is
-    smaller, solving the other coefficient's interval exactly per sweep line.
+    Gauss-reduces first, then orders the reduced basis so that the swept
+    coefficient m has the smaller corner range (m stays on a tie), solving
+    n's interval exactly per sweep line.
     Yields (x, y, m, n) with gcd(m, n) = 1.
     """
     (u, v), (cu, cv) = _gauss_reduce(basis)
@@ -167,37 +168,24 @@ def _strip_vectors(basis: UnimodularBasis, t, y_max):
     det = x1 * y2 - x2 * y1  # reduction preserves det; 1 exactly, or ~1 float
     corners = [(0, 0), (t, 0), (0, y_max), (t, y_max)]
     # coefficients of a point (x, y): m = (y2 x - x2 y)/det, n = (x1 y - y1 x)/det
-    ms = [(y2 * x - x2 * y) / det for x, y in corners]
-    ns = [(x1 * y - y1 * x) / det for x, y in corners]
-    m_lo, m_hi = _coeff_range(ms)
-    n_lo, n_hi = _coeff_range(ns)
-    sweep_m = (m_hi - m_lo) <= (n_hi - n_lo)
-    if sweep_m:
-        outer = (m_lo, m_hi)
-        a1, b1 = x2, x1  # x = b1*i + a1*j for outer index i, inner j
-        a2, b2 = y2, y1
-    else:
-        outer = (n_lo, n_hi)
-        a1, b1 = x1, x2
-        a2, b2 = y1, y2
-
+    m_range = _coeff_range([(y2 * x - x2 * y) / det for x, y in corners])
+    n_range = _coeff_range([(x1 * y - y1 * x) / det for x, y in corners])
+    if m_range[1] - m_range[0] > n_range[1] - n_range[0]:  # sweep the shorter range
+        (x1, y1, cu, m_range), (x2, y2, cv, n_range) = \
+            (x2, y2, cv, n_range), (x1, y1, cu, m_range)
     count = 0
-    for i in range(outer[0], outer[1] + 1):
-        # solve 0 < b1*i + a1*j <= t and 0 <= b2*i + a2*j <= y_max for j
-        lo, hi = _interval_solve(a1, b1 * i, t, strict_lo=True)
-        lo2, hi2 = _interval_solve(a2, b2 * i, y_max, strict_lo=False)
-        jlo, jhi = max(lo, lo2), min(hi, hi2)
-        if jlo > jhi:
+    for m in range(m_range[0], m_range[1] + 1):
+        # solve 0 < x1*m + x2*n <= t and 0 <= y1*m + y2*n <= y_max for n
+        lo, hi = _interval_solve(x2, x1 * m, t, strict_lo=True)
+        lo2, hi2 = _interval_solve(y2, y1 * m, y_max, strict_lo=False)
+        n_lo, n_hi = max(lo, lo2), min(hi, hi2)
+        if n_lo > n_hi:
             continue
-        count += jhi - jlo + 1
+        count += n_hi - n_lo + 1
         if count > _STRIP_MAX_POINTS:
             raise DomainError(f"the strip holds more than {_STRIP_MAX_POINTS} lattice points;"
                               " narrow the width or the slope range")
-        for j in range(jlo, jhi + 1):
-            if sweep_m:
-                m, n = i, j
-            else:
-                m, n = j, i
+        for n in range(n_lo, n_hi + 1):
             x = x1 * m + x2 * n
             y = y1 * m + y2 * n
             # translate back to original-basis coefficients for the gcd test

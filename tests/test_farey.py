@@ -189,6 +189,24 @@ def test_bisected_selection_matches_fraction_mask(case):
         assert index_values(Q, (lo, hi)).tolist() == index_values(Q)[inside].tolist()
 
 
+@settings(max_examples=150)
+@given(level_and_interval(), st.integers(0, 1), st.data())
+@example((1, (F(0), F(1))), 1, None)
+@example((3, (F(1, 2), F(1))), 0, None)
+def test_window_is_the_cyclic_run_of_denominators(case, before, data):
+    Q, interval = case
+    seq = farey_orbit(Q)
+    n = len(seq)
+    after = 2 * n + 2 if data is None else data.draw(st.integers(0, 2 * n + 2))
+    start, end = farey._index_range(seq, interval)
+    expected = np.take(seq.denominators, range(start - before, end + after), mode="wrap")
+    w = farey._window(Q, interval, before, after, allow_empty=True)
+    assert w.dtype == np.int64 and w.tolist() == expected.tolist()
+    if start == end:
+        with pytest.raises(DomainError, match=f"no Farey fraction of level {Q}"):
+            farey._window(Q, interval, before, after)
+
+
 def rolled_h_spacing(Q, interval, box):
     """Oracle: the h-spacing proportion from a Fraction mask and rolled gaps."""
     lo, hi = interval
@@ -255,6 +273,29 @@ def test_totients_beyond_memory_are_refused_before_allocating(monkeypatch):
     with pytest.raises(DomainError, match="totients up to 1000"):
         farey_cardinality(1000)
     assert len(farey._totients_upto) == 1000
+
+
+def test_totient_table_grows_geometrically(monkeypatch):
+    monkeypatch.setattr(farey, "_totients_upto", np.array([0, 1], dtype=np.int64))
+    totient(3000)
+    once = farey._totients_upto[:3001].copy()
+    monkeypatch.setattr(farey, "_totients_upto", np.array([0, 1], dtype=np.int64))
+    sieves = []
+    check = farey._check_memory
+    monkeypatch.setattr(farey, "_check_memory",
+                        lambda nbytes, what: sieves.append(what) or check(nbytes, what))
+    assert [totient(q) for q in range(3001)] == once.tolist()
+    assert len(sieves) == 11  # tables of 4, 8, ..., 4096 entries
+
+
+def test_totient_request_that_fits_is_served_when_doubling_would_not(monkeypatch):
+    monkeypatch.setattr(farey, "_totients_upto", np.array([0, 1], dtype=np.int64))
+    farey_cardinality(599)
+    _fake_memory(monkeypatch, 8 * 1000)
+    assert totient(999) == 648
+    assert 1000 <= len(farey._totients_upto) < 1200
+    with pytest.raises(DomainError, match="totients up to 1000"):
+        totient(1000)
 
 
 def test_lanes_beyond_memory_are_refused_before_allocating(monkeypatch):
