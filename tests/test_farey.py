@@ -190,14 +190,15 @@ def test_bisected_selection_matches_fraction_mask(case):
 
 
 @settings(max_examples=150)
-@given(level_and_interval(), st.integers(0, 1), st.data())
-@example((1, (F(0), F(1))), 1, None)
-@example((3, (F(1, 2), F(1))), 0, None)
-def test_window_is_the_cyclic_run_of_denominators(case, before, data):
+@given(level_and_interval(), st.integers(0, 1), st.floats(0, 1))
+@example((1, (F(0), F(1))), 1, 1.0)
+@example((3, (F(1, 2), F(1))), 0, 1.0)
+def test_window_is_the_cyclic_run_of_denominators(case, before, share):
+    # after runs over 0 .. 2N + 2, so windows longer than F(Q) tile it
     Q, interval = case
     seq = farey_orbit(Q)
     n = len(seq)
-    after = 2 * n + 2 if data is None else data.draw(st.integers(0, 2 * n + 2))
+    after = round(share * (2 * n + 2))
     start, end = farey._index_range(seq, interval)
     expected = np.take(seq.denominators, range(start - before, end + after), mode="wrap")
     w = farey._window(Q, interval, before, after, allow_empty=True)
