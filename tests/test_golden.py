@@ -1,10 +1,10 @@
 """Byte-for-byte stdout of the command line against recorded files.
 
 Each command's stdout is stored in `tests/golden/<name>.out`.  The set is
-the README's example commands, `test_cli.SCIPY_FREE` and a few windowed
-and JSON calls.  Commands that run a scipy quadrature (`measure`,
-`hall-cdf --oracle quadrature|both`) are left out: their last digits
-depend on the scipy version.
+the README's example commands, `test_cli.SCIPY_FREE`, a few windowed and
+JSON calls, and two periods at large Q.  Commands that run a scipy
+quadrature (`measure`, `hall-cdf --oracle quadrature|both`) are left out:
+their last digits depend on the scipy version.
 
 After a deliberate change of output, rewrite the files with
 
@@ -42,7 +42,12 @@ WINDOWED = [
     "farey 200 --stat gaps --bins 20 --interval 1/2 1",
     "farey 200 --stat moments --s 1 --t 0.5 --interval 1/3 2/3 --format json",
 ]
-COMMANDS = list(dict.fromkeys(README + SCIPY_FREE + WINDOWED))
+#: periods N(Q) at large Q, recorded from the totient sieve the count replaced
+PERIODS = [
+    "periodic 1 1000000",
+    "periodic 3 1000",
+]
+COMMANDS = list(dict.fromkeys(README + SCIPY_FREE + WINDOWED + PERIODS))
 
 
 def golden_path(command: str) -> Path:
