@@ -22,7 +22,7 @@ from fractions import Fraction
 from . import __version__
 from .core import DomainError, _mat2_mul, orbit_trace
 from .excursions import NAMED_STARTS, excursion_averages, named_start
-from .farey import (_as_interval, empirical_integral, farey_cardinality,
+from .farey import (_as_interval, _check_memory, empirical_integral, farey_cardinality,
                     index_values, moment_sum, normalized_gaps)
 from .lattices import (UnimodularBasis, slope_gaps_via_bcz,
                        strip_slopes_bruteforce)
@@ -33,7 +33,8 @@ from .measure import (MAX_PEAK_INTEGRAL, MIN_PEAK_INTEGRAL, excursion_integrals,
 from .periodic import (hierarchy_report, orbit_report, period_on_segment,
                        segment_matrix, shear_conjugation_check)
 
-import numpy as np
+#: bytes a row of `orbit`, `slopes` or `excursions` holds until printed (157-319 measured)
+ROW_BYTES = 320
 
 
 def _fmt(x) -> str:
@@ -92,6 +93,11 @@ def parse_scalar(text: str):
         raise DomainError(f"cannot parse scalar {text!r}") from None
 
 
+def _check_rows(n: int) -> None:
+    """Refuse, before iterating, more rows than physical memory holds."""
+    _check_memory(ROW_BYTES * n, f"{n} rows of output")
+
+
 # -- subcommands ---------------------------------------------------------------
 
 def cmd_farey(args) -> None:
@@ -104,6 +110,7 @@ def cmd_farey(args) -> None:
         if not (args.bins >= 1 and -math.inf < lo < hi < math.inf):
             raise DomainError("need --bins >= 1 and a finite --range LO < HI")
         g = normalized_gaps(args.Q, interval)
+        import numpy as np
         edges = np.linspace(lo, hi, args.bins + 1)
         counts, _ = np.histogram(g, bins=edges)
         n = len(g)
@@ -120,7 +127,7 @@ def cmd_farey(args) -> None:
         alpha = args.alpha
         if not math.isfinite(alpha):
             raise DomainError(f"--alpha must be finite, not {alpha}")
-        emp = float(np.mean(nu.astype(float) ** alpha))
+        emp = float((nu.astype(float) ** alpha).mean())
         limit = kappa_moment(alpha) if 0 < alpha < 2 else float("nan")
         params.update(alpha=alpha)
         rows = [(alpha, emp, limit, int(nu.max()), 2 * args.Q)]
@@ -137,6 +144,7 @@ def cmd_farey(args) -> None:
         emit(args, "farey", params, ["s", "t", "empirical", "limit"],
              [(s, t, emp, limit)])
     else:  # excursion
+        import numpy as np
         mn = empirical_integral(args.Q, interval,
                                 lambda a, b: np.minimum(np.minimum(1 / a, 1 / b), a + b))
         mx = empirical_integral(args.Q, interval,
@@ -155,6 +163,7 @@ def cmd_hall_cdf(args) -> None:
         raise DomainError("need a finite step > 0 and finite d-max >= d-min")
     if (args.d_max - args.d_min) / args.step + 1 > HALL_GRID_MAX:
         raise DomainError(f"the d-grid would exceed {HALL_GRID_MAX} points; raise --step")
+    import numpy as np
     length = args.interval_length
     k1, k2 = hall_kinks(length)
     grid = list(np.arange(args.d_min, args.d_max + args.step / 2, args.step))
@@ -195,11 +204,10 @@ def cmd_orbit(args) -> None:
         emit(args, "orbit", params,
              ["period", "flow_period", "slope", "m11", "m12", "m21", "m22"], rows)
         return
+    _check_rows(args.n)
     trace = orbit_trace((a, b), args.n)
-    rows = [
-        (i, p[0], p[1], r, k)
-        for i, (p, r, k) in enumerate(zip(trace.points, trace.returns, trace.indices))
-    ]
+    rows = [(i, p[0], p[1], r, k)
+            for i, (p, r, k) in enumerate(zip(trace.points, trace.returns, trace.indices))]
     emit(args, "orbit", {"a": a, "b": b, "n": args.n},
          ["i", "a", "b", "roof", "kappa"], rows)
 
@@ -210,6 +218,7 @@ def cmd_excursions(args) -> None:
     else:
         start = named_start(args.slope_irrational)
     record = args.record_every or max(1, args.n // 100)
+    _check_rows(-(-args.n // record))  # one row per record_every steps, rounded up
     res = excursion_averages(start, args.n, record_every=record)
     params = {"start_a": start[0], "start_b": start[1], "n": args.n,
               "record_every": record, "repairs": res.repairs}
@@ -246,6 +255,7 @@ def cmd_slopes(args) -> None:
         series = strip_slopes_bruteforce(basis, t, parse_scalar(args.slope_max))
         params["slope_max"] = args.slope_max
     else:
+        _check_rows(args.n)
         series = slope_gaps_via_bcz(basis, t, args.n)
     if args.gaps:
         n0 = farey_cardinality(int(t)) if t == int(t) else None

@@ -21,6 +21,9 @@ statistics of F(Q) (gaps, h-gaps, indices, denominator moments, excursion
 functionals) are averages against the uniform measure on the orbit points
 whose fraction lands in I, read from one run of consecutive denominators:
 `_window`, the one place where the cycle wraps from 1/1 back to 0/1.
+
+The counts N(Q) and phi(q) are pure integer arithmetic; numpy is imported
+by the functions that build or read the arrays of F(Q), when they run.
 """
 
 from __future__ import annotations
@@ -30,52 +33,62 @@ import math
 import os
 from bisect import bisect_left
 from fractions import Fraction
-from typing import Callable, Sequence
-
-import numpy as np
+from itertools import chain
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .core import DomainError
 
-PI2_3 = math.pi**2 / 3
+if TYPE_CHECKING:
+    import numpy as np
 
-_totients_upto: np.ndarray = np.array([0, 1], dtype=np.int64)  # phi(0) unused
+#: bytes one memo entry of `farey_cardinality` takes at its peak: 80-144
+#: measured for Q = 10^4..10^8, depending on where the dict last resized
+_COUNT_ENTRY_BYTES = 160
 
 
-def _check_memory(nbytes: int, what: str) -> int:
-    """Refuse, before allocating, arrays that could not fit in physical
-    memory; return the physical memory in bytes."""
+def _check_memory(nbytes: int, what: str) -> None:
+    """Refuse, before allocating, what could not fit in physical memory."""
     total = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if nbytes > total:
         raise DomainError(f"{what} needs {nbytes / 2**30:.3g} GiB, more than the "
                           f"{total / 2**30:.3g} GiB of physical memory")
-    return total
-
-
-def _extend_totients(n: int) -> None:
-    global _totients_upto
-    if n < len(_totients_upto):
-        return
-    total = _check_memory(8 * (n + 1), f"the totients up to {n}")
-    # at least double, memory allowing: asking for q = 1, 2, 3, ... sieves O(log q) times
-    size = max(n + 1, min(2 * len(_totients_upto), total // 8))
-    phi = np.arange(size, dtype=np.int64)
-    for p in range(2, size):
-        if phi[p] == p:  # p prime
-            phi[p::p] -= phi[p::p] // p
-    _totients_upto = phi
 
 
 def totient(q: int) -> int:
-    _extend_totients(q)
-    return int(_totients_upto[q])
+    """phi(q), by trial division."""
+    if q < 1:
+        raise DomainError(f"totient needs q >= 1, not {q}")
+    phi, p = q, 2
+    while p * p <= q:
+        if q % p == 0:
+            phi -= phi // p
+            while q % p == 0:
+                q //= p
+        p += 1
+    return phi - phi // q if q > 1 else phi
 
 
 def farey_cardinality(Q: int) -> int:
-    """N(Q) = sum_{q <= Q} phi(q), the length of F(Q) (0/1 included, 1/1 not)."""
+    """N(Q) = sum_{q <= Q} phi(q), the length of F(Q) (0/1 included, 1/1 not).
+
+    The pairs 1 <= p <= q <= m grouped by gcd give sum_{d >= 1} N(floor(m/d))
+    = m(m+1)/2.  Since floor(floor(Q/a)/b) = floor(Q/ab), this runs bottom-up
+    over the 2 isqrt(Q) or so values floor(Q/d): O(Q^{3/4}) steps in all.
+    """
     if Q < 1:
         raise DomainError("Q must be >= 1")
-    _extend_totients(Q)
-    return int(_totients_upto[1 : Q + 1].sum())
+    r = math.isqrt(Q)
+    _check_memory(_COUNT_ENTRY_BYTES * (2 * r + 1), f"the count of F({Q})")
+    N = {}
+    for m in chain(range(1, r + 1), (Q // k for k in range(r, 0, -1))):
+        total, d = m * (m + 1) // 2, 2
+        while d <= m:  # the d sharing one v = floor(m/d) run up to e
+            v = m // d
+            e = m // v
+            total -= (e - d + 1) * N[v]
+            d = e + 1
+        N[m] = total
+    return N[Q]
 
 
 class FareySequence:
@@ -113,6 +126,7 @@ def _lane_seeds(Q: int, K: int):
 
     b c - a d = 1 with d <= Q maximal, so d is the largest d <= Q with
     a d = -1 (mod b)."""
+    import numpy as np
     j = np.arange(K + 1, dtype=np.int64)
     g = np.gcd(j, K)
     a, b = j // g, K // g
@@ -128,6 +142,7 @@ def _lane_lengths(Q: int, b: np.ndarray, d: np.ndarray, n: int) -> np.ndarray:
     (q_i, q_{i+1}) is an orbit point, so it fixes i within the period n.
     A lane that has arrived would return only n steps later, so each lane
     hits its next seed once."""
+    import numpy as np
     # the point after gamma_{N+1} = 1/1 is the start (1, Q) again
     tb, td = b[1:], np.append(d[1:], Q)
     x, y = b[:-1], d
@@ -148,8 +163,12 @@ def _lane_lengths(Q: int, b: np.ndarray, d: np.ndarray, n: int) -> np.ndarray:
 def _farey_lanes(Q: int) -> FareySequence:
     """F(Q) from K lanes of the orbit stepped together; each lane must land
     on the next seed, and the lanes must cover N(Q) fractions."""
+    # 2 N(Q) - 1, the coprime pairs in [1, Q]^2, is >= Q^2 (1 - sum_p p^-2) > 0.547 Q^2:
+    # the bound N(Q) >= Q^2/4 refuses hopeless levels before counting, never a feasible one
+    _check_memory(16 * (Q * Q // 4 + 1), f"F({Q}), with at least {Q * Q // 4} fractions,")
     n = farey_cardinality(Q)
     _check_memory(16 * (n + 1), f"F({Q}), with {n} fractions,")
+    import numpy as np
     K = min(Q, math.isqrt(n))
     a, b, c, d = _lane_seeds(Q, K)
     lengths = _lane_lengths(Q, b, d, n)
@@ -206,6 +225,7 @@ def farey_bruteforce(Q: int) -> FareySequence:
     The sort key floor(p * 2^64 / q) is an order-preserving integer since
     distinct level-Q fractions differ by more than 2^-64 for any sane Q.
     """
+    import numpy as np
     if Q < 1:
         raise DomainError("Q must be >= 1")
     pairs = [(0, 1)]
@@ -232,7 +252,7 @@ def orbit_flow_period(Q: int) -> Fraction:
     p, q = seq.p, seq.q
     det = p[1:] * q[:-1]
     det -= p[:-1] * q[1:]
-    if np.any(det != 1):
+    if (det != 1).any():
         raise RuntimeError(f"F({Q}) has a neighbour pair whose determinant is not 1")
     return Q * Q * (Fraction(int(p[-1]), int(q[-1])) - Fraction(int(p[0]), int(q[0])))
 
@@ -284,6 +304,7 @@ def _window(Q: int, interval, before: int = 0, after: int = 1, *,
     a, b, n, d = start - before, end + after, len(seq), seq.denominators
     if a >= 0 and b <= n + 1:
         return seq.q[a:b]
+    import numpy as np
     cycles, rest = divmod(max(b - n, 0), n)
     return np.concatenate([d[n + min(a, 0):], d[max(a, 0):b]] + [d] * cycles + [d[:rest]])
 
@@ -321,6 +342,7 @@ class EmpiricalMeasure:
     def integral(self, G: Callable):
         """G is called once with the two float coordinate arrays; a real G
         gives a float, a complex one a complex."""
+        import numpy as np
         x = self.window / self.level
         return np.mean(G(x[:-1], x[1:])).item()
 
@@ -344,7 +366,7 @@ def spacing_proportion(Q: int, interval, c: float, d: float) -> float:
     if not 0 <= c <= d:
         raise DomainError("need 0 <= c <= d")
     g = normalized_gaps(Q, interval)
-    return float(np.count_nonzero((g > c) & (g < d)) / len(g))
+    return float(((g > c) & (g < d)).sum() / len(g))
 
 
 def h_spacing_proportion(Q: int, interval, box: Sequence[tuple]) -> float:
@@ -357,11 +379,11 @@ def h_spacing_proportion(Q: int, interval, box: Sequence[tuple]) -> float:
         raise DomainError("box must contain at least one interval")
     gaps = _normalized(Q, interval, _window(Q, interval, after=len(box)))
     m = len(gaps) - len(box) + 1  # the number of selected gamma_i
-    inside = np.ones(m, dtype=bool)
+    inside = True
     for j, (cj, dj) in enumerate(box):
         gj = gaps[j:j + m]
-        inside &= (gj > cj) & (gj < dj)
-    return float(np.count_nonzero(inside) / m)
+        inside = inside & (gj > cj) & (gj < dj)
+    return float(inside.sum() / m)
 
 
 def index_values(Q: int, interval=(0, 1)) -> np.ndarray:
@@ -374,7 +396,7 @@ def index_values(Q: int, interval=(0, 1)) -> np.ndarray:
         raise DomainError("indices need Q >= 2")
     w = _window(Q, interval, before=1, allow_empty=True)
     qi, nu = w[1:-1], w[:-2] + w[2:]
-    if np.any(nu % qi):
+    if (nu % qi).any():
         raise RuntimeError("index identity (q_{i-1}+q_{i+1}) | q_i failed")
     nu //= qi
     return nu
@@ -388,6 +410,7 @@ def moment_sum(Q: int, interval, s, t):
     """
     if not (cmath.isfinite(s) and cmath.isfinite(t)):
         raise DomainError(f"moment exponents must be finite, not {s}, {t}")
+    import numpy as np
     if isinstance(s, complex) or isinstance(t, complex):
         return empirical_integral(Q, interval, lambda x, y: np.exp(s * np.log(x) + t * np.log(y)))
     return empirical_integral(Q, interval, lambda x, y: x**float(s) * y**float(t))

@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bczmap import cli
 from bczmap.cli import main
+from test_farey import _fake_memory
 
 
 def run_cli(capsys, argv):
@@ -125,6 +127,38 @@ def test_requests_beyond_the_library_range_exit_2(capsys, argv):
         main(argv.split())
     assert exc.value.code == 2
     assert "internal error" not in capsys.readouterr().err
+
+
+#: (calls of 1000 rows, calls of 1001 rows) for the rows' memory check
+ROWS = [
+    ("orbit 1/5 1 -n 1000", "orbit 1/5 1 -n 1001"),
+    ("slopes --basis 1 0 0 1 -t 25 -n 1000", "slopes --basis 1 0 0 1 -t 25 -n 1001"),
+    ("slopes --basis 1 0 0 1 -t 25 --gaps -n 1000", "slopes --basis 1 0 0 1 -t 25 --gaps -n 1001"),
+    ("excursions --slope-irrational golden -n 2000 --record-every 2",
+     "excursions --slope-irrational golden -n 2001 --record-every 2"),
+]
+
+
+@pytest.mark.parametrize("fits, refused", ROWS)
+def test_rows_beyond_memory_are_refused_before_iterating(capsys, monkeypatch, fits, refused):
+    _fake_memory(monkeypatch, cli.ROW_BYTES * 1000)
+    assert main(fits.split()) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(refused.split())
+    assert exc.value.code == 2
+    assert "1001 rows of output" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    "orbit 1/5 1 -n 1000000000000",
+    "slopes --basis 1 0 0 1 -t 25 -n 1000000000000",
+    "excursions --slope-irrational golden -n 1000000000000 --record-every 1",
+])
+def test_huge_row_counts_exit_2_at_once(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    assert "rows of output" in capsys.readouterr().err
 
 
 def test_orbit_next_to_the_cusp_stays_in_the_section(capsys):
@@ -247,33 +281,69 @@ SCIPY_FREE = [
 ]
 SCIPY_USERS = ["measure --s 1 --t 0 --alpha 1.5", "hall-cdf --d-max 1 --step 0.1 --oracle both"]
 
-SCIPY_PROBE = """
+#: in one fresh process: import bczmap, then run each command of argv[2] in
+#: turn; report after each whether the module argv[1] is loaded, and the exit code
+LOAD_PROBE = """
 import contextlib, io, json, sys
 import bczmap
 from bczmap.cli import main
-loaded = {"import bczmap": "scipy" in sys.modules}
-for argv in json.loads(sys.argv[1]):
+module = sys.argv[1]
+loaded = {"import bczmap": module in sys.modules}
+for argv in json.loads(sys.argv[2]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv.split())
-    loaded[argv] = ("scipy" in sys.modules, code)
+        try:
+            code = main(argv.split())
+        except SystemExit as exc:
+            code = exc.code
+    loaded[argv] = (module in sys.modules, code)
 print(json.dumps(loaded))
 """
 
 
-def test_scipy_is_loaded_only_by_the_quadrature_oracles():
+def probe_loads(module, commands):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE,
-                           json.dumps(SCIPY_FREE + SCIPY_USERS)],
+    proc = subprocess.run([sys.executable, "-c", LOAD_PROBE, module, json.dumps(commands)],
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_scipy_is_loaded_only_by_the_quadrature_oracles():
+    loaded = probe_loads("scipy", SCIPY_FREE + SCIPY_USERS)
     assert loaded.pop("import bczmap") is False
     for argv in SCIPY_FREE:
         assert loaded[argv] == [False, 0], argv
     # the oracles still run, and the probe does see scipy once they have
     assert [loaded[argv] for argv in SCIPY_USERS] == [[True, 0], [True, 0]]
+
+
+#: every command that builds no array of F(Q)
+NUMPY_FREE = [
+    "orbit 1/5 1 -n 12",
+    "orbit 1 2/3 --periodic",
+    "periodic 2 3",
+    "periodic --hierarchy 5",
+    "slopes --basis 1 0 0 1 -t 25 --gaps -n 20 --c 0.1 --d 1",
+    "slopes --basis 1 0 0.5 1 -t 1 --bruteforce --slope-max 3",
+    "excursions --slope-irrational golden -n 1000",
+]
+#: refused by the library before it builds F(Q)
+NUMPY_REFUSED = ["farey 0", "farey 1 --stat index"]
+
+
+def test_numpy_is_loaded_only_for_farey_arrays_and_hall_cdf():
+    loaded = probe_loads("numpy", NUMPY_FREE + NUMPY_REFUSED + ["farey 60 --stat gaps --bins 10"])
+    assert loaded.pop("import bczmap") is False
+    for argv in NUMPY_FREE:
+        assert loaded[argv] == [False, 0], argv
+    for argv in NUMPY_REFUSED:
+        assert loaded[argv] == [False, 2], argv
+    # the probe does see numpy once F(Q) is built, or a hall-cdf grid
+    assert loaded["farey 60 --stat gaps --bins 10"] == [True, 0]
+    assert probe_loads("numpy", ["hall-cdf --d-max 1 --step 0.1"]) == {
+        "import bczmap": False, "hall-cdf --d-max 1 --step 0.1": [True, 0]}
 
 
 def test_farey_gaps_histogram(capsys):

@@ -70,8 +70,12 @@ def fraction_flow_sum(q, Q):
     lambda: normalized_gaps(5, (0, math.inf)),
     lambda: empirical_integral(3, (F(2, 7), F(3, 10)), lambda a, b: a),  # empty selection
     lambda: moment_sum(5, (0, 1), complex(1, math.nan), 1),
+    lambda: totient(0),
+    lambda: totient(-1),
+    lambda: totient(-5),
 ], ids=["orbit Q=0", "cardinality Q<0", "index Q=1", "reversed interval", "infinite interval",
-        "empty selection", "non-finite exponent"])
+        "empty selection", "non-finite exponent", "totient q=0", "totient q=-1",
+        "totient q=-5"])
 def test_bad_arguments_raise_domain_error(call):
     with pytest.raises(DomainError):
         call()
@@ -257,7 +261,7 @@ def test_orbit_cache_is_bounded_lru(monkeypatch):
 
 @pytest.mark.parametrize("call", [farey_cardinality, farey_orbit, interval_count])
 def test_level_beyond_memory_is_refused(call):
-    # the totients alone would take 2^73 bytes; numpy is never asked for them
+    # the count's memo alone would take terabytes; nothing is allocated
     with pytest.raises(DomainError, match="physical memory"):
         call(2**70)
 
@@ -267,36 +271,70 @@ def _fake_memory(monkeypatch, nbytes):
     monkeypatch.setattr(os, "sysconf", sysconf.__getitem__)
 
 
-def test_totients_beyond_memory_are_refused_before_allocating(monkeypatch):
-    monkeypatch.setattr(farey, "_totients_upto", np.array([0, 1], dtype=np.int64))
-    _fake_memory(monkeypatch, 8 * 1000)
-    assert farey_cardinality(999) == sum(totient(q) for q in range(1, 1000))
-    with pytest.raises(DomainError, match="totients up to 1000"):
-        farey_cardinality(1000)
-    assert len(farey._totients_upto) == 1000
+def gcd_totient(q):
+    """Oracle: phi(q) by counting the p <= q coprime to q."""
+    return sum(1 for p in range(1, q + 1) if math.gcd(p, q) == 1)
 
 
-def test_totient_table_grows_geometrically(monkeypatch):
-    monkeypatch.setattr(farey, "_totients_upto", np.array([0, 1], dtype=np.int64))
-    totient(3000)
-    once = farey._totients_upto[:3001].copy()
-    monkeypatch.setattr(farey, "_totients_upto", np.array([0, 1], dtype=np.int64))
-    sieves = []
-    check = farey._check_memory
-    monkeypatch.setattr(farey, "_check_memory",
-                        lambda nbytes, what: sieves.append(what) or check(nbytes, what))
-    assert [totient(q) for q in range(3001)] == once.tolist()
-    assert len(sieves) == 11  # tables of 4, 8, ..., 4096 entries
+#: the running sums N(Q) of gcd-count totients, Q = 0..300
+RUNNING_COUNTS = [0]
+for _q in range(1, 301):
+    RUNNING_COUNTS.append(RUNNING_COUNTS[-1] + gcd_totient(_q))
 
 
-def test_totient_request_that_fits_is_served_when_doubling_would_not(monkeypatch):
-    monkeypatch.setattr(farey, "_totients_upto", np.array([0, 1], dtype=np.int64))
-    farey_cardinality(599)
-    _fake_memory(monkeypatch, 8 * 1000)
-    assert totient(999) == 648
-    assert 1000 <= len(farey._totients_upto) < 1200
-    with pytest.raises(DomainError, match="totients up to 1000"):
-        totient(1000)
+@settings(max_examples=100)
+@given(st.integers(1, 300))
+@example(1)
+@example(300)
+def test_count_matches_totient_sum_and_bruteforce(Q):
+    assert farey_cardinality(Q) == RUNNING_COUNTS[Q] == len(farey_bruteforce(Q))
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 3000))
+@example(2)
+@example(2999)  # primes
+@example(2503)
+@example(2048)  # prime powers
+@example(2187)
+@example(2401)
+@example(2197)
+@example(2809)
+@example(2 * 3 * 5 * 7 * 11)  # many small primes
+@example(2 * 1499)  # a large prime factor left after trial division
+def test_totient_matches_gcd_count(q):
+    assert totient(q) == gcd_totient(q)
+
+
+@pytest.mark.parametrize("Q, n", [(10**4, 30397486), (10**6, 303963552392),
+                                  (2 * 10**6, 1215854699278)])
+def test_count_at_large_levels(Q, n):
+    # recorded from a numpy totient sieve
+    assert farey_cardinality(Q) == n
+
+
+def test_count_memo_beyond_memory_is_refused(monkeypatch):
+    # 2 isqrt(Q) + 1 memo entries: 19 for Q = 99, 21 for Q = 100
+    _fake_memory(monkeypatch, farey._COUNT_ENTRY_BYTES * 19)
+    assert farey_cardinality(99) == RUNNING_COUNTS[99]
+    with pytest.raises(DomainError, match=r"count of F\(100\)"):
+        farey_cardinality(100)
+
+
+def test_level_is_refused_by_the_quadratic_bound_before_counting(monkeypatch):
+    monkeypatch.setattr(farey, "_orbit_cache", {})
+
+    def uncounted(Q):
+        raise AssertionError(f"N({Q}) was computed")
+
+    monkeypatch.setattr(farey, "farey_cardinality", uncounted)
+    _fake_memory(monkeypatch, 16 * (300 * 300 // 4 + 1) - 1)
+    with pytest.raises(DomainError, match=r"F\(300\), with at least 22500 fractions"):
+        farey_orbit(300)
+    # memory for the bound alone: the exact count is asked for next
+    _fake_memory(monkeypatch, 16 * (300 * 300 // 4 + 1))
+    with pytest.raises(AssertionError, match=r"N\(300\) was computed"):
+        farey_orbit(300)
 
 
 def test_lanes_beyond_memory_are_refused_before_allocating(monkeypatch):
