@@ -22,8 +22,8 @@ functionals) are averages against the uniform measure on the orbit points
 whose fraction lands in I, read from one run of consecutive denominators:
 `_window`, the one place where the cycle wraps from 1/1 back to 0/1.
 
-The counts N(Q) and phi(q) are pure integer arithmetic; numpy is imported
-by the functions that build or read the arrays of F(Q), when they run.
+N(Q) and phi(q) are integer arithmetic, so `import bczmap` and counting a
+level load no numpy; the functions that build or read F(Q)'s arrays import it.
 """
 
 from __future__ import annotations
