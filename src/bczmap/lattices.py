@@ -5,6 +5,9 @@ The slopes of lattice vectors in the vertical strip {0 < x <= t, y >= 0}
 are exactly the hit times of the horocycle orbit on the width-t section,
 so consecutive slope gaps are roof values along the t-BCZ orbit.  Both a
 direct strip enumerator and the BCZ route are provided and must agree.
+The enumerator works in the Gauss-reduced basis alone and compares its
+bounds in the basis' flavor, so an exact basis is enumerated in exact
+arithmetic, against the exact value of a float width too.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ _FLOAT_DET_TOL = 1e-12
 #: [[F(m + 1), F(m)], [F(m), F(m - 1)]] needs about m/2
 _GAUSS_MAX_ITER = 10_000
 
-#: lattice points `_strip_vectors` may visit; a strip holding more is a
-#: request too large to serve, like a d-grid past `cli.HALL_GRID_MAX`
+#: lattice points and sweep lines `_strip_vectors` may visit; a strip needing
+#: more is a request too large to serve, like a d-grid past `cli.HALL_GRID_MAX`
 _STRIP_MAX_POINTS = 50_000_000
 
 
@@ -78,11 +81,10 @@ def shear_basis(slope) -> UnimodularBasis:
 
 
 def _gauss_reduce(basis: UnimodularBasis):
-    """Lagrange-Gauss reduction; returns the reduced basis and the unimodular
-    coefficient change U with reduced = basis . U (det U = 1)."""
+    """Lagrange-Gauss reduction; returns the reduced pair (u, v), which spans
+    the same lattice with the same orientation (det(u, v) = det basis)."""
     u = (basis.x1, basis.y1)
     v = (basis.x2, basis.y2)
-    cu, cv = (1, 0), (0, 1)  # coefficient columns w.r.t. the original basis
 
     def n2(w):
         return w[0] * w[0] + w[1] * w[1]
@@ -90,12 +92,10 @@ def _gauss_reduce(basis: UnimodularBasis):
     for _ in range(_GAUSS_MAX_ITER):
         if n2(v) < n2(u):
             u, v = v, (-u[0], -u[1])
-            cu, cv = cv, (-cu[0], -cu[1])
         mu = round((u[0] * v[0] + u[1] * v[1]) / n2(u))
         if mu == 0:
-            return (u, v), (cu, cv)
+            return u, v
         v = (v[0] - mu * u[0], v[1] - mu * u[1])
-        cv = (cv[0] - mu * cu[0], cv[1] - mu * cu[1])
     raise RuntimeError(f"Gauss reduction did not finish in {_GAUSS_MAX_ITER} iterations")
 
 
@@ -104,17 +104,9 @@ def shortest_vector_length(basis: UnimodularBasis):
 
     After Gauss reduction the minimizer has coefficients in [-2, 2]^2.
     """
-    (u, v), _ = _gauss_reduce(basis)
-    best = None
-    for m in range(-2, 3):
-        for n in range(-2, 3):
-            if m == 0 and n == 0:
-                continue
-            w = (m * u[0] + n * v[0], m * u[1] + n * v[1])
-            ln = max(abs(w[0]), abs(w[1]))
-            if best is None or ln < best:
-                best = ln
-    return best
+    u, v = _gauss_reduce(basis)
+    return min(max(abs(m * u[0] + n * v[0]), abs(m * u[1] + n * v[1]))
+               for m in range(-2, 3) for n in range(-2, 3) if m or n)
 
 
 def shortest_vertical_length(basis: UnimodularBasis):
@@ -157,43 +149,37 @@ def _coeff_range(vals):
 def _strip_vectors(basis: UnimodularBasis, t, y_max):
     """Primitive lattice vectors with 0 < x <= t and 0 <= y <= y_max.
 
-    Gauss-reduces first, then orders the reduced basis so that the swept
-    coefficient m has the smaller corner range (m stays on a tie), solving
-    n's interval exactly per sweep line.
-    Yields (x, y, m, n) with gcd(m, n) = 1.
+    Works in the Gauss-reduced basis alone: a unimodular change of basis
+    keeps gcd(m, n), so a vector is primitive iff its reduced coefficients
+    are coprime.  The swept coefficient m is the one with the smaller corner
+    range (m stays on a tie); n's interval is solved per sweep line.  The
+    bounds t and y_max are compared in the basis' flavor, so an exact basis
+    is enumerated against the exact value of a float width.  Every sweep
+    line counts towards the cap, empty or not.  Yields (x, y).
     """
-    (u, v), (cu, cv) = _gauss_reduce(basis)
-    x1, y1 = u
-    x2, y2 = v
+    (x1, y1), (x2, y2) = _gauss_reduce(basis)
+    t, y_max = type(x1)(t), type(x1)(y_max)
     det = x1 * y2 - x2 * y1  # reduction preserves det; 1 exactly, or ~1 float
     corners = [(0, 0), (t, 0), (0, y_max), (t, y_max)]
     # coefficients of a point (x, y): m = (y2 x - x2 y)/det, n = (x1 y - y1 x)/det
     m_range = _coeff_range([(y2 * x - x2 * y) / det for x, y in corners])
     n_range = _coeff_range([(x1 * y - y1 * x) / det for x, y in corners])
     if m_range[1] - m_range[0] > n_range[1] - n_range[0]:  # sweep the shorter range
-        (x1, y1, cu, m_range), (x2, y2, cv, n_range) = \
-            (x2, y2, cv, n_range), (x1, y1, cu, m_range)
-    count = 0
-    for m in range(m_range[0], m_range[1] + 1):
+        x1, y1, x2, y2, m_range = x2, y2, x1, y1, n_range
+    lines = range(m_range[0], m_range[1] + 1)
+    count = len(lines)  # empty sweep lines cost time too: refused before the first yield
+    for m in lines:
         # solve 0 < x1*m + x2*n <= t and 0 <= y1*m + y2*n <= y_max for n
         lo, hi = _interval_solve(x2, x1 * m, t, strict_lo=True)
         lo2, hi2 = _interval_solve(y2, y1 * m, y_max, strict_lo=False)
         n_lo, n_hi = max(lo, lo2), min(hi, hi2)
-        if n_lo > n_hi:
-            continue
-        count += n_hi - n_lo + 1
+        count += max(0, n_hi - n_lo + 1)
         if count > _STRIP_MAX_POINTS:
-            raise DomainError(f"the strip holds more than {_STRIP_MAX_POINTS} lattice points;"
-                              " narrow the width or the slope range")
+            raise DomainError(f"the strip sweep visits more than {_STRIP_MAX_POINTS} lattice"
+                              " points and sweep lines; narrow the width or the slope range")
         for n in range(n_lo, n_hi + 1):
-            x = x1 * m + x2 * n
-            y = y1 * m + y2 * n
-            # translate back to original-basis coefficients for the gcd test
-            om = cu[0] * m + cv[0] * n
-            on = cu[1] * m + cv[1] * n
-            if math.gcd(om, on) != 1:
-                continue
-            yield x, y + 0, om, on  # + 0 turns a float -0.0 into 0.0
+            if math.gcd(m, n) == 1:
+                yield x1 * m + x2 * n, y1 * m + y2 * n + 0  # + 0 turns a float -0.0 into 0.0
 
 
 def _interval_solve(a, c, upper, strict_lo: bool):
@@ -223,19 +209,18 @@ def strip_slopes_bruteforce(basis: UnimodularBasis, t, slope_max) -> SlopeGapSer
 
     Distinct primitive vectors in the strip always have distinct slopes
     (shared slope means proportional vectors); a violation of strictness
-    after sorting is an internal-consistency error.
+    after sorting is an internal-consistency error.  The slopes follow the
+    flavor rule of the basis and t.
     """
     if not (0 < t < math.inf and 0 <= slope_max < math.inf):
         raise DomainError(f"need a finite width t > 0 and slope_max >= 0, not {t}, {slope_max}")
-    found = []
-    for x, y, _, _ in _strip_vectors(basis, t, slope_max * t):
-        if y > slope_max * x:
-            continue
-        found.append(y / x)
-    found.sort()
+    flavor = type(basis.x1)
+    bound = flavor(slope_max)
+    found = sorted(y / x for x, y in _strip_vectors(basis, t, bound * flavor(t)) if y <= bound * x)
     for s1, s2 in zip(found, found[1:]):
         if s1 == s2:
             raise RuntimeError("equal slopes for distinct primitive vectors")
+    *found, _ = _uniform(*found, t)[0]  # the flavor rule, after the equal-slopes check
     gaps = [b - a for a, b in zip(found, found[1:])]
     return SlopeGapSeries(t, found, gaps)
 
@@ -249,30 +234,36 @@ def first_section_hit(basis: UnimodularBasis, t=1):
     when the basis and t are exact, else floats.  Refused for
     lattices whose vertical vectors are strictly shorter than 1/t (those
     orbits never reach the section; the boundary case, e.g. the square
-    lattice at t = 1, does meet it at the fixed corner).
+    lattice at t = 1, does meet it at the fixed corner).  A float basis
+    detects only an exactly vertical column, so a vertically short float
+    lattice is refused when no strip vector lies below height 4^26.
     """
     if not 0 < t < math.inf:
         raise DomainError(f"width t = {t} must be positive and finite")
+    width = type(basis.x1)(t)  # every bound in the basis' flavor
     ln = shortest_vertical_length(basis)
-    if ln is not None and ln * t < 1:
+    if ln is not None and ln * width < 1:
         raise DomainError("lattice is vertically short; orbit misses the section")
-    y_max = 4
-    best = None
+    y_max, best = 4, None
     while best is None:
-        for x, y, m, n in _strip_vectors(basis, t, y_max):
+        if y_max > 4**26:
+            raise DomainError(f"no strip vector below height {4**26}: the lattice is"
+                              " vertically short, so its orbit misses the section")
+        for x, y in _strip_vectors(basis, width, y_max):
             slope = y / x
             if best is None or slope < best[0]:
-                best = (slope, x, y, m, n)
+                best = (slope, x, y)
         y_max *= 4
-        if y_max > 4**26:
-            raise RuntimeError("no strip vector found; is the basis unimodular?")
     # completeness pass: anything with a smaller slope has y < slope * t
     if best[0] > 0:
-        for x, y, m, n in _strip_vectors(basis, t, best[0] * t):
+        for x, y in _strip_vectors(basis, width, best[0] * width):
             slope = y / x
             if slope < best[0]:
-                best = (slope, x, y, m, n)
-    _, x0, _, m0, n0 = best
+                best = (slope, x, y)
+    _, x0, y0 = best
+    # the hit vector's coefficients in the determinant-1 basis, by Cramer's rule
+    m0 = round(basis.y2 * x0 - basis.x2 * y0)
+    n0 = round(basis.x1 * y0 - basis.y1 * x0)
     (s1, t), _ = _uniform(best[0], t)  # the flavor rule, for the hit time too
     # extend (m0, n0) to a determinant-1 integer coefficient matrix; the hit
     # vector and w then form a basis, and after flowing by s1 only the

@@ -8,8 +8,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bczmap import cli
@@ -121,6 +122,8 @@ def test_bad_input_exit_2(capsys, argv):
     f"orbit 1/{2**70} 1 --periodic",
     "slopes --basis 2 1 1 1 -t 100000000 -n 3",  # more strip points than the cap
     "excursions --start 1 1e-320 -n 5",  # the float index (1 + a)/b overflows
+    "slopes --basis 1.0 9.0 0.5 5.5 -t 0.5 -n 3",  # vertically short, in floats
+    "slopes --basis 1/3 0 0 3 -t 0.3333333333333333 -n 3",  # ... below the decimal's 1/t
 ])
 def test_requests_beyond_the_library_range_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -193,6 +196,8 @@ FUZZ_BASES = [
     "slopes --basis 3 1 1 2/3 -t 2.5 -n 3",  # exact basis, decimal width
     "slopes --basis 1 0 0.5 1 -t 3/2 -n 3 --gaps",  # exact/decimal mix
     "slopes --basis 1.5 0.5 1.0 1.0 -t 1 -n 3",
+    "slopes --basis 1 5/3 2 13/3 -t 1.0 -n 2",  # hit at slope 2, on a tile boundary
+    "slopes --basis 1 5/3 2 13/3 -t 1.0 --bruteforce --slope-max 3",
     "periodic 2 3",
     "periodic --hierarchy 4",
     "measure --s 1 --t 0 --alpha 1",
@@ -254,6 +259,29 @@ def test_decimal_width_makes_the_whole_run_float(capsys):
     assert code == 0
     assert [r[1] for r in parse_csv(out)[2]] == [
         "0.166666666667", "0.666666666667", "1.16666666667", "1.66666666667"]
+
+
+def test_exact_basis_at_a_decimal_width_enumerates_the_exact_strip(capsys):
+    # 1.5 is exactly 3/2: both routes find the slopes 1/4 and 3/4, as floats,
+    # and a larger --slope-max only appends slopes
+    tail = ["--basis", "4/3", "3/2", "1/3", "9/8", "-t", "1.5"]
+    _, bcz, _ = run_cli(capsys, ["slopes", *tail, "-n", "1"])
+    assert [r[1] for r in parse_csv(bcz)[2]] == ["0.25", "0.75"]
+    for slope_max in ("1", "4"):
+        _, brute, _ = run_cli(capsys, ["slopes", *tail, "--bruteforce", "--slope-max", slope_max])
+        assert [r[1] for r in parse_csv(brute)[2]][:2] == ["0.25", "0.75"]
+
+
+@settings(max_examples=300)
+@given(st.floats(-1e6, 1e6), st.floats(1e-6, 1e6), st.integers(0, 200), st.floats(-1, 1))
+@example(-0.0, 0.1, 10, 0.5)  # `hall-cdf --d-min -0.0` prints its first d as -0
+def test_pure_python_grid_matches_numpy_arange(start, step, n, jitter):
+    stop = start + step * (n + jitter)
+    got = cli._arange(start, stop, step)
+    expected = np.arange(start, stop, step).tolist()
+    assert len(got) == len(expected)
+    assert all(g == e and math.copysign(1, g) == math.copysign(1, e)
+               for g, e in zip(got, expected))
 
 
 @pytest.mark.parametrize("mode", [["-n", "3"], ["--bruteforce", "--slope-max", "3"]])
@@ -328,22 +356,21 @@ NUMPY_FREE = [
     "slopes --basis 1 0 0 1 -t 25 --gaps -n 20 --c 0.1 --d 1",
     "slopes --basis 1 0 0.5 1 -t 1 --bruteforce --slope-max 3",
     "excursions --slope-irrational golden -n 1000",
+    "hall-cdf --d-max 1 --step 0.1",
 ]
 #: refused by the library before it builds F(Q)
 NUMPY_REFUSED = ["farey 0", "farey 1 --stat index"]
 
 
-def test_numpy_is_loaded_only_for_farey_arrays_and_hall_cdf():
+def test_numpy_is_loaded_only_for_farey_arrays():
     loaded = probe_loads("numpy", NUMPY_FREE + NUMPY_REFUSED + ["farey 60 --stat gaps --bins 10"])
     assert loaded.pop("import bczmap") is False
     for argv in NUMPY_FREE:
         assert loaded[argv] == [False, 0], argv
     for argv in NUMPY_REFUSED:
         assert loaded[argv] == [False, 2], argv
-    # the probe does see numpy once F(Q) is built, or a hall-cdf grid
+    # the probe does see numpy once F(Q) is built
     assert loaded["farey 60 --stat gaps --bins 10"] == [True, 0]
-    assert probe_loads("numpy", ["hall-cdf --d-max 1 --step 0.1"]) == {
-        "import bczmap": False, "hall-cdf --d-max 1 --step 0.1": [True, 0]}
 
 
 def test_farey_gaps_histogram(capsys):

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bczmap import lattices
 from bczmap.core import DomainError, in_section, t_roof
@@ -93,6 +95,31 @@ def test_strip_too_large_to_enumerate_is_bad_input(monkeypatch):
         strip_slopes_bruteforce(basis, 1, 20)
 
 
+@pytest.mark.parametrize("basis", [
+    UnimodularBasis(1.0, 0.5, 0.3, 1.15),
+    UnimodularBasis(1.0, 0.0, math.sqrt(2), 1.0),  # no lattice point in the strip at all
+])
+def test_empty_sweep_lines_count_towards_the_cap(monkeypatch, basis):
+    # a width-1e-9 strip up to height 4^10 is about 7e5 sweep lines, nearly all empty
+    monkeypatch.setattr(lattices, "_STRIP_MAX_POINTS", 1000)
+    with pytest.raises(DomainError, match="sweep lines"):
+        _strip(basis, 1e-9, 4**10)
+
+
+def test_vertically_short_float_lattice_is_refused():
+    # the float spelling of columns (1, 1/2), (9, 11/2), whose vertical
+    # vector (0, 1) is shorter than 1/t = 2; only exact bases detect it
+    with pytest.raises(DomainError, match="vertically short"):
+        first_section_hit(UnimodularBasis(1.0, 0.5, 9.0, 5.5), 0.5)
+
+
+def test_vertical_check_takes_the_exact_value_of_a_decimal_width():
+    # 0.3333333333333333 is just below 1/3, so the vertical (0, 3) is shorter
+    # than 1/t, although 3 * 0.3333333333333333 rounds to 1.0
+    with pytest.raises(DomainError, match="^lattice is vertically short"):
+        first_section_hit(UnimodularBasis(F(1, 3), 0, 0, 3), 0.3333333333333333)
+
+
 def test_vertical_detection():
     ident = UnimodularBasis.identity()
     assert shortest_vertical_length(ident) == 1
@@ -168,7 +195,7 @@ def test_first_hit_postconditions_random():
         # h_{s1} basis contains the horizontal vector (a, 0) exactly
         a = p[0]
         found = False
-        for x, y, m, n in _strip(basis, 1, s1 + 1):
+        for x, y in _strip(basis, 1, s1 + 1):
             if x == a and y - s1 * x == 0:
                 found = True
         assert found
@@ -179,6 +206,40 @@ def _strip(basis, t, y_max):
     from bczmap.lattices import _strip_vectors
 
     return list(_strip_vectors(basis, t, y_max))
+
+
+#: at width 3/2 its strip holds the slopes 1/4 and 3/4 up to slope 1
+QUARTERS_BASIS = UnimodularBasis(F(4, 3), F(1, 3), F(3, 2), F(9, 8))
+
+
+@settings(max_examples=60)
+@given(st.builds(random_exact_basis, st.randoms(use_true_random=False)),
+       st.integers(1, 24), st.sampled_from([1, 2, 4, 8]),
+       st.fractions(0, 4, max_denominator=4), st.fractions(0, 4, max_denominator=4))
+@example(QUARTERS_BASIS, 3, 2, F(1), F(4))
+def test_bruteforce_at_a_dyadic_decimal_width(basis, num, den, s_lo, s_hi):
+    # a dyadic decimal width is exactly its p/q spelling, so it selects the
+    # same vectors; and a larger slope_max only appends slopes
+    t = F(num, den)
+    s_lo, s_hi = sorted((s_lo, s_hi))
+    exact = [float(s) for s in strip_slopes_bruteforce(basis, t, s_hi).slopes]
+    decimal = strip_slopes_bruteforce(basis, float(t), s_hi).slopes
+    assert decimal == exact
+    assert strip_slopes_bruteforce(basis, float(t), s_lo).slopes == [
+        s for s in decimal if s <= s_lo]
+
+
+def test_bruteforce_slopes_follow_the_flavor_rule():
+    assert strip_slopes_bruteforce(QUARTERS_BASIS, F(3, 2), 1).slopes == [F(1, 4), F(3, 4)]
+    series = strip_slopes_bruteforce(QUARTERS_BASIS, 1.5, 1)
+    assert series.slopes == [0.25, 0.75] and all(type(s) is float for s in series.slopes)
+    assert series.gaps == [0.5] and type(series.gaps[0]) is float
+
+
+def test_decimal_slope_bound_is_compared_at_its_exact_value():
+    # 0.3 is 0.29999999999999998889..., just below the slope 3/10 of (10, 3)
+    assert strip_slopes_bruteforce(Z2, 10, 0.3).slopes[-1] == F(2, 7)
+    assert strip_slopes_bruteforce(Z2, 10, F(3, 10)).slopes[-1] == F(3, 10)
 
 
 def test_bcz_vs_bruteforce_random_bases():
