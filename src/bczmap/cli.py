@@ -158,25 +158,20 @@ def cmd_farey(args) -> None:
 HALL_GRID_MAX = 10**5
 
 
-def _arange(start, stop, step):
-    """`np.arange(start, stop, step)` in Python floats, value for value."""
-    delta = (start + step) - start  # the increment np.arange fills with
-    return [start + i * delta if i else start for i in range(math.ceil((stop - start) / step))]
-
-
 def cmd_hall_cdf(args) -> None:
     if not (0 < args.step < math.inf and -math.inf < args.d_min <= args.d_max < math.inf):
         raise DomainError("need a finite step > 0 and finite d-max >= d-min")
     if (args.d_max - args.d_min) / args.step + 1 > HALL_GRID_MAX:
         raise DomainError(f"the d-grid would exceed {HALL_GRID_MAX} points; raise --step")
+    import numpy as np
     length = args.interval_length
     k1, k2 = hall_kinks(length)
-    grid = _arange(args.d_min, args.d_max + args.step / 2, args.step)
+    grid = list(np.arange(args.d_min, args.d_max + args.step / 2, args.step))
     markers = {round(k1, 15), round(k2, 15)}
     for k in (k1, k2):
         if args.d_min < k < args.d_max:
             grid.append(k)
-    grid = sorted(set(grid))
+    grid = sorted(set(float(d) for d in grid))
     params = {"d_min": args.d_min, "d_max": args.d_max, "step": args.step,
               "interval_length": length, "oracle": args.oracle,
               "kink_lo": k1, "kink_hi": k2}

@@ -153,12 +153,11 @@ def _strip_vectors(basis: UnimodularBasis, t, y_max):
     keeps gcd(m, n), so a vector is primitive iff its reduced coefficients
     are coprime.  The swept coefficient m is the one with the smaller corner
     range (m stays on a tie); n's interval is solved per sweep line.  The
-    bounds t and y_max are compared in the basis' flavor, so an exact basis
-    is enumerated against the exact value of a float width.  Every sweep
-    line counts towards the cap, empty or not.  Yields (x, y).
+    callers pass t and y_max in the basis' flavor, so an exact basis is
+    enumerated against the exact value of a float width.  Every sweep line
+    counts towards the cap, empty or not.  Yields (x, y).
     """
     (x1, y1), (x2, y2) = _gauss_reduce(basis)
-    t, y_max = type(x1)(t), type(x1)(y_max)
     det = x1 * y2 - x2 * y1  # reduction preserves det; 1 exactly, or ~1 float
     corners = [(0, 0), (t, 0), (0, y_max), (t, y_max)]
     # coefficients of a point (x, y): m = (y2 x - x2 y)/det, n = (x1 y - y1 x)/det
@@ -215,8 +214,8 @@ def strip_slopes_bruteforce(basis: UnimodularBasis, t, slope_max) -> SlopeGapSer
     if not (0 < t < math.inf and 0 <= slope_max < math.inf):
         raise DomainError(f"need a finite width t > 0 and slope_max >= 0, not {t}, {slope_max}")
     flavor = type(basis.x1)
-    bound = flavor(slope_max)
-    found = sorted(y / x for x, y in _strip_vectors(basis, t, bound * flavor(t)) if y <= bound * x)
+    width, bound = flavor(t), flavor(slope_max)
+    found = sorted(y / x for x, y in _strip_vectors(basis, width, bound * width) if y <= bound * x)
     for s1, s2 in zip(found, found[1:]):
         if s1 == s2:
             raise RuntimeError("equal slopes for distinct primitive vectors")
@@ -261,15 +260,21 @@ def first_section_hit(basis: UnimodularBasis, t=1):
             if slope < best[0]:
                 best = (slope, x, y)
     _, x0, y0 = best
-    # the hit vector's coefficients in the determinant-1 basis, by Cramer's rule
-    m0 = round(basis.y2 * x0 - basis.x2 * y0)
-    n0 = round(basis.x1 * y0 - basis.y1 * x0)
+    # the hit vector's coefficients in the input basis by Cramer's rule; a
+    # float basis rounds them, so they must rebuild it as a primitive vector
+    det = basis.det()
+    m0 = round((basis.y2 * x0 - basis.x2 * y0) / det)
+    n0 = round((basis.x1 * y0 - basis.y1 * x0) / det)
+    g, mp, np_ = _ext_gcd(m0, n0)
+    x, y = basis.vector(m0, n0)
+    if g != 1 or (x, y) != (x0, y0) and abs(x - x0) + abs(y - y0) > 1e-9 * (
+            abs(m0) * (abs(basis.x1) + abs(basis.y1)) + abs(n0) * (abs(basis.x2) + abs(basis.y2))):
+        raise DomainError(f"the float basis cannot place the hit vector ({x0!r}, {y0!r});"
+                          " give the basis exactly")
     (s1, t), _ = _uniform(best[0], t)  # the flavor rule, for the hit time too
     # extend (m0, n0) to a determinant-1 integer coefficient matrix; the hit
     # vector and w then form a basis, and after flowing by s1 only the
     # x-component of w matters (det 1 forces the y-component to 1/x0)
-    g, mp, np_ = _ext_gcd(m0, n0)
-    assert g == 1
     w = basis.vector(-np_, mp)
     (a, b), _ = reduce_to_section(x0, w[0], width=t)
     return s1, (a, b)

@@ -8,9 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bczmap import cli
@@ -272,18 +271,6 @@ def test_exact_basis_at_a_decimal_width_enumerates_the_exact_strip(capsys):
         assert [r[1] for r in parse_csv(brute)[2]][:2] == ["0.25", "0.75"]
 
 
-@settings(max_examples=300)
-@given(st.floats(-1e6, 1e6), st.floats(1e-6, 1e6), st.integers(0, 200), st.floats(-1, 1))
-@example(-0.0, 0.1, 10, 0.5)  # `hall-cdf --d-min -0.0` prints its first d as -0
-def test_pure_python_grid_matches_numpy_arange(start, step, n, jitter):
-    stop = start + step * (n + jitter)
-    got = cli._arange(start, stop, step)
-    expected = np.arange(start, stop, step).tolist()
-    assert len(got) == len(expected)
-    assert all(g == e and math.copysign(1, g) == math.copysign(1, e)
-               for g, e in zip(got, expected))
-
-
 @pytest.mark.parametrize("mode", [["-n", "3"], ["--bruteforce", "--slope-max", "3"]])
 def test_float_basis_prints_no_negative_zero(capsys, mode):
     code, out, _ = run_cli(capsys, ["slopes", "--basis", "1.5", "0.5", "1.0", "1.0",
@@ -356,21 +343,22 @@ NUMPY_FREE = [
     "slopes --basis 1 0 0 1 -t 25 --gaps -n 20 --c 0.1 --d 1",
     "slopes --basis 1 0 0.5 1 -t 1 --bruteforce --slope-max 3",
     "excursions --slope-irrational golden -n 1000",
-    "hall-cdf --d-max 1 --step 0.1",
 ]
 #: refused by the library before it builds F(Q)
 NUMPY_REFUSED = ["farey 0", "farey 1 --stat index"]
 
 
-def test_numpy_is_loaded_only_for_farey_arrays():
+def test_numpy_is_loaded_only_for_farey_arrays_and_hall_cdf():
     loaded = probe_loads("numpy", NUMPY_FREE + NUMPY_REFUSED + ["farey 60 --stat gaps --bins 10"])
     assert loaded.pop("import bczmap") is False
     for argv in NUMPY_FREE:
         assert loaded[argv] == [False, 0], argv
     for argv in NUMPY_REFUSED:
         assert loaded[argv] == [False, 2], argv
-    # the probe does see numpy once F(Q) is built
+    # the probe does see numpy once F(Q) is built, or a hall-cdf grid
     assert loaded["farey 60 --stat gaps --bins 10"] == [True, 0]
+    assert probe_loads("numpy", ["hall-cdf --d-max 1 --step 0.1"]) == {
+        "import bczmap": False, "hall-cdf --d-max 1 --step 0.1": [True, 0]}
 
 
 def test_farey_gaps_histogram(capsys):

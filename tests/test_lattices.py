@@ -113,6 +113,14 @@ def test_vertically_short_float_lattice_is_refused():
         first_section_hit(UnimodularBasis(1.0, 0.5, 9.0, 5.5), 0.5)
 
 
+@pytest.mark.parametrize("hit", [(1.3, 0.0), (2.0, 2.0)])  # off the lattice; not primitive
+def test_hit_coefficients_that_do_not_rebuild_a_primitive_vector_are_refused(monkeypatch, hit):
+    # stands in for float rounding that lands Cramer's rule on the wrong integers
+    monkeypatch.setattr(lattices, "_strip_vectors", lambda basis, t, y_max: iter([hit]))
+    with pytest.raises(DomainError, match="cannot place the hit vector"):
+        first_section_hit(UnimodularBasis(1.0, 0.0, 0.0, 1.0), 1.0)
+
+
 def test_vertical_check_takes_the_exact_value_of_a_decimal_width():
     # 0.3333333333333333 is just below 1/3, so the vertical (0, 3) is shorter
     # than 1/t, although 3 * 0.3333333333333333 rounds to 1.0
