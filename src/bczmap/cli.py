@@ -158,15 +158,20 @@ def cmd_farey(args) -> None:
 HALL_GRID_MAX = 10**5
 
 
+def _arange(start: float, stop: float, step: float) -> list:
+    """numpy.arange(start, stop, step) as a list of floats, value for value."""
+    delta = (start + step) - start
+    return [start] + [start + i * delta for i in range(1, math.ceil((stop - start) / step))]
+
+
 def cmd_hall_cdf(args) -> None:
     if not (0 < args.step < math.inf and -math.inf < args.d_min <= args.d_max < math.inf):
         raise DomainError("need a finite step > 0 and finite d-max >= d-min")
     if (args.d_max - args.d_min) / args.step + 1 > HALL_GRID_MAX:
         raise DomainError(f"the d-grid would exceed {HALL_GRID_MAX} points; raise --step")
-    import numpy as np
     length = args.interval_length
     k1, k2 = hall_kinks(length)
-    grid = list(np.arange(args.d_min, args.d_max + args.step / 2, args.step))
+    grid = _arange(args.d_min, args.d_max + args.step / 2, args.step)
     markers = {round(k1, 15), round(k2, 15)}
     for k in (k1, k2):
         if args.d_min < k < args.d_max:

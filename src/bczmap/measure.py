@@ -1,9 +1,9 @@
 """The invariant measure m = 2 da db on the Farey triangle.
 
 Closed forms live next to an adaptive-quadrature oracle so every constant
-is checked by two independent routes.  The module imports neither numpy
-nor scipy: the closed forms are pure Python, and the quadrature oracles
-import scipy on their first call.  The central object is the mass
+is checked by two independent routes.  Both are pure Python: the oracle is
+a globally adaptive Gauss-Kronrod quadrature, and the module imports
+nothing outside the standard library.  The central object is the mass
 
     H(x) = m({R < x}),    R(a, b) = 1/(ab),
 
@@ -20,9 +20,11 @@ with r = sqrt(1 - 4u) and a+- = (1 +- r)/2.
 from __future__ import annotations
 
 import cmath
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Callable
 
 from .core import DomainError
@@ -38,11 +40,69 @@ MAX_PEAK_INTEGRAL = (2 / 3) * (7 - 4 * math.sqrt(2))   # ~ 0.8954305003
 _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730)
 
 
-def _quad(*args, **kwargs):
-    """scipy.integrate.quad, imported on first use: importing scipy costs
-    more than most commands, and only the quadrature oracles need it."""
-    from scipy.integrate import quad
-    return quad(*args, **kwargs)
+#: QUADPACK's 21-point Kronrod nodes on [-1, 1] and weights (the positive
+#: half, the centre last), and the 10-point Gauss weights of the odd nodes
+_XGK = (0.9956571630258081, 0.9739065285171717, 0.9301574913557082, 0.8650633666889845,
+        0.7808177265864169, 0.6794095682990244, 0.5627571346686047, 0.4333953941292472,
+        0.2943928627014602, 0.14887433898163122, 0.0)
+_WGK = (0.011694638867371874, 0.032558162307964725, 0.054755896574351995, 0.07503967481091996,
+        0.0931254545836976, 0.10938715880229764, 0.12349197626206584, 0.13470921731147334,
+        0.14277593857706009, 0.14773910490133849, 0.1494455540029169)
+_WG = (0.06667134430868814, 0.1494513491505806, 0.21908636251598204, 0.26926671930999635,
+       0.29552422471475287)
+#: all 21 nodes from -1 to 1, their Kronrod weights, the Gauss weights of nodes 1, 3, ..., 19
+_NODES = tuple(-x for x in _XGK) + _XGK[-2::-1]
+_WK21 = _WGK + _WGK[-2::-1]
+_WG10 = _WG + _WG[::-1]
+_EPS = 2.220446049250313e-16
+
+
+def _gk21(f, p, q, u0, u1):
+    """QUADPACK's 21-point value and error for the integral of f over the
+    part of [p, q] (in either order) that x = p + (q - p) s(u) maps u in
+    [u0, u1] onto, with s(u) = u^3 (10 - 15u + 6u^2)."""
+    c, h, w = (u0 + u1) / 2, (u1 - u0) / 2, q - p
+    us = [c + h * t for t in _NODES]
+    fs = [f(p + w * u * u * u * (10 - 15 * u + 6 * u * u)) * (u * (1 - u)) ** 2 for u in us]
+    h *= 30 * abs(w)  # s'(u) = 30 u^2 (1 - u)^2
+    resk = sum(map(mul, _WK21, fs))
+    err = abs((resk - sum(map(mul, _WG10, fs[1::2]))) * h)
+    resabs = h * sum(map(mul, _WK21, map(abs, fs)))
+    resasc = h * sum(map(mul, _WK21, [abs(v - resk / 2) for v in fs]))
+    if resasc and err:
+        err = resasc * min(1.0, (200 * err / resasc) ** 1.5)
+    return resk * h, max(50 * _EPS * resabs, err)
+
+
+def _quad(f, a, b, points=None, limit=50, epsabs=1.49e-8, epsrel=1.49e-8):
+    """Integral of f over [a, b], a <= b, and its error estimate, globally adaptive.
+
+    [a, b] is cut at the points, and each piece [lo, hi] is integrated in u
+    through x = lo + (hi - lo) s(u), whose Jacobian 30 u^2 (1 - u)^2 flattens
+    singularities at both ends; the right half of a piece is measured from
+    hi, so x keeps its precision there.  The subinterval with the largest
+    error is bisected until the errors add up to max(epsabs, epsrel |value|)
+    at most, or ArithmeticError once `limit` subintervals have not.
+    """
+    cuts = [a, *sorted(x for x in points or () if a < x < b), b]
+    heap = sorted((-e, v, lo, hi, 0.0, 1.0)  # a sorted list is a heap
+                  for lo, hi in zip(cuts, cuts[1:]) for v, e in [_gk21(f, lo, hi, 0.0, 1.0)])
+    total, error = sum(e[1] for e in heap), -sum(e[0] for e in heap)
+    while not error <= max(epsabs, epsrel * abs(total)):
+        neg, val, p, q, u0, u1 = heap[0]
+        um = (u0 + u1) / 2
+        if len(heap) >= limit or not (math.isfinite(error) and u0 < um < u1):
+            raise ArithmeticError(
+                f"quadrature over [{a}, {b}] reached error {error:.3g} with {len(heap)} "
+                f"subintervals; the worst, {-neg:.3g}, lies in the piece between {p} and {q}")
+        heapq.heappop(heap)
+        halves = [(p, q, u0, um), (q, p, u0, um) if u1 == 1.0 else (p, q, um, u1)]
+        for part in halves:
+            v, e = _gk21(f, *part)
+            heapq.heappush(heap, (-e, v, *part))
+            total, error = total + v, error + e
+        total, error = total - val, error + neg
+    return math.fsum(e[1] for e in heap), -math.fsum(e[0] for e in heap)
 
 
 def _hurwitz_zeta(s: float, a: float) -> float:
@@ -133,8 +193,7 @@ def _band_breakpoints(u1: float, u2: float) -> list:
     """a-values where the slice of {u1 < ab < u2} over Omega changes shape."""
     pts = set()
     for u in (u1, u2):
-        if 0.0 < u < 1.0:
-            pts.add(u)
+        pts.add(u)
         if 0.0 < u <= 0.25:
             r = math.sqrt(1.0 - 4.0 * u)
             pts.add((1.0 - r) / 2.0)
@@ -195,11 +254,8 @@ def integrate_over_section(f: Callable, inner_breaks: Callable | None = None) ->
     Returns (value, error estimate).
     """
     def inner(a):
-        lo = 1.0 - a
-        pts = None
-        if inner_breaks is not None:
-            pts = [p for p in inner_breaks(a) if lo < p < 1.0] or None
-        v, _ = _quad(lambda b: f(a, b), lo, 1.0, points=pts,
+        pts = inner_breaks(a) if inner_breaks is not None else None
+        v, _ = _quad(lambda b: f(a, b), 1.0 - a, 1.0, points=pts,
                      limit=200, epsabs=1e-11, epsrel=1e-12)
         return v
 
@@ -231,11 +287,9 @@ def moment_integral(s, t):
     tr = t.real if isinstance(t, complex) else float(t)
     if not (-1 < sr < math.inf and -1 < tr < math.inf):
         raise DomainError(f"B_{{{s},{t}}} undefined: exponents must be finite and exceed -1")
-    g = cmath.exp(_lgamma(s + 1) + _lgamma(t + 1) - _lgamma(s + t + 3))
-    val = 2.0 * (1.0 / ((s + 1) * (t + 1)) - g)
-    if isinstance(s, complex) or isinstance(t, complex):
-        return val
-    return val.real
+    lgamma, exp = (_lgamma, cmath.exp) if isinstance(s + t, complex) else (math.lgamma, math.exp)
+    g = exp(lgamma(s + 1) + lgamma(t + 1) - lgamma(s + t + 3))
+    return 2.0 * (1.0 / ((s + 1) * (t + 1)) - g)
 
 
 def kappa_moment(alpha: float, head: int = 1000) -> float:

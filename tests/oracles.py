@@ -1,7 +1,8 @@
 """Slow reference implementations that only the tests use.
 
-scipy is the independent oracle here: the package's closed forms are pure
-Python and are checked against scipy's special functions and quadrature.
+scipy is the independent oracle here, and only the tests import it: the
+package's closed forms and its Gauss-Kronrod quadrature are pure Python and
+are checked against scipy's special functions and `scipy.integrate.quad`.
 """
 
 import math

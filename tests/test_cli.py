@@ -279,7 +279,8 @@ def test_float_basis_prints_no_negative_zero(capsys, mode):
     assert [r[1] for r in parse_csv(out)[2]][:2] == ["0", "2"]
 
 
-#: every command but `measure` and the quadrature oracle of `hall-cdf`
+#: one call of every command; none of them loads scipy, which only the
+#: tests use, as an oracle
 SCIPY_FREE = [
     "orbit 1/5 1 -n 12",
     "orbit 1 2/3 --periodic",
@@ -293,45 +294,48 @@ SCIPY_FREE = [
     "periodic --hierarchy 5",
     "excursions --slope-irrational golden -n 1000",
     "hall-cdf --d-max 1 --step 0.1",
+    "measure --s 1 --t 0 --alpha 1.5",
+    "hall-cdf --d-max 1 --step 0.1 --oracle both",
 ]
-SCIPY_USERS = ["measure --s 1 --t 0 --alpha 1.5", "hall-cdf --d-max 1 --step 0.1 --oracle both"]
 
 #: in one fresh process: import bczmap, then run each command of argv[2] in
-#: turn; report after each whether the module argv[1] is loaded, and the exit code
+#: turn; report after each whether the module argv[1] is loaded, and the exit
+#: code.  With argv[3] == "blocked", every import of the module fails.
 LOAD_PROBE = """
 import contextlib, io, json, sys
+module = sys.argv[1]
+if sys.argv[3:] == ["blocked"]:
+    sys.modules[module] = None
 import bczmap
 from bczmap.cli import main
-module = sys.argv[1]
-loaded = {"import bczmap": module in sys.modules}
+loaded = {"import bczmap": sys.modules.get(module) is not None}
 for argv in json.loads(sys.argv[2]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
             code = main(argv.split())
         except SystemExit as exc:
             code = exc.code
-    loaded[argv] = (module in sys.modules, code)
+    loaded[argv] = (sys.modules.get(module) is not None, code)
 print(json.dumps(loaded))
 """
 
 
-def probe_loads(module, commands):
+def probe_loads(module, commands, *flags):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", LOAD_PROBE, module, json.dumps(commands)],
+    proc = subprocess.run([sys.executable, "-c", LOAD_PROBE, module, json.dumps(commands), *flags],
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
 
-def test_scipy_is_loaded_only_by_the_quadrature_oracles():
-    loaded = probe_loads("scipy", SCIPY_FREE + SCIPY_USERS)
+@pytest.mark.parametrize("flags", [(), ("blocked",)], ids=["loaded", "import-blocked"])
+def test_no_command_loads_scipy(flags):
+    loaded = probe_loads("scipy", SCIPY_FREE, *flags)
     assert loaded.pop("import bczmap") is False
     for argv in SCIPY_FREE:
         assert loaded[argv] == [False, 0], argv
-    # the oracles still run, and the probe does see scipy once they have
-    assert [loaded[argv] for argv in SCIPY_USERS] == [[True, 0], [True, 0]]
 
 
 #: every command that builds no array of F(Q)
@@ -343,22 +347,35 @@ NUMPY_FREE = [
     "slopes --basis 1 0 0 1 -t 25 --gaps -n 20 --c 0.1 --d 1",
     "slopes --basis 1 0 0.5 1 -t 1 --bruteforce --slope-max 3",
     "excursions --slope-irrational golden -n 1000",
+    "hall-cdf --d-max 1 --step 0.1",
+    "hall-cdf --d-max 1 --step 0.1 --oracle both",
+    "measure --s 1 --t 0 --alpha 1.5",
 ]
 #: refused by the library before it builds F(Q)
 NUMPY_REFUSED = ["farey 0", "farey 1 --stat index"]
 
 
-def test_numpy_is_loaded_only_for_farey_arrays_and_hall_cdf():
+def test_numpy_is_loaded_only_for_farey_arrays():
     loaded = probe_loads("numpy", NUMPY_FREE + NUMPY_REFUSED + ["farey 60 --stat gaps --bins 10"])
     assert loaded.pop("import bczmap") is False
     for argv in NUMPY_FREE:
         assert loaded[argv] == [False, 0], argv
     for argv in NUMPY_REFUSED:
         assert loaded[argv] == [False, 2], argv
-    # the probe does see numpy once F(Q) is built, or a hall-cdf grid
+    # the probe does see numpy once F(Q) is built
     assert loaded["farey 60 --stat gaps --bins 10"] == [True, 0]
-    assert probe_loads("numpy", ["hall-cdf --d-max 1 --step 0.1"]) == {
-        "import bczmap": False, "hall-cdf --d-max 1 --step 0.1": [True, 0]}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0])),
+       st.floats(1e-3, 10.0), st.floats(0.0, 1000.0))
+def test_hall_cdf_grid_is_numpy_arange(start, step, span):
+    import numpy as np
+    stop = start + span * step + step / 2  # d_max + step/2, as cmd_hall_cdf passes it
+    grid = cli._arange(start, stop, step)
+    ref = [float(d) for d in np.arange(start, stop, step)]
+    # equal floats, and equal signs of zero
+    assert [(d, math.copysign(1, d)) for d in grid] == [(d, math.copysign(1, d)) for d in ref]
 
 
 def test_farey_gaps_histogram(capsys):
@@ -486,3 +503,13 @@ def test_measure_report(capsys):
     assert float(by_name["roof_integral"][3]) < 1e-8
     assert float(by_name["min_peak_integral"][3]) < 1e-8
     assert float(by_name["max_peak_integral"][3]) < 1e-8
+
+
+def test_a_failing_quadrature_oracle_exits_1(capsys, monkeypatch):
+    # the oracle cannot reach its tolerance: an internal fault, not bad input
+    from bczmap import measure
+    quad = measure._quad
+    monkeypatch.setattr(measure, "_quad", lambda f, a, b, **kw: quad(f, a, b, **dict(kw, limit=2)))
+    for argv in (["measure"], ["hall-cdf", "--d-max", "1", "--oracle", "quadrature"]):
+        code, _, err = run_cli(capsys, argv)
+        assert code == 1 and "internal error: quadrature over" in err, argv

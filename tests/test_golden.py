@@ -2,9 +2,9 @@
 
 Each command's stdout is stored in `tests/golden/<name>.out`.  The set is
 the README's example commands, `test_cli.SCIPY_FREE`, a few windowed and
-JSON calls, and two periods at large Q.  Commands that run a scipy
-quadrature (`measure`, `hall-cdf --oracle quadrature|both`) are left out:
-their last digits depend on the scipy version.
+JSON calls, and two periods at large Q.  The quadrature oracles of
+`measure` and `hall-cdf --oracle quadrature|both` are pure Python, so
+their digits are recorded too.
 
 After a deliberate change of output, rewrite the files with
 
@@ -35,6 +35,8 @@ README = [
     "slopes --random-basis --seed 7 -t 1 -n 100",
     "periodic 2 3",
     "periodic --hierarchy 20",
+    "hall-cdf --d-max 3 --step 0.01 --oracle both",
+    "measure --s 1 --t 0 --alpha 1.5",
 ]
 WINDOWED = [
     "farey 200 --stat index --interval 0 1/3",

@@ -1,15 +1,18 @@
 import math
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import IntegrationWarning, quad
 from scipy.special import loggamma, zeta
 
 from bczmap.core import DomainError
 from bczmap.measure import (
     _hurwitz_zeta,
+    _quad,
     excursion_integrals,
     hall_cdf,
     hall_kinks,
@@ -153,6 +156,40 @@ def test_hall_kink_curvature_breaks():
         assert abs(curv(d0 + h) - curv(d0 - h)) < 0.1
 
 
+def test_quadrature_raises_instead_of_giving_up_silently():
+    # 1/x is not integrable at 0; scipy returns a number with a warning here
+    with pytest.raises(ArithmeticError, match=r"over \[0.0, 1.0\] reached error"):
+        _quad(lambda x: 1 / x, 0.0, 1.0)
+    with pytest.raises(ArithmeticError):
+        _quad(lambda x: math.nan, 0.0, 1.0)
+
+
+#: integrands with a closed form on [0, b]: a kink passed as a breakpoint,
+#: x^p with p in (-0.9, 2), and log x
+QUAD_CASES = st.one_of(
+    st.builds(lambda k, r: (lambda x: abs(x - k) ** r, 1.0, [k],
+                            (k ** (r + 1) + (1 - k) ** (r + 1)) / (r + 1)),
+              st.floats(0.01, 0.99), st.floats(0.5, 3.0)),
+    st.builds(lambda p, b: (lambda x: x ** p, b, None, b ** (p + 1) / (p + 1)),
+              st.floats(-0.9, 2.0, exclude_min=True, exclude_max=True), st.floats(0.5, 3.0)),
+    st.builds(lambda b: (math.log, b, None, b * (math.log(b) - 1)), st.floats(0.5, 3.0)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(QUAD_CASES)
+@example((lambda x: x ** -0.8999999, 3.0, None, 3.0 ** 0.1000001 / 0.1000001))
+def test_quadrature_vs_scipy(case):
+    f, b, points, exact = case
+    value, error = _quad(f, 0.0, b, points=points, limit=300, epsabs=1e-12, epsrel=1e-12)
+    with warnings.catch_warnings():
+        # scipy warns where the integral is near 0 and epsrel is out of reach
+        warnings.simplefilter("ignore", IntegrationWarning)
+        ref, _ = quad(f, 0.0, b, points=points, limit=200, epsabs=1e-11, epsrel=1e-11)
+    assert abs(value - ref) < 1e-10
+    assert abs(value - exact) <= error
+
+
 def test_roof_integral():
     assert roof_integral() == pytest.approx(PI2_3, abs=1e-15)
     assert abs(roof_integral("quadrature") - PI2_3) < 1e-9
@@ -173,8 +210,8 @@ def test_roof_power_integrability_threshold():
 
 
 def test_moment_integral_values():
-    assert moment_integral(1, 0) == pytest.approx(2 / 3, abs=1e-12)
-    assert moment_integral(0, 0) == pytest.approx(1.0, abs=1e-12)
+    assert moment_integral(1, 0) == pytest.approx(2 / 3, abs=1e-15)
+    assert moment_integral(0, 0) == pytest.approx(1.0, abs=1e-15)
     assert moment_integral(-1, 0) == 2.0
     assert moment_integral(0, -1) == 2.0
     assert moment_integral(-1, -1) == pytest.approx(PI2_3, abs=1e-15)
