@@ -1,9 +1,8 @@
 """The invariant measure m = 2 da db on the Farey triangle.
 
-Closed forms live next to an adaptive-quadrature oracle so every constant
-is checked by two independent routes.  Both are pure Python: the oracle is
-a globally adaptive Gauss-Kronrod quadrature, and the module imports
-nothing outside the standard library.  The central object is the mass
+Closed forms live next to a pure-Python Gauss-Kronrod quadrature oracle,
+so every constant is checked by two independent routes.  The central
+object is the mass
 
     H(x) = m({R < x}),    R(a, b) = 1/(ab),
 
@@ -54,55 +53,57 @@ _WG = (0.06667134430868814, 0.1494513491505806, 0.21908636251598204, 0.269266719
 _NODES = tuple(-x for x in _XGK) + _XGK[-2::-1]
 _WK21 = _WGK + _WGK[-2::-1]
 _WG10 = _WG + _WG[::-1]
-_EPS = 2.220446049250313e-16
+
+
+def _x(p, q, u):
+    """The point p + (q - p) s(u) of [p, q] (in either order), s(u) = u^3 (10 - 15u + 6u^2)."""
+    return p + (q - p) * (u * u * u * (10 - 15 * u + 6 * u * u))
 
 
 def _gk21(f, p, q, u0, u1):
-    """QUADPACK's 21-point value and error for the integral of f over the
-    part of [p, q] (in either order) that x = p + (q - p) s(u) maps u in
-    [u0, u1] onto, with s(u) = u^3 (10 - 15u + 6u^2)."""
-    c, h, w = (u0 + u1) / 2, (u1 - u0) / 2, q - p
-    us = [c + h * t for t in _NODES]
-    fs = [f(p + w * u * u * u * (10 - 15 * u + 6 * u * u)) * (u * (1 - u)) ** 2 for u in us]
-    h *= 30 * abs(w)  # s'(u) = 30 u^2 (1 - u)^2
-    resk = sum(map(mul, _WK21, fs))
-    err = abs((resk - sum(map(mul, _WG10, fs[1::2]))) * h)
-    resabs = h * sum(map(mul, _WK21, map(abs, fs)))
-    resasc = h * sum(map(mul, _WK21, [abs(v - resk / 2) for v in fs]))
+    """QUADPACK's 21-point value and error of f over the part of [p, q] that
+    _x(p, q, u) maps [u0, u1] onto.  The sums are math.fsum, correctly rounded,
+    so the digits do not depend on the Python version (sum() changed in 3.12)."""
+    us = [(u0 + u1) / 2 + (u1 - u0) / 2 * t for t in _NODES]
+    fs = [f(_x(p, q, u)) * (u * (1 - u)) ** 2 for u in us]
+    h = (u1 - u0) / 2 * 30 * abs(q - p)  # s'(u) = 30 u^2 (1 - u)^2
+    resk = math.fsum(map(mul, _WK21, fs))
+    err = abs((resk - math.fsum(map(mul, _WG10, fs[1::2]))) * h)
+    resabs = h * math.fsum(map(mul, _WK21, map(abs, fs)))
+    resasc = h * math.fsum(map(mul, _WK21, [abs(v - resk / 2) for v in fs]))
     if resasc and err:
         err = resasc * min(1.0, (200 * err / resasc) ** 1.5)
-    return resk * h, max(50 * _EPS * resabs, err)
+    return resk * h, max(50 * math.ulp(1.0) * resabs, err)
 
 
 def _quad(f, a, b, points=None, limit=50, epsabs=1.49e-8, epsrel=1.49e-8):
     """Integral of f over [a, b], a <= b, and its error estimate, globally adaptive.
 
-    [a, b] is cut at the points, and each piece [lo, hi] is integrated in u
-    through x = lo + (hi - lo) s(u), whose Jacobian 30 u^2 (1 - u)^2 flattens
-    singularities at both ends; the right half of a piece is measured from
-    hi, so x keeps its precision there.  The subinterval with the largest
-    error is bisected until the errors add up to max(epsabs, epsrel |value|)
-    at most, or ArithmeticError once `limit` subintervals have not.
+    Each piece [lo, hi] between the points is integrated in u through
+    x = _x(lo, hi, u), whose Jacobian 30 u^2 (1 - u)^2 flattens singularities
+    at both ends; a right half is measured from hi, so x keeps its precision.
+    The worst subinterval is bisected until the errors add up to max(epsabs,
+    epsrel |value|), or ArithmeticError once `limit` subintervals have not,
+    or once halving it would round a node onto the end of its piece.
     """
     cuts = [a, *sorted(x for x in points or () if a < x < b), b]
     heap = sorted((-e, v, lo, hi, 0.0, 1.0)  # a sorted list is a heap
                   for lo, hi in zip(cuts, cuts[1:]) for v, e in [_gk21(f, lo, hi, 0.0, 1.0)])
-    total, error = sum(e[1] for e in heap), -sum(e[0] for e in heap)
-    while not error <= max(epsabs, epsrel * abs(total)):
+    while True:
+        total, error = math.fsum(e[1] for e in heap), -math.fsum(e[0] for e in heap)
+        if error <= max(epsabs, epsrel * abs(total)):
+            return total, error
         neg, val, p, q, u0, u1 = heap[0]
         um = (u0 + u1) / 2
-        if len(heap) >= limit or not (math.isfinite(error) and u0 < um < u1):
+        u = (u0 + um) / 2 + (um - u0) / 2 * _NODES[0]  # the node nearest p after halving
+        if len(heap) >= limit or not (math.isfinite(error) and u0 < um < u1 and _x(p, q, u) != p):
             raise ArithmeticError(
                 f"quadrature over [{a}, {b}] reached error {error:.3g} with {len(heap)} "
                 f"subintervals; the worst, {-neg:.3g}, lies in the piece between {p} and {q}")
         heapq.heappop(heap)
-        halves = [(p, q, u0, um), (q, p, u0, um) if u1 == 1.0 else (p, q, um, u1)]
-        for part in halves:
+        for part in [(p, q, u0, um), (q, p, u0, um) if u1 == 1.0 else (p, q, um, u1)]:
             v, e = _gk21(f, *part)
             heapq.heappush(heap, (-e, v, *part))
-            total, error = total + v, error + e
-        total, error = total - val, error + neg
-    return math.fsum(e[1] for e in heap), -math.fsum(e[0] for e in heap)
 
 
 def _hurwitz_zeta(s: float, a: float) -> float:

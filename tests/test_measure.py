@@ -162,6 +162,9 @@ def test_quadrature_raises_instead_of_giving_up_silently():
         _quad(lambda x: 1 / x, 0.0, 1.0)
     with pytest.raises(ArithmeticError):
         _quad(lambda x: math.nan, 0.0, 1.0)
+    # bisection toward a singular right end stops before a node rounds onto it
+    with pytest.raises(ArithmeticError, match="between 1.0 and 0.0"):
+        _quad(lambda x: (1 - x) ** -0.9, 0.0, 1.0, limit=200, epsabs=1e-12, epsrel=1e-12)
 
 
 #: integrands with a closed form on [0, b]: a kink passed as a breakpoint,
