@@ -177,8 +177,10 @@ def _strip_vectors(basis: UnimodularBasis, t, y_max):
             raise DomainError(f"the strip sweep visits more than {_STRIP_MAX_POINTS} lattice"
                               " points and sweep lines; narrow the width or the slope range")
         for n in range(n_lo, n_hi + 1):
-            if math.gcd(m, n) == 1:
-                yield x1 * m + x2 * n, y1 * m + y2 * n + 0  # + 0 turns a float -0.0 into 0.0
+            x = x1 * m + x2 * n
+            # a float x can round to 0.0 on the line x = 0, which the solve admits
+            if x > 0 and math.gcd(m, n) == 1:
+                yield x, y1 * m + y2 * n + 0  # + 0 turns a float -0.0 into 0.0
 
 
 def _interval_solve(a, c, upper, strict_lo: bool):

@@ -111,6 +111,51 @@ def narrow_first_return(p, t, max_steps: int = 10**7):
     raise RuntimeError("no return to the strip within max_steps")
 
 
+def iterated_period(p) -> int:
+    """Minimal P with T^P(p) = p, by stepping the integer orbit of an exact
+    point: the reference for `periodic.discrete_period`, whose period
+    matrix is then `cocycle(p, P)`.
+
+    Each roof 1/(ab) is at least 1 and one period's roofs add up to the flow
+    period l^2/a^2 (slope k/l in lowest terms), so a walk longer than that
+    is a fault, not a long orbit.
+    """
+    a, b, _, _ = check_section(p)
+    cap = math.floor(((b / a).denominator / a) ** 2)
+    orbit = _orbit(p)[-1]
+    start = next(orbit)[:2]
+    for steps, (x, y, _) in enumerate(orbit, 1):
+        if (x, y) == start:
+            return steps
+        if steps >= cap:
+            raise RuntimeError(f"orbit of {p} did not close within {cap} steps")
+
+
+def farey_phase_points(p, n: int) -> list:
+    """The first n points of the orbit of an exact point p, read off F(Q).
+
+    With D the common denominator of p = (a, b), g = gcd(aD, bD) and
+    Q = floor(D/g), T^j(p) = (g q_{i+j}/D, g q_{i+j+1}/D), q running
+    cyclically through the denominators of F(Q).  The phase i is the index
+    of h/x' in F(Q), where x' = aD/g and h = -(bD/g)^{-1} mod x'.
+    """
+    a, b = Fraction(p[0]), Fraction(p[1])
+    d = math.lcm(a.denominator, b.denominator)
+    x, y = int(a * d), int(b * d)
+    g = math.gcd(x, y)
+    big_q, x1 = d // g, x // g
+    h = -pow(y // g, -1, x1) % x1
+    seq = farey_orbit(big_q)
+    q, num = seq.denominators, seq.numerators
+    # neighbours in F(Q) lie at least 1/Q^2 apart: a float search, confirmed exactly
+    i = int(np.searchsorted(num / q, h / x1 - 0.5 / big_q**2))
+    if (num[i], q[i]) != (h, x1):
+        raise RuntimeError(f"{h}/{x1} not found in F({big_q})")
+    n_q = len(q)
+    return [(Fraction(g * int(q[(i + j) % n_q]), d), Fraction(g * int(q[(i + j + 1) % n_q]), d))
+            for j in range(n)]
+
+
 def roof_power_integral_truncated(p: float, r_max: float) -> float:
     """Quadrature of int_{R <= r_max} R^p dm; diverges with r_max iff p >= 2.
 

@@ -13,6 +13,7 @@ import numpy as np
 
 from bczmap.core import (
     bcz_step,
+    cocycle,
     in_section,
     reduce_to_section,
     scale_point,
@@ -59,7 +60,7 @@ from bczmap.periodic import (
 )
 
 from conftest import random_rational, random_section_point
-from oracles import tile_contains
+from oracles import iterated_period, tile_contains
 
 PI2_3 = math.pi**2 / 3
 
@@ -97,14 +98,17 @@ def test_criterion_03_periodic_structure():
                 lo, hi = F(l, l + r), F(l, l + r - 1)
                 a = min(lo + (hi - lo) * F(rng.randint(1, 9), 10), F(1))
                 p = (a, a * k / l)
-                assert discrete_period(p) == farey_cardinality(l + r - 1)
+                period = iterated_period(p)
+                assert discrete_period(p) == period == farey_cardinality(l + r - 1)
                 assert continuous_period(p) == F(l * l) / (a * a)
-                assert periodic_matrix(p).trace() == 2
-            m = periodic_matrix((F(1), F(k, l)))
-            assert m == segment_matrix(k, l)
+                m = cocycle(p, period)
+                assert periodic_matrix(p) == m and m.trace() == 2
+            p = (F(1), F(k, l))
+            assert periodic_matrix(p) == cocycle(p, iterated_period(p)) == segment_matrix(k, l)
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0, f"took {elapsed:.1f}s"
-    _report(3, f"periods, flow periods and cocycles for k <= l <= 20 in {elapsed:.1f}s")
+    _report(3, f"periods, flow periods and cocycles against iteration for k <= l <= 20"
+               f" in {elapsed:.1f}s")
 
 
 def test_criterion_04_shear_conjugation():

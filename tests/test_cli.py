@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bczmap import cli
+from bczmap import cli, core
 from bczmap.cli import main
+from bczmap.farey import farey_cardinality
 from test_farey import _fake_memory
 
 
@@ -52,6 +53,24 @@ def test_orbit_periodic_report(capsys):
     assert code == 0
     _, header, rows = parse_csv(out)
     assert rows == [["4", "9", "2/3", "-5", "9", "-4", "7"]]
+
+
+def test_periodic_answers_step_no_orbit(capsys, monkeypatch):
+    # periods, matrices and the hierarchy are closed forms: with the integer
+    # orbit and the cocycle product broken they still answer, even where the
+    # period, N(10^6) = 303963552392 steps, is far beyond iteration
+    def refuse(*args):
+        raise AssertionError("the map was iterated")
+    monkeypatch.setattr(core, "_int_orbit", refuse)
+    monkeypatch.setattr(core, "cocycle", refuse)
+    code, out, _ = run_cli(capsys, ["orbit", "1/1000000", "1", "--periodic"])
+    assert code == 0
+    assert parse_csv(out)[2][0][0] == str(farey_cardinality(10**6)) == "303963552392"
+    for argv in (["periodic", "--hierarchy", "20"], ["periodic", "3", "1000"]):
+        assert run_cli(capsys, argv)[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["orbit", f"1/{2**70}", "1", "--periodic"])
+    assert exc.value.code == 2
 
 
 def test_orbit_fixed_point(capsys):
@@ -197,6 +216,7 @@ FUZZ_BASES = [
     "slopes --basis 1.5 0.5 1.0 1.0 -t 1 -n 3",
     "slopes --basis 1 5/3 2 13/3 -t 1.0 -n 2",  # hit at slope 2, on a tile boundary
     "slopes --basis 1 5/3 2 13/3 -t 1.0 --bruteforce --slope-max 3",
+    "slopes --basis 1.0 -0.6666666666666666 0.0 1.0 -t 1.6666666666666667 -n 3",  # x rounds to 0.0
     "periodic 2 3",
     "periodic --hierarchy 4",
     "measure --s 1 --t 0 --alpha 1",

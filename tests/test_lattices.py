@@ -121,6 +121,17 @@ def test_hit_coefficients_that_do_not_rebuild_a_primitive_vector_are_refused(mon
         first_section_hit(UnimodularBasis(1.0, 0.0, 0.0, 1.0), 1.0)
 
 
+def test_float_strip_vector_on_the_vertical_line_is_skipped():
+    # columns (1, 0), (-2/3, 1) hold the vertical vector (0, 3); in floats
+    # 2 * 1.0 + 3 * -0.6666666666666666 rounds to 0.0, on the line x = 0
+    # that the strip excludes, so the float basis must skip it as the exact one does
+    exact = slope_gaps_via_bcz(UnimodularBasis(1, 0, F(-2, 3), 1), F(5, 3), 3)
+    spelled = slope_gaps_via_bcz(UnimodularBasis(1.0, 0.0, -0.6666666666666666, 1.0),
+                                 1.6666666666666667, 3)
+    assert exact.slopes == [0, F(3, 4), F(6, 5), 3]
+    assert spelled.slopes == pytest.approx([float(s) for s in exact.slopes], rel=1e-12, abs=1e-12)
+
+
 def test_vertical_check_takes_the_exact_value_of_a_decimal_width():
     # 0.3333333333333333 is just below 1/3, so the vertical (0, 3) is shorter
     # than 1/t, although 3 * 0.3333333333333333 rounds to 1.0

@@ -3,8 +3,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from bczmap.core import DomainError, bcz_step, orbit_trace, roof
+from bczmap.core import DomainError, bcz_step, cocycle, orbit_trace, roof
 from bczmap.farey import farey_cardinality, totient
 from bczmap.periodic import (
     continuous_period,
@@ -19,6 +21,7 @@ from bczmap.periodic import (
 )
 
 from conftest import random_rational
+from oracles import farey_phase_points, iterated_period
 
 
 def test_is_periodic():
@@ -70,8 +73,9 @@ def test_periodic_matrix_formula_at_a_equal_one():
     rng = random.Random(20)
     pairs = [(k, l) for l in range(1, 31) for k in range(1, l + 1) if math.gcd(k, l) == 1]
     for k, l in rng.sample(pairs, 40):
-        m = periodic_matrix((1, F(k, l)))
-        assert m == segment_matrix(k, l)
+        p = (1, F(k, l))
+        m = cocycle(p, iterated_period(p))
+        assert periodic_matrix(p) == m == segment_matrix(k, l)
         assert m.trace() == 2
 
 
@@ -94,7 +98,7 @@ def test_segment_formula_exhaustive_small():
                 lo, hi = F(l, l + r), F(l, l + r - 1)
                 a = min((lo + hi) / 2, F(1))
                 p = (a, a * k / l)
-                assert discrete_period(p) == period_on_segment(k, l, r)
+                assert discrete_period(p) == iterated_period(p) == period_on_segment(k, l, r)
                 assert continuous_period(p) == F(l * l) / (a * a)
 
 
@@ -113,6 +117,55 @@ def test_orbit_report():
     assert rep.continuous_period == 9
     assert rep.slope == F(2, 3)
     assert rep.matrix.rows() == ((-5, 9), (-4, 7))
+
+
+@st.composite
+def exact_section_points(draw, max_den=60):
+    """(x/D, y/D) in the section with D <= max_den, slope below or above 1."""
+    d = draw(st.integers(1, max_den))
+    x = draw(st.integers(1, d))
+    y = draw(st.integers(d - x + 1, d))
+    if draw(st.booleans()):
+        x, y = y, x
+    return F(x, d), F(y, d)
+
+
+@example((F(1), F(1)))  # the fixed point
+@example((F(1), F(2, 3)))
+@example((F(1, 5), F(1)))  # slope 5, beyond segment_matrix's k <= l
+@settings(max_examples=150)
+@given(exact_section_points())
+def test_closed_forms_match_iteration(p):
+    period = iterated_period(p)
+    m = cocycle(p, period)
+    assert m.trace() == 2
+    assert discrete_period(p) == period
+    assert periodic_matrix(p) == m
+    rep = orbit_report(p)
+    assert (rep.point, rep.slope, rep.discrete_period, rep.continuous_period, rep.matrix) == \
+        (p, p[1] / p[0], period, continuous_period(p), m)
+    assert sum(orbit_trace(p, period).returns) == continuous_period(p)
+
+
+@example((F(1, 3000), F(1)))
+@example((F(2021, 3000), F(1999, 3000)))  # Q = 3000, phase inside F(Q)
+@example((F(2, 3), F(2, 3)))  # g = 2, Q = 1
+@settings(max_examples=40)
+@given(exact_section_points(max_den=3000))
+def test_orbit_runs_through_farey_denominators(p):
+    assert orbit_trace(p, 50).points == farey_phase_points(p, 50)
+
+
+def test_hierarchy_against_iteration():
+    recs = hierarchy_report(20)
+    assert [r["Q"] for r in recs] == list(range(1, 21))
+    for rec in recs:
+        Q = rec["Q"]
+        lo = F(Q, Q + 1)
+        ts = [lo + (1 - lo) * F(j, 6) for j in range(1, 7)]  # five samples and t = 1
+        assert {iterated_period((t / Q, t)) for t in ts} == {rec["period"]}
+        # the next segment starts at a = 1/(Q+1), t = 1
+        assert iterated_period((F(1, Q + 1), F(1))) - rec["period"] == rec["jump_to_next"]
 
 
 def test_hierarchy():
