@@ -281,6 +281,7 @@ def cmd_slopes(args) -> None:
 
 def cmd_periodic(args) -> None:
     if args.hierarchy is not None:
+        _check_rows(args.hierarchy)
         recs = hierarchy_report(args.hierarchy)
         rows = [(r["Q"], r["period"], r["jump_to_next"]) for r in recs]
         emit(args, "periodic", {"hierarchy": args.hierarchy},

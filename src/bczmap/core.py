@@ -12,15 +12,14 @@ BCZ map
 
 with return time R(a, b) = 1/(ab).  Everything here supports two scalar
 flavors: exact (int/Fraction, used wherever correctness is at stake) and
-float (long ergodic runs, drift-monitored).  The flavor is decided once per
-input, by one rule: a point or basis is exact only when every entry (and
-the width) is int/Fraction, and then every result is a Fraction; one
-decimal entry makes the whole computation float.  A Fraction next to a
-float inside one point is refused.  `check_section` applies the rule to
-points, `reduce_to_section` to raw pairs and `lattices.UnimodularBasis` to
-bases, each converting the entries once; every function after them runs one
-expression for both flavors, since Fraction and float share /, floor, ceil
-and round.
+float (long ergodic runs, drift-monitored), decided once per input by one
+rule: a point or basis is exact only when every entry (and the width) is
+int/Fraction, and then every result is a Fraction; one decimal entry makes
+the results floats.  A Fraction next to a float inside one point is
+refused.  After `check_section` and `reduce_to_section` one expression runs
+both flavors, since Fraction and float share /, floor, ceil and round;
+`lattices` instead runs a decimal basis or width as the exact lattice its
+doubles spell, on integers, and only its returned numbers are floats.
 
 Orbits run on one kernel, `_orbit`.  By the scaling conjugacy
 T_t o M_t = M_t o T an exact orbit is an integer orbit: with the common

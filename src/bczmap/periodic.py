@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .core import DomainError, IntMatrix2, _mat2_mul, check_section
 from .farey import farey_cardinality, totient
@@ -106,10 +107,12 @@ def hierarchy_report(q_max: int) -> list:
 
     The Q-th segment has slope Q/1 and a = t/Q in (1/(Q+1), 1/Q], where
     floor(1/a) = Q: its period is N(Q), and crossing a = 1/(Q+1) into the
-    next segment adds phi(Q+1).  The records are these closed forms; the
-    tests check them against iterated orbits at sample t.
+    next segment adds phi(Q+1), so the periods are the running sums
+    N(Q + 1) = N(Q) + phi(Q + 1).  The tests check them against iterated
+    orbits at sample t.
     """
     if q_max < 2:
         raise DomainError("q_max must be >= 2")
-    return [{"Q": q, "period": farey_cardinality(q), "jump_to_next": totient(q + 1)}
-            for q in range(1, q_max + 1)]
+    jumps = [totient(q + 1) for q in range(1, q_max + 1)]
+    return [{"Q": q, "period": n, "jump_to_next": j} for q, n, j in
+            zip(range(1, q_max + 1), accumulate(jumps, initial=farey_cardinality(1)), jumps)]

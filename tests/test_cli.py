@@ -6,13 +6,14 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bczmap import cli, core
+from bczmap import cli, core, lattices
 from bczmap.cli import main
 from bczmap.farey import farey_cardinality
 from test_farey import _fake_memory
@@ -120,6 +121,7 @@ def test_farey_bad_input_exit_2(capsys, tmp_path, argv):
     "farey 5 --bins 0",
     "measure --s -2",
     "periodic --hierarchy 1",
+    "periodic --hierarchy 1000000000000",  # 10^12 rows, refused before any count
     "farey 50 --stat moments --s nan",  # non-finite exponents
     "farey 50 --stat moments --s inf",
     "farey 50 --stat index --alpha nan",
@@ -217,6 +219,9 @@ FUZZ_BASES = [
     "slopes --basis 1 5/3 2 13/3 -t 1.0 -n 2",  # hit at slope 2, on a tile boundary
     "slopes --basis 1 5/3 2 13/3 -t 1.0 --bruteforce --slope-max 3",
     "slopes --basis 1.0 -0.6666666666666666 0.0 1.0 -t 1.6666666666666667 -n 3",  # x rounds to 0.0
+    "slopes --basis 16/5 11/4 4/5 1 -t 0.25 -n 3",  # hit point on a tile edge
+    "slopes --basis 1.0 0.3 0.5 1.15 -t 1e-9 -n 3",  # refused by the strip budget
+    "slopes --basis 1.0 1.6666666666666667 2.0 4.333333333333333 -t 1.0 -n 4",  # tile branch
     "periodic 2 3",
     "periodic --hierarchy 4",
     "measure --s 1 --t 0 --alpha 1",
@@ -289,6 +294,29 @@ def test_exact_basis_at_a_decimal_width_enumerates_the_exact_strip(capsys):
     for slope_max in ("1", "4"):
         _, brute, _ = run_cli(capsys, ["slopes", *tail, "--bruteforce", "--slope-max", slope_max])
         assert [r[1] for r in parse_csv(brute)[2]][:2] == ["0.25", "0.75"]
+
+
+def test_hit_point_on_a_tile_edge_is_reduced_exactly(capsys):
+    # the hit of this exact basis at width 1/4 is (1/20, 1/4), on a tile edge
+    # that floats cannot place; the decimal width is exactly 1/4, so the
+    # slopes are the floats of the exact 44, 124, 144, 532/3
+    code, out, _ = run_cli(capsys, ["slopes", "--basis", "16/5", "11/4", "4/5", "1",
+                                    "-t", "0.25", "-n", "3"])
+    assert code == 0
+    assert [r[1] for r in parse_csv(out)[2]] == ["44", "124", "144", "177.333333333"]
+    basis = lattices.UnimodularBasis(F(16, 5), F(4, 5), F(11, 4), 1)
+    assert lattices.slope_gaps_via_bcz(basis, 0.25, 3).slopes == [44.0, 124.0, 144.0, 532 / 3]
+
+
+def test_decimal_basis_runs_the_orbit_its_doubles_spell(capsys):
+    # det = 1 - 2^-51 exactly: the true orbit of this lattice crosses a tile
+    # boundary the rational 1 5/3 2 13/3 only touches
+    code, out, _ = run_cli(capsys, ["slopes", "--basis", "1.0", "1.6666666666666667", "2.0",
+                                    "4.333333333333333", "-t", "1.0", "-n", "4"])
+    assert code == 0
+    assert [r[1] for r in parse_csv(out)[2]] == ["2", "3.5", "8", "12.5", "17"]
+    code, out, _ = run_cli(capsys, ["slopes", "--basis", "1", "5/3", "2", "13/3", "-t", "1", "-n", "4"])
+    assert [r[1] for r in parse_csv(out)[2]] == ["2", "7/2", "5", "8", "11"]
 
 
 @pytest.mark.parametrize("mode", [["-n", "3"], ["--bruteforce", "--slope-max", "3"]])

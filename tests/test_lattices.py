@@ -106,6 +106,23 @@ def test_empty_sweep_lines_count_towards_the_cap(monkeypatch, basis):
         _strip(basis, 1e-9, 4**10)
 
 
+def test_strip_budget_covers_the_whole_doubling_search(monkeypatch):
+    # the first hit of this lattice at width 1e-9 lies far above height 4^7,
+    # so the search sweeps the strips of heights 4, 16, ..., 4^7 (in units of
+    # the unimodular lattice), each within a cap that all of them overrun
+    basis = UnimodularBasis(1.0, 0.5, 0.3, 1.15)
+    costs = []
+    for k in range(1, 8):
+        lat = lattices._Lattice(basis, 1e-9)
+        assert list(lattices._strip_vectors(lat, lat.d * 4**k)) == []
+        costs.append(lattices._STRIP_MAX_POINTS - lat.budget)
+    cap = max(costs) + 1
+    assert sum(costs) > cap
+    monkeypatch.setattr(lattices, "_STRIP_MAX_POINTS", cap)
+    with pytest.raises(DomainError, match=f"more than {cap} lattice points and sweep lines"):
+        first_section_hit(basis, 1e-9)
+
+
 def test_vertically_short_float_lattice_is_refused():
     # the float spelling of columns (1, 1/2), (9, 11/2), whose vertical
     # vector (0, 1) is shorter than 1/t = 2; only exact bases detect it
@@ -113,12 +130,14 @@ def test_vertically_short_float_lattice_is_refused():
         first_section_hit(UnimodularBasis(1.0, 0.5, 9.0, 5.5), 0.5)
 
 
-@pytest.mark.parametrize("hit", [(1.3, 0.0), (2.0, 2.0)])  # off the lattice; not primitive
+@pytest.mark.parametrize("hit", [(1, 0), (4, 0)])  # off the lattice; not primitive
 def test_hit_coefficients_that_do_not_rebuild_a_primitive_vector_are_refused(monkeypatch, hit):
-    # stands in for float rounding that lands Cramer's rule on the wrong integers
-    monkeypatch.setattr(lattices, "_strip_vectors", lambda basis, t, y_max: iter([hit]))
-    with pytest.raises(DomainError, match="cannot place the hit vector"):
-        first_section_hit(UnimodularBasis(1.0, 0.0, 0.0, 1.0), 1.0)
+    # the float columns (1, 0), (1/2, 1) are the integer columns (2, 0), (1, 2)
+    # over D = 2; a sweep yielding a vector outside them, or a multiple of
+    # one, is an internal fault that Cramer's rule must catch
+    monkeypatch.setattr(lattices, "_strip_vectors", lambda lat, h: iter([hit]))
+    with pytest.raises(RuntimeError, match="not a primitive lattice vector"):
+        first_section_hit(UnimodularBasis(1.0, 0.0, 0.5, 1.0), 1.0)
 
 
 def test_float_strip_vector_on_the_vertical_line_is_skipped():
@@ -151,10 +170,13 @@ def test_vertical_detection():
         assert shortest_vertical_length(b) == Q
         assert not has_short_vertical(b, 1)
         assert has_short_vertical(b, F(1, Q))
-    # float basis with incommensurable-looking columns: assumed no verticals
+    # the double sqrt(2) is k/2^52 with k odd, so the lattice these columns
+    # spell has the vertical vector 2^52 (k/2^52, 1) - k (1, 0) = (0, 2^52)
     rot = UnimodularBasis(1.0, 0.0, math.sqrt(2), 1.0)
-    assert shortest_vertical_length(rot) is None
+    assert shortest_vertical_length(rot) == 2**52
+    assert type(shortest_vertical_length(rot)) is float
     assert not has_short_vertical(rot, 1)
+    assert has_short_vertical(rot, 2.0**-52)
 
 
 def test_vertical_detection_hidden_combination():
@@ -222,9 +244,11 @@ def test_first_hit_postconditions_random():
 
 
 def _strip(basis, t, y_max):
-    from bczmap.lattices import _strip_vectors
-
-    return list(_strip_vectors(basis, t, y_max))
+    """The strip vectors of the lattice the basis spells, up to height y_max."""
+    lat = lattices._Lattice(basis, t)
+    (dn, dd), d = lat.delta, lat.d
+    h = math.floor(F(y_max) * d * dd / dn)
+    return [(F(x, d), F(dn * y, dd * d)) for x, y in lattices._strip_vectors(lat, h)]
 
 
 #: at width 3/2 its strip holds the slopes 1/4 and 3/4 up to slope 1
@@ -276,6 +300,45 @@ def test_bcz_vs_bruteforce_random_bases():
         assert m > n // 2
         assert via.slopes[:m] == brute.slopes[:m]
         checked += 1
+
+
+def _float_spelling(basis: UnimodularBasis):
+    """The decimal spelling of an exact basis, or None where its float
+    determinant strays past the tolerance."""
+    try:
+        return UnimodularBasis(*(float(v) for v in (basis.x1, basis.y1, basis.x2, basis.y2)))
+    except DomainError:
+        return None
+
+
+def _spelled_exact_bases(rng, t):
+    # only lattices whose exact spelling has a vertical vector longer than
+    # 1/t: on the line x = 1/t a spelled strip point can fall just outside
+    exact = random_exact_basis(rng, words=4)
+    return _float_spelling(exact) if shortest_vertical_length(exact) * t > 1 else None
+
+
+def _irrational_shear(m, r):
+    return shear_basis((m * r) % 1.0)
+
+
+@settings(max_examples=100)
+@given(st.data(), st.sampled_from([F(1, 2), F(1), F(3, 2), F(2), F(3, 10)]), st.integers(1, 60))
+def test_decimal_basis_bcz_slopes_are_its_enumerated_slopes(data, t, n):
+    # both routes round the same exact rationals of the lattice the doubles
+    # spell once, so they agree bit for bit, not just to float accuracy
+    basis = data.draw(st.one_of(
+        st.builds(_spelled_exact_bases, st.randoms(use_true_random=False), st.just(t)),
+        st.builds(_irrational_shear, st.integers(1, 60),
+                  st.sampled_from([PHI, math.sqrt(2), math.e, math.pi]))))
+    if basis is None:
+        return
+    via = slope_gaps_via_bcz(basis, float(t), n)
+    brute = strip_slopes_bruteforce(basis, float(t), via.slopes[-1])
+    m = min(len(via.slopes), len(brute.slopes))
+    assert m >= len(via.slopes) - 1  # the rounded last slope may lie below the exact one
+    assert via.slopes[:m] == brute.slopes[:m] and via.gaps[:m - 1] == brute.gaps[:m - 1]
+    assert all(type(s) is float for s in via.slopes + via.gaps)
 
 
 def test_gaps_are_roofs_and_bounded_below():

@@ -178,6 +178,12 @@ def test_hierarchy():
     assert farey_cardinality(5) - farey_cardinality(4) == 4 == totient(5)
 
 
+def test_hierarchy_running_sum_is_the_farey_count():
+    recs = hierarchy_report(300)
+    assert [r["Q"] for r in recs] == list(range(1, 301))
+    assert [r["period"] for r in recs] == [farey_cardinality(q) for q in range(1, 301)]
+
+
 def test_index_constant_along_segment():
     # kappa along the orbit of (t, t/Q) does not depend on t in (Q/(Q+1), 1]
     rng = random.Random(21)
