@@ -3,8 +3,10 @@
 The slopes of primitive lattice vectors in the vertical strip
 {0 < x <= t, y >= 0} are exactly the hit times of the horocycle orbit on the
 width-t section, so consecutive slope gaps are roof values along the t-BCZ
-orbit.  Both a direct strip enumerator and the BCZ route are provided and
-must agree.  Every entry point converts its basis and width once into one
+orbit.  The BCZ route reads its first hit off one Farey predecessor and
+steps the orbit from there; the strip enumerator shares no code with it
+beyond the integer lattice and is its independent oracle, and the two must
+agree.  Every entry point converts its basis and width once into one
 exact integer lattice, `_Lattice`, and runs on integers; only the returned
 numbers are Fractions (for an exact basis and width) or floats.  A double is
 an exact dyadic rational, so a decimal basis is the lattice its doubles spell,
@@ -27,10 +29,12 @@ _FLOAT_DET_TOL = 1e-12
 #: [[F(m + 1), F(m)], [F(m), F(m - 1)]] needs about m/2
 _GAUSS_MAX_ITER = 10_000
 
-#: lattice points and sweep lines one call may visit, over all the strips it
-#: sweeps; a call needing more is a request too large to serve, like a d-grid
+#: lattice points and sweep lines the one strip of a brute-force call may
+#: visit; a call needing more is a request too large to serve, like a d-grid
 #: past `cli.HALL_GRID_MAX`
 _STRIP_MAX_POINTS = 50_000_000
+
+_BEYOND_FLOATS = "a slope or gap of this lattice lies beyond the float range"
 
 
 @dataclass(frozen=True)
@@ -87,7 +91,7 @@ class _Lattice:
     and the strip and makes the lattice unimodular; `cols` are its columns
     times the common denominator D of them and t (determinant D^2), and
     `w` = D t.  `ratio` is `Fraction` for an exact basis and width, else
-    correctly rounded division; `budget` is what the call may still sweep.
+    correctly rounded division.
     """
 
     def __init__(self, basis: UnimodularBasis, t=1):
@@ -102,17 +106,10 @@ class _Lattice:
         self.cols, self.d = ((x1, y1), (x2, y2)), d
         self.delta = delta.numerator, delta.denominator
         self.ratio = Fraction if isinstance(basis.x1, Fraction) and is_exact(t) else truediv
-        self.budget = _STRIP_MAX_POINTS
 
     def scaled(self, num: int, den: int):
         """num/den times delta: a slope or gap of the lattice the basis spells."""
         return self.ratio(self.delta[0] * num, self.delta[1] * den)
-
-    def spend(self, count: int) -> None:
-        self.budget -= count
-        if self.budget < 0:
-            raise DomainError(f"the strip sweep visits more than {_STRIP_MAX_POINTS} lattice"
-                              " points and sweep lines; narrow the width or the slope range")
 
 
 def _gauss_reduce(u, v):
@@ -173,7 +170,8 @@ def _strip_vectors(lat: _Lattice, h: int):
     are coprime.  The swept coefficient m is the one with the smaller corner
     range (m stays on a tie); n's interval is solved per sweep line by floor
     division.  Sweep lines, empty or not, and points are spent from the
-    call's budget, and a strip with too many lines is refused before them.
+    strip's budget `_STRIP_MAX_POINTS`, and a strip with too many lines is
+    refused before its first line.
     """
     (x1, y1), (x2, y2) = _gauss_reduce(*lat.cols)
     det, w = lat.d * lat.d, lat.w
@@ -184,7 +182,7 @@ def _strip_vectors(lat: _Lattice, h: int):
     if m_range[1] - m_range[0] > n_range[1] - n_range[0]:  # sweep the shorter range
         x1, y1, x2, y2, m_range = x2, y2, x1, y1, n_range
     lines = range(m_range[0], m_range[1] + 1)
-    lat.spend(len(lines))
+    budget = _spend(_STRIP_MAX_POINTS, len(lines))
     for m in lines:
         # solve 1 <= x1*m + x2*n <= w, then 0 <= y1*m + y2*n <= h, for n
         lo, hi = _interval_solve(x2, x1 * m, 1, w)
@@ -193,10 +191,18 @@ def _strip_vectors(lat: _Lattice, h: int):
         lo2, hi2 = _interval_solve(y2, y1 * m, 0, h)
         n_lo, n_hi = max(lo, lo2), min(hi, hi2)
         if n_lo <= n_hi:
-            lat.spend(n_hi - n_lo + 1)
+            budget = _spend(budget, n_hi - n_lo + 1)
             for n in range(n_lo, n_hi + 1):
                 if math.gcd(m, n) == 1:
                     yield x1 * m + x2 * n, y1 * m + y2 * n
+
+
+def _spend(budget: int, count: int) -> int:
+    """What is left of a strip's budget after count more lines or points."""
+    if count > budget:
+        raise DomainError(f"the strip sweep visits more than {_STRIP_MAX_POINTS} lattice"
+                          " points and sweep lines; narrow the width or the slope range")
+    return budget - count
 
 
 def _interval_solve(a, c, lo, hi):
@@ -246,55 +252,83 @@ def first_section_hit(basis: UnimodularBasis, t=1):
     """Smallest s >= 0 with h_s . basis in the width-t section, plus the point.
 
     The hit time is the minimal nonnegative slope among primitive strip
-    vectors; the section point is built by completing the hit vector to a
-    unimodular basis and reducing the second coordinate.  Refused for
-    lattices whose vertical vectors are strictly shorter than 1/t (those
-    orbits never reach the section; the boundary case, e.g. the square
-    lattice at t = 1, does meet it at the fixed corner), and for a search
-    that would sweep more than `_STRIP_MAX_POINTS` lines and points.
+    vectors, and no strip is swept to find it: the hit vector is read off
+    the predecessor of one rational in one Farey sequence (`_first_hit`).
+    The section point is built by completing the hit vector to a unimodular
+    basis and reducing the second coordinate.  Refused for lattices whose
+    vertical vectors are strictly shorter than 1/t (those orbits never reach
+    the section; the boundary case, e.g. the square lattice at t = 1, does
+    meet it at the fixed corner), and for a hit time beyond the float range.
     """
     lat = _Lattice(basis, t)
     x0, y0, b = _first_hit(lat)
-    return lat.scaled(y0, x0), (lat.ratio(x0, lat.d), lat.ratio(b, lat.d))
+    try:
+        return lat.scaled(y0, x0), (lat.ratio(x0, lat.d), lat.ratio(b, lat.d))
+    except OverflowError:
+        raise DomainError(_BEYOND_FLOATS) from None
 
 
 def _first_hit(lat: _Lattice):
     """(x0, y0, b): the hit vector (x0, y0) of the integer lattice and its
-    section point (x0, b), all times D."""
+    section point (x0, b), all times D.
+
+    With g = gcd(y1, y2) the lattice is Z(xs, 0) + Z(c, g), xs = D^2/g, so
+    its points at height j g sit at x = j c mod xs.  If xs <= w the hit is
+    (xs, 0).  Else, with step = gcd(c, xs) and q = xs/step, x = step f for
+    f = j c/step mod q, so j = f i - k q for i = (c/step)^-1 mod q, and the
+    least slope g j/(step f) = (g/step)(i - q k/f) has k/f the predecessor
+    of i/q in the Farey sequence F(w // step).
+    """
     w, det = lat.w, lat.d * lat.d
     # vertical vectors of length y/D put the lattice on lines D/y apart
     if _vertical(lat) * w < det:
         raise DomainError("lattice is vertically short; orbit misses the section")
-    h, best = 4 * lat.d, None
-    while best is None:
-        for x, y in _strip_vectors(lat, h):
-            if best is None or y * best[0] < best[1] * x:
-                best = (x, y)
-        h *= 4
-    # completeness pass: anything with a smaller slope has y < slope * w
-    x0, y0 = best
-    for x, y in _strip_vectors(lat, y0 * w // x0):
-        if y * x0 < y0 * x:
-            x0, y0 = x, y
-    # the hit vector's coefficients in the basis by Cramer's rule
     (x1, y1), (x2, y2) = lat.cols
-    m0, r = divmod(y2 * x0 - x2 * y0, det)
-    n0, s = divmod(x1 * y0 - y1 * x0, det)
-    g, mp, np_ = _ext_gcd(m0, n0)
-    if r or s or g != 1:
-        raise RuntimeError(f"the strip sweep found ({x0}, {y0}), not a primitive lattice vector")
-    # c = -np_ c1 + mp c2 completes the hit vector to a basis; after flowing
-    # by the hit time only its x-component matters, reduced into (w - x0, w]
-    cx = mp * x2 - np_ * x1
-    return x0, y0, cx + (w - cx) // x0 * x0
+    g, u, v = _ext_gcd(y1, y2)
+    xs = det // g
+    c = (u * x1 + v * x2) % xs
+    if xs <= w:  # the horizontal (xs, 0) at time 0, completed by (c, g)
+        x0, y0, cx = xs, 0, c
+    else:  # the vertical check gave step <= w
+        step = math.gcd(c, xs)
+        q = xs // step
+        i = pow(c // step, -1, q)
+        k, f = _farey_predecessor(i, q, w // step)
+        j = f * i - k * q
+        x0, y0 = step * f, g * j
+        r = (x0 - j * c) // xs
+        # (x0, y0) = j (c, g) + r (xs, 0); s (c, g) + t (xs, 0) completes it
+        # with positive orientation when r s - j t = 1
+        s = pow(r, -1, j)
+        cx = s * c + (r * s - 1) // j * xs
+    # after flowing by the hit time only the completion's x matters,
+    # reduced into (w - x0, w]
+    b = cx + (w - cx) // x0 * x0
+    # certificate: the previous hit T^-1(x0, b) = (p, x0) has slope
+    # y0/x0 - D^2/(p x0), which is negative iff y0 p < D^2
+    if not 0 <= y0 * ((w + b) // x0 * x0 - b) < det:
+        raise RuntimeError(f"({x0}, {y0}) is not the first hit at slope >= 0")
+    return x0, y0, b
+
+
+def _farey_predecessor(i: int, q: int, n: int):
+    """(k, f): the predecessor k/f of i/q in F(n), for q > n >= 1."""
+    near = Fraction(i, q).limit_denominator(n)  # one of the two F(n) neighbours
+    u, v = near.numerator, near.denominator
+    if u * q < i * v:
+        return u, v
+    # from the successor u/v: the predecessor k/f has u f - k v = 1, f <= n maximal
+    f = n - (n - pow(u, -1, v)) % v
+    return (u * f - 1) // v, f
 
 
 def _ext_gcd(a: int, b: int):
-    """(g, u, v) with u*a + v*b = g."""
-    if b == 0:
-        return (abs(a), 1 if a >= 0 else -1, 0)
-    g, u, v = _ext_gcd(b, a % b)
-    return (g, v, u - (a // b) * v)
+    """(g, u, v) with u*a + v*b = g = gcd(a, b)."""
+    u, v, u1, v1 = 1, 0, 0, 1
+    while b:
+        k, r = divmod(a, b)
+        a, b, u, v, u1, v1 = b, r, u1, v1, u - k * u1, v - k * v1
+    return (a, u, v) if a >= 0 else (-a, -u, -v)
 
 
 def slope_gaps_via_bcz(basis: UnimodularBasis, t, n: int) -> SlopeGapSeries:
@@ -314,11 +348,14 @@ def slope_gaps_via_bcz(basis: UnimodularBasis, t, n: int) -> SlopeGapSeries:
     (dn, dd), ratio = lat.delta, lat.ratio
     d2, f = dn * lat.d * lat.d, dd * x0
     z0, z1 = dn * y0 * x0, dn * y0 * b + d2
-    slopes, gaps = [ratio(dn * y0, f)], []
-    for x, y, k in islice(_int_orbit(x0, b, lat.w), n):
-        gaps.append(ratio(d2, dd * x * y))
-        slopes.append(ratio(z1, f * y))
-        z0, z1 = z1, k * z1 - z0
+    try:
+        slopes, gaps = [ratio(dn * y0, f)], []
+        for x, y, k in islice(_int_orbit(x0, b, lat.w), n):
+            gaps.append(ratio(d2, dd * x * y))
+            slopes.append(ratio(z1, f * y))
+            z0, z1 = z1, k * z1 - z0
+    except OverflowError:
+        raise DomainError(_BEYOND_FLOATS) from None
     return SlopeGapSeries(t, slopes, gaps)
 
 

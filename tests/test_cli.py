@@ -140,7 +140,8 @@ def test_bad_input_exit_2(capsys, argv):
     f"farey {2**70}",  # requests too large to hold, refused before allocating
     f"periodic 1 {2**70}",
     f"orbit 1/{2**70} 1 --periodic",
-    "slopes --basis 2 1 1 1 -t 100000000 -n 3",  # more strip points than the cap
+    "slopes --basis 2 1 1 1 -t 100000000 --bruteforce --slope-max 1",  # more strip points than the cap
+    "slopes --basis 1 5e-324 0 1 -t 1e-300 -n 3",  # the hit time 2^1074 is no float
     "excursions --start 1 1e-320 -n 5",  # the float index (1 + a)/b overflows
     "slopes --basis 1.0 9.0 0.5 5.5 -t 0.5 -n 3",  # vertically short, in floats
     "slopes --basis 1/3 0 0 3 -t 0.3333333333333333 -n 3",  # ... below the decimal's 1/t
@@ -220,7 +221,7 @@ FUZZ_BASES = [
     "slopes --basis 1 5/3 2 13/3 -t 1.0 --bruteforce --slope-max 3",
     "slopes --basis 1.0 -0.6666666666666666 0.0 1.0 -t 1.6666666666666667 -n 3",  # x rounds to 0.0
     "slopes --basis 16/5 11/4 4/5 1 -t 0.25 -n 3",  # hit point on a tile edge
-    "slopes --basis 1.0 0.3 0.5 1.15 -t 1e-9 -n 3",  # refused by the strip budget
+    "slopes --basis 1.0 0.3 0.5 1.15 -t 1e-9 -n 3",  # hit at slope 9e24, far above any sweep
     "slopes --basis 1.0 1.6666666666666667 2.0 4.333333333333333 -t 1.0 -n 4",  # tile branch
     "periodic 2 3",
     "periodic --hierarchy 4",

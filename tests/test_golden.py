@@ -49,7 +49,11 @@ PERIODS = [
     "periodic 1 1000000",
     "periodic 3 1000",
 ]
-COMMANDS = list(dict.fromkeys(README + SCIPY_FREE + WINDOWED + PERIODS))
+#: a first hit at slope 9e24, far above any strip the enumerator could sweep
+DEEP_HITS = [
+    "slopes --basis 1.0 0.3 0.5 1.15 -t 1e-9 -n 3",
+]
+COMMANDS = list(dict.fromkeys(README + SCIPY_FREE + WINDOWED + PERIODS + DEEP_HITS))
 
 
 def golden_path(command: str) -> Path:

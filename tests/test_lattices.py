@@ -3,7 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bczmap import lattices
@@ -62,8 +62,11 @@ Z2 = UnimodularBasis.identity()
     lambda: strip_slopes_bruteforce(Z2, 0, 6),
     lambda: strip_slopes_bruteforce(Z2, 1, math.inf),
     lambda: UnimodularBasis(1.0, math.inf, 0.0, 1.0),  # determinant nan
+    lambda: first_section_hit(UnimodularBasis(1.0, 0.0, 5e-324, 1.0), 1e-300),  # slope 2^1074
+    lambda: slope_gaps_via_bcz(UnimodularBasis(1.0, 0.0, 5e-324, 1.0), 1e-300, 2),
 ], ids=["gaps n<0", "distribution n=0", "distribution c>d", "hit t=0", "hit t<0",
-        "hit t=inf", "hit short", "bruteforce t=0", "bruteforce slope_max=inf", "nan det"])
+        "hit t=inf", "hit short", "bruteforce t=0", "bruteforce slope_max=inf", "nan det",
+        "hit beyond floats", "gaps beyond floats"])
 def test_bad_arguments_raise_domain_error(call):
     with pytest.raises(DomainError):
         call()
@@ -86,10 +89,11 @@ def test_gauss_reduction_cap_raises(monkeypatch):
 
 
 def test_strip_too_large_to_enumerate_is_bad_input(monkeypatch):
-    # a width-10^8 strip holds about 10^8 points below the first hit
+    # a width-10^8 strip holds about 10^8 points below the first hit, which
+    # the BCZ route reads off without sweeping: the start of F(10^8)
     basis = UnimodularBasis(2, 1, 1, 1)
-    with pytest.raises(DomainError, match="lattice points"):
-        slope_gaps_via_bcz(basis, 10**8, 3)
+    assert slope_gaps_via_bcz(basis, 10**8, 3).slopes == [
+        0, F(1, 10**8), F(1, 10**8 - 1), F(1, 10**8 - 2)]
     monkeypatch.setattr(lattices, "_STRIP_MAX_POINTS", 10)
     with pytest.raises(DomainError, match="more than 10 lattice points"):
         strip_slopes_bruteforce(basis, 1, 20)
@@ -106,23 +110,6 @@ def test_empty_sweep_lines_count_towards_the_cap(monkeypatch, basis):
         _strip(basis, 1e-9, 4**10)
 
 
-def test_strip_budget_covers_the_whole_doubling_search(monkeypatch):
-    # the first hit of this lattice at width 1e-9 lies far above height 4^7,
-    # so the search sweeps the strips of heights 4, 16, ..., 4^7 (in units of
-    # the unimodular lattice), each within a cap that all of them overrun
-    basis = UnimodularBasis(1.0, 0.5, 0.3, 1.15)
-    costs = []
-    for k in range(1, 8):
-        lat = lattices._Lattice(basis, 1e-9)
-        assert list(lattices._strip_vectors(lat, lat.d * 4**k)) == []
-        costs.append(lattices._STRIP_MAX_POINTS - lat.budget)
-    cap = max(costs) + 1
-    assert sum(costs) > cap
-    monkeypatch.setattr(lattices, "_STRIP_MAX_POINTS", cap)
-    with pytest.raises(DomainError, match=f"more than {cap} lattice points and sweep lines"):
-        first_section_hit(basis, 1e-9)
-
-
 def test_vertically_short_float_lattice_is_refused():
     # the float spelling of columns (1, 1/2), (9, 11/2), whose vertical
     # vector (0, 1) is shorter than 1/t = 2; only exact bases detect it
@@ -130,14 +117,42 @@ def test_vertically_short_float_lattice_is_refused():
         first_section_hit(UnimodularBasis(1.0, 0.5, 9.0, 5.5), 0.5)
 
 
-@pytest.mark.parametrize("hit", [(1, 0), (4, 0)])  # off the lattice; not primitive
-def test_hit_coefficients_that_do_not_rebuild_a_primitive_vector_are_refused(monkeypatch, hit):
-    # the float columns (1, 0), (1/2, 1) are the integer columns (2, 0), (1, 2)
-    # over D = 2; a sweep yielding a vector outside them, or a multiple of
-    # one, is an internal fault that Cramer's rule must catch
-    monkeypatch.setattr(lattices, "_strip_vectors", lambda lat, h: iter([hit]))
-    with pytest.raises(RuntimeError, match="not a primitive lattice vector"):
-        first_section_hit(UnimodularBasis(1.0, 0.0, 0.5, 1.0), 1.0)
+def test_a_later_hit_fails_the_certificate(monkeypatch):
+    # 0/1 in place of the true Farey predecessor picks a strip vector of
+    # larger slope, whose previous hit then lies at a slope >= 0 too
+    true_predecessor = lattices._farey_predecessor
+
+    def later(i, q, n):
+        assert true_predecessor(i, q, n) != (0, 1)
+        return 0, 1
+
+    monkeypatch.setattr(lattices, "_farey_predecessor", later)
+    with pytest.raises(RuntimeError, match="not the first hit"):
+        first_section_hit(UnimodularBasis(1.0, 0.5, 0.3, 1.15), 1e-9)
+
+
+def test_the_first_hit_sweeps_no_strip(monkeypatch):
+    def no_sweep(lat, h):
+        raise AssertionError("strip swept")
+
+    monkeypatch.setattr(lattices, "_strip_vectors", no_sweep)
+    for basis, t in [(Z2, 1), (Z2, F(5, 2)), (UnimodularBasis(1, F(1, 2), 0, 1), 1),
+                     (UnimodularBasis(1.0, 0.5, 0.3, 1.15), 1e-9),
+                     (UnimodularBasis(F(16, 5), F(4, 5), F(11, 4), 1), 0.25),
+                     (UnimodularBasis(1.0, 0.0, PHI, 1.0), 1.0)]:
+        hit, _ = first_section_hit(basis, t)
+        assert slope_gaps_via_bcz(basis, t, 5).slopes[0] == hit
+        assert 0 <= gap_distribution(basis, t, 5, 0, 2) <= 1
+
+
+@settings(max_examples=200)
+@given(st.integers(2, 40).flatmap(lambda q: st.tuples(
+    st.integers(1, q - 1).filter(lambda i: math.gcd(i, q) == 1), st.just(q), st.integers(1, q - 1))))
+def test_farey_predecessor_against_the_sequence(iqn):
+    i, q, n = iqn
+    below = [f for f in farey_bruteforce(n).fractions() if f < F(i, q)]
+    k, f = lattices._farey_predecessor(i, q, n)
+    assert F(k, f) == max(below) and math.gcd(k, f) == 1
 
 
 def test_float_strip_vector_on_the_vertical_line_is_skipped():
@@ -320,6 +335,45 @@ def _spelled_exact_bases(rng, t):
 
 def _irrational_shear(m, r):
     return shear_basis((m * r) % 1.0)
+
+
+#: exact and decimal widths from 1/60 to 12
+WIDTHS = st.one_of(st.fractions(F(1, 60), 12, max_denominator=60),
+                   st.fractions(F(1, 60), 12, max_denominator=60).map(float))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.builds(random_exact_basis, st.randoms(use_true_random=False),
+                           st.integers(1, 10)),
+                 st.builds(_irrational_shear, st.integers(1, 60), st.just(PHI))),
+       WIDTHS, st.integers(1, 12), st.booleans(), st.just(True))
+@example(Z2, F(5, 2), 3, False, True)  # slope-0 hit: the horizontal (1, 0) fits the strip
+@example(Z2, 1, 3, False, True)  # the vertical (0, 1) is 1/t long: the boundary case
+@example(UnimodularBasis(1, F(1, 2), 0, 1), 1, 3, False, True)  # ... with a hit at slope 1/2
+@example(UnimodularBasis(1.0, 0.5, 0.3, 1.15), 1e-9, 3, False, False)  # too tall to enumerate
+def test_first_hit_is_the_least_enumerated_slope(basis, t, n, spell, oracle):
+    # the Farey predecessor against the strip enumerator; without the
+    # oracle only the hit's certificate, which runs on every call, checks it
+    if spell:
+        # a spelled vertical shorter than 1/t turns into a strip vector of
+        # slope about 1e16, too tall to enumerate
+        assume(isinstance(basis.x1, F) and shortest_vertical_length(basis) * F(t) > 1)
+        basis = _float_spelling(basis)
+        assume(basis is not None)
+    if F(shortest_vertical_length(basis)) * F(t) < 1:
+        with pytest.raises(DomainError, match="vertically short"):
+            first_section_hit(basis, t)
+        return
+    hit, _ = first_section_hit(basis, t)
+    via = slope_gaps_via_bcz(basis, t, n)
+    assert via.slopes[0] == hit
+    if not oracle:
+        return
+    brute = strip_slopes_bruteforce(basis, t, via.slopes[-1]).slopes
+    assert brute[0] == hit
+    # a rounded last slope may lie below the exact one
+    assert len(brute) >= len(via.slopes) - (type(hit) is float)
+    assert via.slopes[:len(brute)] == brute
 
 
 @settings(max_examples=100)
