@@ -57,6 +57,7 @@ from .lattices import (
     gap_distribution,
     has_short_vertical,
     shortest_vector_length,
+    shortest_vertical_length,
     slope_gaps_via_bcz,
     strip_slopes_bruteforce,
 )

@@ -36,6 +36,9 @@ from .periodic import (hierarchy_report, orbit_report, period_on_segment,
 #: bytes a row of `orbit`, `slopes` or `excursions` holds until printed (157-319 measured)
 ROW_BYTES = 320
 
+#: largest integer width t whose Farey period N(t), O(t^{3/4}) steps, `slopes --gaps` prints
+FAREY_PERIOD_WIDTH_MAX = 10**6
+
 
 def _fmt(x) -> str:
     if isinstance(x, Fraction):
@@ -263,9 +266,8 @@ def cmd_slopes(args) -> None:
         _check_rows(args.n)
         series = slope_gaps_via_bcz(basis, t, args.n)
     if args.gaps:
-        n0 = farey_cardinality(int(t)) if t == int(t) else None
-        if n0 is not None:
-            params["farey_period_of_integer_width"] = n0
+        if t == int(t) <= FAREY_PERIOD_WIDTH_MAX:
+            params["farey_period_of_integer_width"] = farey_cardinality(int(t))
         rows = [(i, g) for i, g in enumerate(series.gaps)]
         if args.c is not None and args.d is not None:
             inside = sum(1 for g in series.gaps if args.c < g < args.d)

@@ -15,11 +15,11 @@ flavors: exact (int/Fraction, used wherever correctness is at stake) and
 float (long ergodic runs, drift-monitored), decided once per input by one
 rule: a point or basis is exact only when every entry (and the width) is
 int/Fraction, and then every result is a Fraction; one decimal entry makes
-the results floats.  A Fraction next to a float inside one point is
-refused.  After `check_section` and `reduce_to_section` one expression runs
-both flavors, since Fraction and float share /, floor, ceil and round;
-`lattices` instead runs a decimal basis or width as the exact lattice its
-doubles spell, on integers, and only its returned numbers are floats.
+the results floats.  After `check_section` one expression runs both
+flavors, since Fraction and float share /, floor, ceil and round.
+`reduce_to_section` takes its one floor on the exact values its inputs
+spell, and `lattices` runs a decimal basis or width as the exact lattice
+its doubles spell, on integers; only their returned numbers are floats.
 
 Orbits run on one kernel, `_orbit`.  By the scaling conjugacy
 T_t o M_t = M_t o T an exact orbit is an integer orbit: with the common
@@ -39,15 +39,14 @@ from operator import truediv
 from typing import Union
 
 Scalar = Union[int, Fraction, float]
-Point = tuple  # (a, b) pair of uniform scalar flavor
+Point = tuple  # an (a, b) pair
 
 #: absolute tolerance for float membership / drift detection
 DRIFT_TOL = 1e-9
 
 
 class DomainError(ValueError):
-    """Bad input: an argument outside the domain of the function it was
-    passed to, such as a point outside the section or a mixed-flavor point."""
+    """Bad input: an argument outside its function's domain, such as a point off the section."""
 
 
 class DriftError(ArithmeticError):
@@ -75,16 +74,12 @@ def in_section(p: Point, width: Scalar = 1) -> bool:
 def check_section(p: Point, width: Scalar = 1):
     """Validate p against the width-`width` section and fix its flavor.
 
-    Returns (a, b, width, exact): all Fractions with exact = True when a, b
-    and the width are all int/Fraction, all floats otherwise (an int next to
-    a float is ordinary promotion).  A Fraction next to a float inside p is
-    silent precision loss and is refused.  Float points are accepted within
+    Returns (a, b, width, exact) in the flavor `_uniform` gives a, b and the
+    width, as for a basis.  Float points are accepted within
     DRIFT_TOL * max(1, width) of the section, unless their index
     (width + a)/b overflows.
     """
     a, b = p
-    if (isinstance(a, Fraction) or isinstance(b, Fraction)) and not (is_exact(a) and is_exact(b)):
-        raise DomainError(f"mixed exact/float point ({a!r}, {b!r})")
     (a, b, width), exact = _uniform(a, b, width)
     if exact:
         inside = in_section((a, b), width)
@@ -257,24 +252,19 @@ def orbit_trace(p: Point, n: int) -> OrbitTrace:
 def reduce_to_section(a: Scalar, b_raw: Scalar, width: Scalar = 1):
     """Normalize a horizontally-short basis into the section.
 
-    Returns ((a, b), shift) where b = shift*a + b_raw is the unique
-    representative with width - a < b <= width; shift = floor((width - b_raw)/a).
-    a, b_raw and the width follow the flavor rule of `check_section`.  The
-    post-condition is verified explicitly (and repaired for float rounding
-    at the interval edges).
+    Returns ((a, b), shift) with shift = floor((width - b_raw)/a) and
+    b = shift*a + b_raw, the unique representative with width - a < b <= width,
+    in the flavor of `check_section`.  The floor is taken once, on the exact
+    values the inputs spell, and the post-condition holds on those; a decimal
+    input gets b correctly rounded, possibly onto an edge of the section.
     """
-    (a, b_raw, width), _ = _uniform(a, b_raw, width)
-    if not 0 < a <= width:
-        raise DomainError(f"horizontal length {a} outside (0, {width}]")
-    shift = math.floor((width - b_raw) / a)
-    # float rounding can land one step off either way; re-center, but never
-    # loop on inputs whose magnitude ratio makes the division meaningless
-    for _ in range(64):
-        b = shift * a + b_raw
-        if width - a < b <= width:
-            return (a, b), shift
-        shift += 1 if b <= width - a else -1
-    raise DomainError(f"cannot reduce b_raw={b_raw!r} at a={a!r}: magnitudes too disparate")
+    (a, b_raw, width), exact = _uniform(a, b_raw, width)
+    if not (0 < a <= width < math.inf and -math.inf < b_raw < math.inf):
+        raise DomainError(f"need finite a, b_raw and width with 0 < a <= width: {a}, {b_raw}, {width}")
+    (an, ad), (bn, bd), (wn, wd) = (v.as_integer_ratio() for v in (a, b_raw, width))
+    shift = (wn * bd - bn * wd) * ad // (wd * bd * an)
+    b = (Fraction if exact else truediv)(shift * an * bd + bn * ad, ad * bd)
+    return (a, b), shift
 
 
 def verify_return_identity(p: Point) -> bool:

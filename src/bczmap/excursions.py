@@ -17,7 +17,7 @@ import warnings
 from dataclasses import dataclass, field
 from itertools import chain
 
-from .core import DomainError, DriftError, _orbit, _reproject, check_section
+from .core import DomainError, _orbit, _reproject, check_section
 
 
 def vector_length_profile(v, s):
@@ -136,14 +136,13 @@ def named_start(name: str):
         raise DomainError(f"unknown start {name!r}; choose from {sorted(NAMED_STARTS)}") from None
 
 
-def excursion_averages(start, n: int, record_every: int = 0,
-                       max_repairs: int | None = None) -> ExcursionAverages:
+def excursion_averages(start, n: int, record_every: int = 0) -> ExcursionAverages:
     """Running averages a_N, l_N, A_N, L_N over n BCZ steps.
 
     Exact-rational starts have rational slope, hence periodic orbits; they
     are accepted with a warning and demoted to floats.  Float starts are
     assumed irrational.  Each step is re-projected into the section when
-    within the drift tolerance; exceeding `max_repairs` (when set) or the
+    within the drift tolerance, and counted in `repairs`; exceeding the
     tolerance aborts with DriftError.
     """
     if n < 1 or record_every < 0:
@@ -179,8 +178,6 @@ def excursion_averages(start, n: int, record_every: int = 0,
             if not 1.0 - a < b <= 1.0:
                 b = _reproject(a, b)
                 repairs += 1
-                if max_repairs is not None and repairs > max_repairs:
-                    raise DriftError(f"repair budget {max_repairs} exhausted at step {i}")
         if record_every:
             history.append((i, sum_alpha / i, sum_len / i, sum_rpeak / i, sum_peak / i))
     return ExcursionAverages(

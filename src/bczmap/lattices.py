@@ -21,13 +21,9 @@ from fractions import Fraction
 from itertools import islice
 from operator import truediv
 
-from .core import DomainError, _int_orbit, _uniform, check_section, is_exact
+from .core import DomainError, _int_orbit, _uniform, check_section, is_exact, reduce_to_section
 
 _FLOAT_DET_TOL = 1e-12
-
-#: iterations `_gauss_reduce` may take; the Fibonacci basis
-#: [[F(m + 1), F(m)], [F(m), F(m - 1)]] needs about m/2
-_GAUSS_MAX_ITER = 10_000
 
 #: lattice points and sweep lines the one strip of a brute-force call may
 #: visit; a call needing more is a request too large to serve, like a d-grid
@@ -112,10 +108,19 @@ class _Lattice:
         return self.ratio(self.delta[0] * num, self.delta[1] * den)
 
 
+def _gauss_bound(u, v) -> int:
+    """Iterations within which `_gauss_reduce` ends on m-bit entries: past
+    the first step, |mu| = 1 leaves |v - mu u| >= |u| and the next returns,
+    and |mu| >= 2 gives |v|^2 >= |v - mu u|^2 + |mu| (|mu| - 1) |u|^2 >= 2 |u|^2,
+    so the shorter squared norm, an integer below 2^(2m + 1), halves."""
+    return 2 * max(map(abs, (*u, *v))).bit_length() + 4
+
+
 def _gauss_reduce(u, v):
     """Lagrange-Gauss reduction of integer columns; returns the reduced pair
     (u, v), which spans the same lattice with the same orientation."""
-    for _ in range(_GAUSS_MAX_ITER):
+    bound = _gauss_bound(u, v)
+    for _ in range(bound):
         nu, nv = u[0] * u[0] + u[1] * u[1], v[0] * v[0] + v[1] * v[1]
         if nv < nu:
             u, v, nu = v, (-u[0], -u[1]), nv
@@ -123,7 +128,7 @@ def _gauss_reduce(u, v):
         if mu == 0:
             return u, v
         v = (v[0] - mu * u[0], v[1] - mu * u[1])
-    raise RuntimeError(f"Gauss reduction did not finish in {_GAUSS_MAX_ITER} iterations")
+    raise RuntimeError(f"Gauss reduction did not finish in {bound} iterations")
 
 
 def shortest_vector_length(basis: UnimodularBasis):
@@ -135,7 +140,7 @@ def shortest_vector_length(basis: UnimodularBasis):
     # the sup norm of (x, delta y) over the denominator dd D
     norm = min(max(dd * abs(m * x1 + n * x2), dn * abs(m * y1 + n * y2))
                for m in range(-2, 3) for n in range(-2, 3) if m or n)
-    return lat.ratio(norm, dd * lat.d)
+    return lat.ratio(norm, dd * lat.d)  # at most 1, by Minkowski's theorem
 
 
 def _vertical(lat: _Lattice) -> int:
@@ -149,14 +154,19 @@ def shortest_vertical_length(basis: UnimodularBasis):
     """Length of the shortest nonzero vertical vector.  Rational x-components
     always have one: the doubles (1.0, 0.0), (sqrt(2), 1.0) spell (0, 2^52)."""
     lat = _Lattice(basis)
-    return lat.scaled(_vertical(lat), lat.d)
+    try:
+        return lat.scaled(_vertical(lat), lat.d)
+    except OverflowError:
+        raise DomainError("a vertical vector of this lattice is longer than any float") from None
 
 
 def has_short_vertical(basis: UnimodularBasis, t=1) -> bool:
-    """True iff the lattice has a nonzero vertical vector of length <= 1/t:
-    it is then horocycle-periodic with period <= 1/t^2 and never (or only
-    degenerately) meets the width-t section."""
-    return shortest_vertical_length(basis) * t <= 1
+    """True iff the lattice has a nonzero vertical vector of length <= 1/t,
+    decided on integers (the length is delta y/D, and t = w/D): it is then
+    horocycle-periodic with period <= 1/t^2 and never (or only degenerately)
+    meets the width-t section."""
+    lat = _Lattice(basis, t)
+    return lat.delta[0] * _vertical(lat) * lat.w <= lat.delta[1] * lat.d**2
 
 
 # -- strip enumeration --------------------------------------------------------
@@ -301,9 +311,8 @@ def _first_hit(lat: _Lattice):
         # with positive orientation when r s - j t = 1
         s = pow(r, -1, j)
         cx = s * c + (r * s - 1) // j * xs
-    # after flowing by the hit time only the completion's x matters,
-    # reduced into (w - x0, w]
-    b = cx + (w - cx) // x0 * x0
+    # after flowing by the hit time only the completion's x matters
+    b = int(reduce_to_section(x0, cx, w)[0][1])
     # certificate: the previous hit T^-1(x0, b) = (p, x0) has slope
     # y0/x0 - D^2/(p x0), which is negative iff y0 p < D^2
     if not 0 <= y0 * ((w + b) // x0 * x0 - b) < det:

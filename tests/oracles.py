@@ -13,7 +13,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import zeta
 
-from bczmap.core import (DomainError, DriftError, _orbit, _reproject, check_section,
+from bczmap.core import (DomainError, _orbit, _reproject, check_section,
                          reduce_to_section)
 from bczmap.excursions import ExcursionAverages
 from bczmap.farey import farey_orbit
@@ -185,8 +185,7 @@ def kappa_moment_tail_bound(alpha: float) -> float:
     return 1.0 / 3.0 + 8.0 * float(zeta(3.0 - alpha, 1))
 
 
-def excursion_averages_loop(start, n: int, record_every: int = 0,
-                            max_repairs: int | None = None) -> ExcursionAverages:
+def excursion_averages_loop(start, n: int, record_every: int = 0) -> ExcursionAverages:
     """excursion_averages as one plain loop over the steps: the reference the
     chunked loop must match bit for bit."""
     a, b, _, _ = check_section(start)
@@ -207,8 +206,6 @@ def excursion_averages_loop(start, n: int, record_every: int = 0,
         if not 1.0 - a < b <= 1.0:
             b = _reproject(a, b)
             repairs += 1
-            if max_repairs is not None and repairs > max_repairs:
-                raise DriftError(f"repair budget {max_repairs} exhausted at step {i}")
     return ExcursionAverages(
         sum_alpha / n, sum_len / n, sum_rpeak / n, sum_peak / n, n, repairs, history
     )

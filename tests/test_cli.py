@@ -260,6 +260,14 @@ def test_hostile_argument_never_exits_1(argv):
     assert "internal error" not in err.getvalue()
 
 
+def test_point_with_an_int_beside_a_decimal_runs_in_floats(capsys):
+    # a point follows the flavor rule of a basis: `1 0.6` is `1.0 0.6`
+    code, mixed, _ = run_cli(capsys, ["orbit", "1", "0.6", "-n", "3"])
+    _, decimal, _ = run_cli(capsys, ["orbit", "1.0", "0.6", "-n", "3"])
+    assert code == 0 and mixed == decimal
+    assert [r[2] for r in parse_csv(mixed)[2]] == ["0.6", "0.8", "1"]
+
+
 def test_slopes_mixed_exact_and_float_basis(capsys):
     # exact 1 and 0 beside a float entry: Gauss reduction runs in floats
     code, out, _ = run_cli(capsys, ["slopes", "--basis", "1", "0", "0.6180339887", "1",
@@ -493,6 +501,17 @@ def test_slopes_gaps_z2(capsys):
     meta, _, rows = parse_csv(out)
     assert meta["params"].count("farey_period_of_integer_width=200")
     assert rows[0][1] == "1/25"
+
+
+def test_farey_period_is_printed_up_to_its_width_cap(capsys, monkeypatch):
+    tail = ["--basis", "1", "0", "0", "1", "--gaps", "-n", "3"]
+    _, out, _ = run_cli(capsys, ["slopes", "-t", str(cli.FAREY_PERIOD_WIDTH_MAX), *tail])
+    assert f"farey_period_of_integer_width={farey_cardinality(10**6)}" in out
+    # past the cap N(t) is not counted at all: at t = 10^10 that took 48 s
+    monkeypatch.setattr(cli, "farey_cardinality", None)
+    code, out, _ = run_cli(capsys, ["slopes", "-t", "10000000000", *tail])
+    assert code == 0 and "farey_period" not in out
+    assert parse_csv(out)[2][0] == ["0", "1/10000000000"]
 
 
 def test_slopes_bruteforce_mode(capsys):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 from numbers import Number
@@ -56,8 +57,6 @@ def test_domain_errors():
             kappa(p)
     with pytest.raises(DomainError):
         roof((0.2, 0.3))
-    with pytest.raises(DomainError):
-        bcz_step((F(1, 2), 0.9))  # mixed flavors
 
 
 @pytest.mark.parametrize("call", [
@@ -141,6 +140,26 @@ def test_reduce_to_section():
     # b_raw = 0 is allowed
     (a, b), shift = reduce_to_section(F(2, 5), 0)
     assert b == shift * a and 1 - a < b <= 1
+
+
+@given(st.floats(min_value=5e-324, max_value=1e300), st.floats(5e-324, 1.0),
+       st.floats(allow_nan=False, allow_infinity=False))
+@example(width=0.25, share=0.2, b_raw=-0.45)  # a = 0.05: b lies on a tile edge
+@example(width=1.0, share=1e-300, b_raw=0.5)
+@example(width=1.0, share=0.3, b_raw=1e17)
+def test_float_reduction_is_the_rounded_exact_reduction(width, share, b_raw):
+    a = max(width * share, 5e-324)
+    (a2, b), shift = reduce_to_section(a, b_raw, width)
+    (_, exact_b), exact_shift = reduce_to_section(F(a), F(b_raw), F(width))
+    assert shift == exact_shift and type(b) is float and b == float(exact_b)
+    assert a2 == a and exact_b == shift * F(a) + F(b_raw)
+    assert F(width) - F(a) < exact_b <= F(width)
+
+
+def test_reduce_to_section_refuses_non_finite_input():
+    for args in [(0.5, math.inf), (0.5, math.nan), (0.5, 0.5, math.inf), (0, 1), (2, 1)]:
+        with pytest.raises(DomainError):
+            reduce_to_section(*args)
 
 
 def test_reduce_to_section_postcondition_random():
@@ -446,9 +465,11 @@ def test_exact_inputs_give_fractions_and_float_images_agree(p, t, b_raw):
     (lambda: handoff((1, 0.6)), (0.0, 1.0)),
     (lambda: reduce_to_section(1, 1, 1.0)[0], (1.0, 1.0)),
     (lambda: orbit_trace((1, 0.6), 1).points[0], (1.0, 0.6)),
+    (lambda: bcz_step((F(1, 2), 0.9)), (0.9, 0.4)),
     (lambda: slope_gaps_via_bcz(UnimodularBasis(1, 0.5, 0, 1), 1, 2).slopes, (0.5, 1.5, 2.5)),
 ], ids=["roof", "t_roof float width", "to_upper_half_plane",
-        "handoff", "reduce_to_section float width", "orbit_trace", "mixed basis"])
+        "handoff", "reduce_to_section float width", "orbit_trace", "fraction beside a float",
+        "mixed basis"])
 def test_int_float_mix_runs_in_floats(call, value):
     # one decimal entry makes the whole computation float
     out = _leaves(call())

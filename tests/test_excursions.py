@@ -189,11 +189,11 @@ REPAIR_START = (0.8305930343327381, 0.6101976781109127)
 
 @given(st.one_of(st.just(REPAIR_START), st.sampled_from(sorted(NAMED_STARTS.values())),
                  float_section_points()),
-       st.integers(1, 300), st.integers(0, 40), st.one_of(st.none(), st.integers(0, 2)))
-def test_averages_bit_identical_to_plain_loop(start, n, record_every, max_repairs):
+       st.integers(1, 300), st.integers(0, 40))
+def test_averages_bit_identical_to_plain_loop(start, n, record_every):
     def run(f):
         try:
-            return repr(f(start, n, record_every=record_every, max_repairs=max_repairs))
+            return repr(f(start, n, record_every=record_every))
         except DriftError as exc:
             return f"DriftError: {exc}"
     assert run(excursion_averages) == run(excursion_averages_loop)
@@ -226,8 +226,6 @@ def test_excursion_averages_drift_repairs():
     start = REPAIR_START
     for n in (1, 2, 3):
         assert excursion_averages(start, n).repairs == 1
-    with pytest.raises(DriftError, match="at step 1"):
-        excursion_averages(start, 1, max_repairs=0)
 
 
 @pytest.mark.parametrize("call", [

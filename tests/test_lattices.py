@@ -22,7 +22,7 @@ from bczmap.lattices import (
 )
 from bczmap.measure import roof_region_measure
 
-from conftest import random_section_point
+from conftest import random_rational, random_section_point
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -83,9 +83,18 @@ def _fibonacci_basis(m: int) -> UnimodularBasis:
 def test_gauss_reduction_cap_raises(monkeypatch):
     basis = _fibonacci_basis(20)
     assert shortest_vector_length(basis) == 1  # the lattice is Z^2
-    monkeypatch.setattr(lattices, "_GAUSS_MAX_ITER", 5)
+    # the reduction takes about m/2 = 10 steps, within the derived bound
+    assert lattices._gauss_bound(*lattices._Lattice(basis).cols) == 2 * 14 + 4
+    monkeypatch.setattr(lattices, "_gauss_bound", lambda u, v: 5)
     with pytest.raises(RuntimeError, match="5 iterations"):
         shortest_vector_length(basis)
+
+
+def test_gauss_reduction_of_long_columns_finishes():
+    # 10^4 + 1 steps on 13886-bit entries, past any fixed cap of 10^4
+    (x1, y1), (x2, y2) = _fibonacci_basis(20_002).columns()
+    cols = (int(x1), int(y1)), (int(x2), int(y2))
+    assert lattices._gauss_reduce(*cols) == ((-1, 0), (0, -1))
 
 
 def test_strip_too_large_to_enumerate_is_bad_input(monkeypatch):
@@ -192,6 +201,34 @@ def test_vertical_detection():
     assert type(shortest_vertical_length(rot)) is float
     assert not has_short_vertical(rot, 1)
     assert has_short_vertical(rot, 2.0**-52)
+
+
+def test_vertical_beyond_the_float_range():
+    # the doubles spell the vertical vector (0, 2^1074)
+    basis = UnimodularBasis(1.0, 0.0, 5e-324, 1.0)
+    assert not has_short_vertical(basis, 1)
+    assert has_short_vertical(basis, 2.0**-1074)
+    with pytest.raises(DomainError, match="longer than any float"):
+        shortest_vertical_length(basis)
+    assert shortest_vector_length(basis) == 1.0
+
+
+def test_short_vertical_decided_on_integers_agrees_with_lengths():
+    rng = random.Random(15)
+    for _ in range(1000):
+        exact = random_exact_basis(rng, words=4)
+        edge = 1 / shortest_vertical_length(exact)  # where the length is 1/t
+        for t in (edge, random_rational(rng, F(0), 2 * edge)):
+            for width in (t, float(t)):
+                assert has_short_vertical(exact, width) == (F(width) <= edge)
+
+
+def test_short_vertical_of_a_decimal_basis_is_decided_exactly():
+    # the doubles spell a vertical of length 16 (1 + 3/2^57), which rounds to 16.0
+    basis = UnimodularBasis(1.875, -0.7678571428571429, -4.5625, 2.4017857142857144)
+    assert shortest_vertical_length(basis) == 16.0
+    assert not has_short_vertical(basis, F(1, 16))
+    assert has_short_vertical(basis, F(1, 17))
 
 
 def test_vertical_detection_hidden_combination():
