@@ -125,8 +125,6 @@ def cmd_farey(args) -> None:
         emit(args, "farey", params, ["bin_lo", "bin_hi", "count", "proportion"], rows)
     elif args.stat == "index":
         nu = index_values(args.Q, interval)
-        if not len(nu):
-            raise DomainError(f"no Farey fraction of level {args.Q} in {params['interval']}")
         alpha = args.alpha
         if not math.isfinite(alpha):
             raise DomainError(f"--alpha must be finite, not {alpha}")

@@ -12,8 +12,11 @@ which is the BCZ step with denominators cleared.  Numerators obey the same
 three-term recurrence with the same multiplier k_i = floor((Q + q_{i-1})/q_i),
 p_{i+1} = k_i p_i - p_{i-1}, and are carried along with the denominators.
 The orbit is cut into K = min(Q, isqrt(N)) lanes, one starting at each
-reduced j/K, whose first step comes from a modular inverse; the lanes step
+reduced j/K, whose first step is its successor in F(Q); the lanes step
 together as numpy arrays and each writes its stretch of F(Q) in place.
+Neighbours in F(n) come from one step, `_predecessor`, whose reflection is
+the successor; `lattices` reads a first section hit and its section point
+off two consecutive predecessors.
 
 F(Q) is sorted, so the fractions in an interval I form one contiguous index
 range, found by bisection with exact integer comparisons.  All empirical
@@ -120,19 +123,31 @@ _CACHE_BYTES = 100 * 2**20
 _orbit_cache: dict[int, FareySequence] = {}
 
 
+def _predecessor(u: int, v: int, n: int):
+    """(k, f) with u f - k v = 1 and f <= n maximal, for v <= n and u of any
+    sign: the neighbour k/f just below u/v in F(n) shifted by the integers.
+    The successor of a/b is minus the predecessor of -a/b."""
+    f = n - (n - pow(u, -1, v)) % v
+    return (u * f - 1) // v, f
+
+
+def _farey_predecessor(i: int, q: int, n: int):
+    """(k, f): the last fraction k/f <= i/q in F(n), for n >= 1; a fraction
+    of F(n) is its own."""
+    near = Fraction(i, q).limit_denominator(n)  # one of the two F(n) neighbours
+    u, v = near.numerator, near.denominator
+    return (u, v) if u * q <= i * v else _predecessor(u, v, n)
+
+
 def _lane_seeds(Q: int, K: int):
     """Numerators a and denominators b of the reduced j/K, j = 0..K, and the
-    successor c/d in F(Q) of each but the last.
-
-    b c - a d = 1 with d <= Q maximal, so d is the largest d <= Q with
-    a d = -1 (mod b)."""
+    successor c/d in F(Q) of each but the last."""
     import numpy as np
     j = np.arange(K + 1, dtype=np.int64)
     g = np.gcd(j, K)
     a, b = j // g, K // g
-    d = np.array([-pow(x, -1, y) % y for x, y in zip(a[:-1].tolist(), b[:-1].tolist())],
+    d = np.array([_predecessor(-x, y, Q)[1] for x, y in zip(a[:-1].tolist(), b[:-1].tolist())],
                  dtype=np.int64)
-    d += (Q - d) // b[:-1] * b[:-1]
     c = (1 + a[:-1] * d) // b[:-1]
     return a, b, c, d
 
@@ -290,16 +305,15 @@ def interval_count(Q: int, interval=(0, 1)) -> int:
     return end - start
 
 
-def _window(Q: int, interval, before: int = 0, after: int = 1, *,
-            allow_empty: bool = False) -> np.ndarray:
+def _window(Q: int, interval, before: int = 0, after: int = 1) -> np.ndarray:
     """Denominators q_{start-before} .. q_{end-1+after} of the gamma_i in the
     closed interval, indices mod N (before <= N): a view of `seq.q` up to
     gamma_{N+1} = 1/1, else one copy that tiles whole cycles only when
-    `after` exceeds N.  An empty selection raises unless allowed."""
+    `after` exceeds N.  An empty selection raises."""
     lo, hi = _as_interval(interval)
     seq = farey_orbit(Q)
     start, end = _index_range(seq, interval)
-    if start == end and not allow_empty:
+    if start == end:
         raise DomainError(f"no Farey fraction of level {Q} in [{lo}, {hi}]")
     a, b, n, d = start - before, end + after, len(seq), seq.denominators
     if a >= 0 and b <= n + 1:
@@ -363,20 +377,20 @@ def normalized_gaps(Q: int, interval=(0, 1)) -> np.ndarray:
 
 def spacing_proportion(Q: int, interval, c: float, d: float) -> float:
     """Fraction of selected gaps with normalized value in the open interval (c, d)."""
-    if not 0 <= c <= d:
-        raise DomainError("need 0 <= c <= d")
-    g = normalized_gaps(Q, interval)
-    return float(((g > c) & (g < d)).sum() / len(g))
+    return h_spacing_proportion(Q, interval, [(c, d)])
 
 
 def h_spacing_proportion(Q: int, interval, box: Sequence[tuple]) -> float:
     """Fraction of i (gamma_i in I) whose h consecutive normalized gaps lie in the box.
 
     The j-th component of the gap tuple at gamma_i is the normalized gap
-    between gamma_{i+j-1} and gamma_{i+j}; indices wrap cyclically.
+    between gamma_{i+j-1} and gamma_{i+j}; indices wrap cyclically.  Each
+    component (c, d) of the box is an open interval with 0 <= c <= d.
     """
     if len(box) < 1:
         raise DomainError("box must contain at least one interval")
+    if not all(0 <= c <= d for c, d in box):  # a nan bound fails too
+        raise DomainError(f"need 0 <= c <= d for every box component, not {list(box)}")
     gaps = _normalized(Q, interval, _window(Q, interval, after=len(box)))
     m = len(gaps) - len(box) + 1  # the number of selected gamma_i
     inside = True
@@ -390,11 +404,11 @@ def index_values(Q: int, interval=(0, 1)) -> np.ndarray:
     """Farey indices nu(gamma_i) = (q_{i-1} + q_{i+1}) / q_i for gamma_i in I.
 
     Neighbors are cyclic; division is exact (a Farey-neighbor identity),
-    checked at runtime.
+    checked at runtime.  An empty selection raises, as for every statistic.
     """
     if Q < 2:
         raise DomainError("indices need Q >= 2")
-    w = _window(Q, interval, before=1, allow_empty=True)
+    w = _window(Q, interval, before=1)
     qi, nu = w[1:-1], w[:-2] + w[2:]
     if (nu % qi).any():
         raise RuntimeError("index identity (q_{i-1}+q_{i+1}) | q_i failed")

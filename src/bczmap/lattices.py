@@ -3,14 +3,16 @@
 The slopes of primitive lattice vectors in the vertical strip
 {0 < x <= t, y >= 0} are exactly the hit times of the horocycle orbit on the
 width-t section, so consecutive slope gaps are roof values along the t-BCZ
-orbit.  The BCZ route reads its first hit off one Farey predecessor and
-steps the orbit from there; the strip enumerator shares no code with it
-beyond the integer lattice and is its independent oracle, and the two must
-agree.  Every entry point converts its basis and width once into one
-exact integer lattice, `_Lattice`, and runs on integers; only the returned
-numbers are Fractions (for an exact basis and width) or floats.  A double is
-an exact dyadic rational, so a decimal basis is the lattice its doubles spell,
-whose orbit can differ from that of the rational lattice its decimals suggest.
+orbit.  The BCZ route reads its first hit and that hit's section point off
+two consecutive predecessors in one Farey sequence (`farey._farey_predecessor`
+and `farey._predecessor`) and steps the orbit from there; the strip
+enumerator shares no code with it beyond the integer lattice and is its
+independent oracle, and the two must agree.  Every entry point converts its
+basis and width once into one exact integer lattice, `_Lattice`, and runs on
+integers; only the returned numbers are Fractions (for an exact basis and
+width) or floats.  A double is an exact dyadic rational, so a decimal basis
+is the lattice its doubles spell, whose orbit can differ from that of the
+rational lattice its decimals suggest.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from fractions import Fraction
 from itertools import islice
 from operator import truediv
 
-from .core import DomainError, _int_orbit, _uniform, check_section, is_exact, reduce_to_section
+from .core import DomainError, _int_orbit, _uniform, check_section, is_exact
+from .farey import _farey_predecessor, _predecessor
 
 _FLOAT_DET_TOL = 1e-12
 
@@ -263,9 +266,9 @@ def first_section_hit(basis: UnimodularBasis, t=1):
 
     The hit time is the minimal nonnegative slope among primitive strip
     vectors, and no strip is swept to find it: the hit vector is read off
-    the predecessor of one rational in one Farey sequence (`_first_hit`).
-    The section point is built by completing the hit vector to a unimodular
-    basis and reducing the second coordinate.  Refused for lattices whose
+    the last fraction at or below one rational in one Farey sequence, and the
+    section point's b is the x of the next hit vector, read off that
+    fraction's own predecessor (`_first_hit`).  Refused for lattices whose
     vertical vectors are strictly shorter than 1/t (those orbits never reach
     the section; the boundary case, e.g. the square lattice at t = 1, does
     meet it at the fixed corner), and for a hit time beyond the float range.
@@ -283,11 +286,11 @@ def _first_hit(lat: _Lattice):
     section point (x0, b), all times D.
 
     With g = gcd(y1, y2) the lattice is Z(xs, 0) + Z(c, g), xs = D^2/g, so
-    its points at height j g sit at x = j c mod xs.  If xs <= w the hit is
-    (xs, 0).  Else, with step = gcd(c, xs) and q = xs/step, x = step f for
-    f = j c/step mod q, so j = f i - k q for i = (c/step)^-1 mod q, and the
-    least slope g j/(step f) = (g/step)(i - q k/f) has k/f the predecessor
-    of i/q in the Farey sequence F(w // step).
+    its points at height j g sit at x = j c mod xs.  With step = gcd(c, xs)
+    and q = xs/step, x = step f for f = j c/step mod q, so j = f i - k q for
+    i = (c/step)^-1 mod q, and the least slope g j/(step f) = (g/step)(i - q k/f)
+    has k/f the last fraction <= i/q in the Farey sequence F(w // step).  When
+    xs <= w, i/q is in F(w // step) itself, and the hit is (xs, 0).
     """
     w, det = lat.w, lat.d * lat.d
     # vertical vectors of length y/D put the lattice on lines D/y apart
@@ -297,38 +300,20 @@ def _first_hit(lat: _Lattice):
     g, u, v = _ext_gcd(y1, y2)
     xs = det // g
     c = (u * x1 + v * x2) % xs
-    if xs <= w:  # the horizontal (xs, 0) at time 0, completed by (c, g)
-        x0, y0, cx = xs, 0, c
-    else:  # the vertical check gave step <= w
-        step = math.gcd(c, xs)
-        q = xs // step
-        i = pow(c // step, -1, q)
-        k, f = _farey_predecessor(i, q, w // step)
-        j = f * i - k * q
-        x0, y0 = step * f, g * j
-        r = (x0 - j * c) // xs
-        # (x0, y0) = j (c, g) + r (xs, 0); s (c, g) + t (xs, 0) completes it
-        # with positive orientation when r s - j t = 1
-        s = pow(r, -1, j)
-        cx = s * c + (r * s - 1) // j * xs
-    # after flowing by the hit time only the completion's x matters
-    b = int(reduce_to_section(x0, cx, w)[0][1])
+    step = math.gcd(c, xs)  # <= w, as the shortest vertical g xs/step passed the check
+    q, n = xs // step, w // step
+    i = pow(c // step, -1, q)
+    k, f = _farey_predecessor(i, q, n)
+    x0, y0 = step * f, g * (f * i - k * q)
+    # the predecessor k'/f' of k/f in F(n) gives the next hit vector: k f' - k' f = 1
+    # makes the determinant of (x0, y0) and it g step q = D^2, and f + f' > n
+    # puts its x = step f' in (w - x0, w], so that x is the section point's b
+    b = step * _predecessor(k, f, n)[1]
     # certificate: the previous hit T^-1(x0, b) = (p, x0) has slope
     # y0/x0 - D^2/(p x0), which is negative iff y0 p < D^2
     if not 0 <= y0 * ((w + b) // x0 * x0 - b) < det:
         raise RuntimeError(f"({x0}, {y0}) is not the first hit at slope >= 0")
     return x0, y0, b
-
-
-def _farey_predecessor(i: int, q: int, n: int):
-    """(k, f): the predecessor k/f of i/q in F(n), for q > n >= 1."""
-    near = Fraction(i, q).limit_denominator(n)  # one of the two F(n) neighbours
-    u, v = near.numerator, near.denominator
-    if u * q < i * v:
-        return u, v
-    # from the successor u/v: the predecessor k/f has u f - k v = 1, f <= n maximal
-    f = n - (n - pow(u, -1, v)) % v
-    return (u * f - 1) // v, f
 
 
 def _ext_gcd(a: int, b: int):

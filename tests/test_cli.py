@@ -128,6 +128,9 @@ def test_farey_bad_input_exit_2(capsys, tmp_path, argv):
     "farey 50 --stat index --alpha inf",
     "hall-cdf --step 1e-9",  # d-grids too large to build
     "hall-cdf --d-max 1e300 --step 1",
+    "slopes -t 2",  # no basis
+    "slopes --basis 1 0 0 1 --bruteforce",  # no --slope-max
+    "periodic",  # no K L and no --hierarchy
 ])
 def test_bad_input_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -530,6 +533,15 @@ def test_farey_interval_option(capsys):
     assert "interval=[1/4;3/4]" in meta["params"]
     emp = float(rows[0][header.index("empirical")])
     assert 2.5 < emp < 4.5  # normalized sum near pi^2/3 on a subinterval
+
+
+def test_farey_moments_at_a_pole_print_limit_nan(capsys):
+    # the limit B_{s,t} needs s > -1, so it prints nan; the empirical sum is finite
+    code, out, _ = run_cli(capsys, ["farey", "50", "--stat", "moments", "--s", "-2", "--t", "0"])
+    assert code == 0
+    _, header, rows = parse_csv(out)
+    assert rows[0][header.index("limit")] == "nan"
+    assert math.isfinite(float(rows[0][header.index("empirical")]))
 
 
 def test_slopes_help_exit_zero():

@@ -62,7 +62,8 @@ def test_domain_errors():
 @pytest.mark.parametrize("call", [
     lambda: orbit_trace((F(1, 2), F(7, 10)), -3),
     lambda: cocycle((F(1, 2), F(7, 10)), 0),
-], ids=["orbit_trace n<0", "cocycle n<1"])
+    lambda: verify_return_identity((1.0, 0.6)),
+], ids=["orbit_trace n<0", "cocycle n<1", "return identity in floats"])
 def test_bad_arguments_raise_domain_error(call):
     with pytest.raises(DomainError):
         call()

@@ -73,9 +73,13 @@ def fraction_flow_sum(q, Q):
     lambda: totient(0),
     lambda: totient(-1),
     lambda: totient(-5),
+    lambda: farey_bruteforce(0),
+    lambda: h_spacing_proportion(200, (0, 1), [(2.0, 1.0)]),
+    lambda: h_spacing_proportion(200, (0, 1), [(-5.0, 0.5)]),
+    lambda: h_spacing_proportion(200, (0, 1), [(0.0, 1.0), (math.nan, 2.0)]),
 ], ids=["orbit Q=0", "cardinality Q<0", "index Q=1", "reversed interval", "infinite interval",
         "empty selection", "non-finite exponent", "totient q=0", "totient q=-1",
-        "totient q=-5"])
+        "totient q=-5", "bruteforce Q=0", "h-box c>d", "h-box c<0", "h-box nan bound"])
 def test_bad_arguments_raise_domain_error(call):
     with pytest.raises(DomainError):
         call()
@@ -160,6 +164,63 @@ def test_lanes_match_scalar_orbit_and_bruteforce(Q):
     assert seq.q[-1] == seq.p[-1] == 1
 
 
+def _wrong_successor_denominator(seeds, Q):
+    # lane 1 starts at 1/K; its pair (K, K floor(Q/K)) has gcd K > 1, and the
+    # map keeps such pairs off the primitive ones, so no seed is ever reached
+    a, b, c, d = (x.copy() for x in seeds)
+    d[1] = b[1] * (Q // b[1])
+    return a, b, c, d
+
+
+def _wrong_successor_numerator(seeds, Q):
+    # denominators still run right, but lane 1's numerators end off by the
+    # positive solution of the recurrence from (0, 1)
+    a, b, c, d = (x.copy() for x in seeds)
+    c[1] += 1
+    return a, b, c, d
+
+
+@pytest.mark.parametrize("wrong, message", [
+    (_wrong_successor_denominator, "did not reach their next seed"),
+    (_wrong_successor_numerator, "missed its next seed"),
+], ids=["denominator", "numerator"])
+def test_lanes_refuse_a_wrong_successor(monkeypatch, wrong, message):
+    true_seeds = farey._lane_seeds
+    monkeypatch.setattr(farey, "_lane_seeds", lambda Q, K: wrong(true_seeds(Q, K), Q))
+    with pytest.raises(RuntimeError, match=message):
+        farey._farey_lanes(30)
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 40), st.data(), st.integers(-3, 3))
+def test_predecessor_against_the_sequence(n, data, shift):
+    # F(n) with 1/1, shifted by an integer: the neighbours of the first and
+    # last entries lie one period away, and the successor is the reflection
+    fracs = farey_bruteforce(n).fractions() + [F(1)]
+    index = data.draw(st.integers(0, len(fracs) - 1))
+    x = fracs[index] + shift
+    below = fracs[index - 1] if index else fracs[-2] - 1
+    above = fracs[index + 1] if index + 1 < len(fracs) else fracs[1] + 1
+    u, v = x.numerator, x.denominator
+    k, f = farey._predecessor(u, v, n)
+    assert u * f - k * v == 1 and F(k, f) == below + shift
+    k, f = farey._predecessor(-u, v, n)
+    assert F(-k, f) == above + shift and f == (above + shift).denominator
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 40).flatmap(lambda q: st.tuples(
+    st.integers(0, q - 1).filter(lambda i: math.gcd(i, q) == 1), st.just(q), st.integers(1, 60))))
+def test_farey_predecessor_against_the_sequence(iqn):
+    # for q <= n the fraction i/q is in F(n) and is its own last fraction <= i/q
+    i, q, n = iqn
+    at_most = [f for f in farey_bruteforce(n).fractions() if f <= F(i, q)]
+    k, f = farey._farey_predecessor(i, q, n)
+    assert F(k, f) == max(at_most) and math.gcd(k, f) == 1
+    if q <= n:
+        assert (k, f) == (i, q)
+
+
 @st.composite
 def level_and_interval(draw):
     """A level Q and a closed interval whose ends are Farey fractions of
@@ -189,8 +250,11 @@ def test_bisected_selection_matches_fraction_mask(case):
     start, end = farey._index_range(farey_orbit(Q), (lo, hi))
     assert list(range(start, end)) == inside
     assert interval_count(Q, (lo, hi)) == len(inside)
-    if Q >= 2:
+    if Q >= 2 and inside:
         assert index_values(Q, (lo, hi)).tolist() == index_values(Q)[inside].tolist()
+    elif Q >= 2:
+        with pytest.raises(DomainError, match=f"no Farey fraction of level {Q}"):
+            index_values(Q, (lo, hi))
 
 
 @settings(max_examples=150)
@@ -204,12 +268,13 @@ def test_window_is_the_cyclic_run_of_denominators(case, before, share):
     n = len(seq)
     after = round(share * (2 * n + 2))
     start, end = farey._index_range(seq, interval)
-    expected = np.take(seq.denominators, range(start - before, end + after), mode="wrap")
-    w = farey._window(Q, interval, before, after, allow_empty=True)
-    assert w.dtype == np.int64 and w.tolist() == expected.tolist()
     if start == end:
         with pytest.raises(DomainError, match=f"no Farey fraction of level {Q}"):
             farey._window(Q, interval, before, after)
+    else:
+        expected = np.take(seq.denominators, range(start - before, end + after), mode="wrap")
+        w = farey._window(Q, interval, before, after)
+        assert w.dtype == np.int64 and w.tolist() == expected.tolist()
 
 
 def rolled_h_spacing(Q, interval, box):
@@ -227,7 +292,7 @@ def rolled_h_spacing(Q, interval, box):
 
 
 @settings(max_examples=60)
-@given(level_and_interval(), st.lists(st.tuples(st.floats(0, 1), st.floats(0.5, 4)),
+@given(level_and_interval(), st.lists(st.tuples(st.floats(0, 1), st.floats(0.5, 4)).map(sorted),
                                       min_size=1, max_size=12))
 @example((1, (F(0), F(1))), [(0.0, 4.0)] * 5)
 @example((3, (F(1, 2), F(1))), [(0.0, 4.0), (0.5, 2.0)] * 4)

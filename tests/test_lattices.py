@@ -154,14 +154,25 @@ def test_the_first_hit_sweeps_no_strip(monkeypatch):
         assert 0 <= gap_distribution(basis, t, 5, 0, 2) <= 1
 
 
-@settings(max_examples=200)
-@given(st.integers(2, 40).flatmap(lambda q: st.tuples(
-    st.integers(1, q - 1).filter(lambda i: math.gcd(i, q) == 1), st.just(q), st.integers(1, q - 1))))
-def test_farey_predecessor_against_the_sequence(iqn):
-    i, q, n = iqn
-    below = [f for f in farey_bruteforce(n).fractions() if f < F(i, q)]
-    k, f = lattices._farey_predecessor(i, q, n)
-    assert F(k, f) == max(below) and math.gcd(k, f) == 1
+@settings(max_examples=80, deadline=None)
+@given(st.builds(random_exact_basis, st.randoms(use_true_random=False)),
+       st.fractions(F(1, 4), 4, max_denominator=8), st.booleans())
+@example(Z2, F(1), False)
+@example(Z2, F(5, 2), True)
+def test_section_point_is_the_second_hit(basis, t, decimal):
+    # the section point (x0, b) steps to the hit (b, .), so b is the x of the
+    # strip vector with the second-least slope >= 0, found here by sweeping
+    lat = lattices._Lattice(basis, float(t) if decimal else t)
+    assume(lattices._vertical(lat) * lat.w >= lat.d**2)
+    x0, y0, b = lattices._first_hit(lat)
+    h = 1
+    while True:
+        found = sorted(lattices._strip_vectors(lat, h), key=lambda v: F(v[1], v[0]))
+        # a vector of smaller slope than the second found one has y <= slope * w
+        if len(found) >= 2 and found[1][1] * lat.w <= h * found[1][0]:
+            break
+        h *= 2
+    assert found[0] == (x0, y0) and found[1][0] == b
 
 
 def test_float_strip_vector_on_the_vertical_line_is_skipped():
