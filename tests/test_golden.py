@@ -53,7 +53,12 @@ PERIODS = [
 DEEP_HITS = [
     "slopes --basis 1.0 0.3 0.5 1.15 -t 1e-9 -n 3",
 ]
-COMMANDS = list(dict.fromkeys(README + SCIPY_FREE + WINDOWED + PERIODS + DEEP_HITS))
+#: whole-level averages at Q = 3000, read in many blocks of the window
+MANY_BLOCKS = [
+    "farey 3000 --stat moments --s 0.7 --t 1.3",
+    "farey 3000 --stat excursion",
+]
+COMMANDS = list(dict.fromkeys(README + SCIPY_FREE + WINDOWED + PERIODS + DEEP_HITS + MANY_BLOCKS))
 
 
 def golden_path(command: str) -> Path:
