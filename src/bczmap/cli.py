@@ -112,6 +112,7 @@ def cmd_farey(args) -> None:
         lo, hi = args.range
         if not (args.bins >= 1 and -math.inf < lo < hi < math.inf):
             raise DomainError("need --bins >= 1 and a finite --range LO < HI")
+        _check_rows(args.bins)
         g = normalized_gaps(args.Q, interval)
         import numpy as np
         edges = np.linspace(lo, hi, args.bins + 1)

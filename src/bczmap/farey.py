@@ -22,8 +22,12 @@ F(Q) is sorted, so the fractions in an interval I form one contiguous index
 range, found by bisection with exact integer comparisons.  All empirical
 statistics of F(Q) (gaps, h-gaps, indices, denominator moments, excursion
 functionals) are averages against the uniform measure on the orbit points
-whose fraction lands in I, read from one run of consecutive denominators:
-`_window`, the one place where the cycle wraps from 1/1 back to 0/1.
+whose fraction lands in I, read from one run of consecutive denominators.
+`_blocks` reads that run in blocks of at most _BLOCK fractions, each
+overlapping the next by the neighbours a statistic needs, so every
+temporary a statistic makes fits in cache and only the arrays it returns
+are as long as the selection.  A block is a view of the level's arrays
+unless it wraps from 1/1 back to 0/1, which `_run` alone does.
 
 N(Q) and phi(q) are integer arithmetic, so `import bczmap` and counting a
 level load no numpy; the functions that build or read F(Q)'s arrays import it.
@@ -121,6 +125,10 @@ _CACHE_BYTES = 100 * 2**20
 
 #: level -> FareySequence, least recently used first
 _orbit_cache: dict[int, FareySequence] = {}
+
+#: selected gamma_i per block of a window: a block's denominators and the
+#: float buffers a statistic fills from them (2^14 doubles, 128 KiB) stay in cache
+_BLOCK = 2**14
 
 
 def _predecessor(u: int, v: int, n: int):
@@ -260,15 +268,17 @@ def orbit_flow_period(Q: int) -> Fraction:
 
     The return time Q^2/(q_i q_{i+1}) equals Q^2 (gamma_{i+1} - gamma_i)
     when the neighbour determinant p_{i+1} q_i - p_i q_{i+1} is 1.  All N
-    determinants are checked; the sum then telescopes to
-    Q^2 (gamma_{N+1} - gamma_1).
+    determinants are checked, one block of _BLOCK pairs at a time; the sum
+    then telescopes to Q^2 (gamma_{N+1} - gamma_1).
     """
     seq = farey_orbit(Q)
     p, q = seq.p, seq.q
-    det = p[1:] * q[:-1]
-    det -= p[:-1] * q[1:]
-    if (det != 1).any():
-        raise RuntimeError(f"F({Q}) has a neighbour pair whose determinant is not 1")
+    for k in range(0, len(seq), _BLOCK):
+        pk, qk = p[k:k + _BLOCK + 1], q[k:k + _BLOCK + 1]
+        det = pk[1:] * qk[:-1]
+        det -= pk[:-1] * qk[1:]
+        if (det != 1).any():
+            raise RuntimeError(f"F({Q}) has a neighbour pair whose determinant is not 1")
     return Q * Q * (Fraction(int(p[-1]), int(q[-1])) - Fraction(int(p[0]), int(q[0])))
 
 
@@ -305,28 +315,69 @@ def interval_count(Q: int, interval=(0, 1)) -> int:
     return end - start
 
 
-def _window(Q: int, interval, before: int = 0, after: int = 1) -> np.ndarray:
-    """Denominators q_{start-before} .. q_{end-1+after} of the gamma_i in the
-    closed interval, indices mod N (before <= N): a view of `seq.q` up to
-    gamma_{N+1} = 1/1, else one copy that tiles whole cycles only when
-    `after` exceeds N.  An empty selection raises."""
+def _selection(Q: int, interval) -> tuple[FareySequence, int, int]:
+    """F(Q), the index of its first gamma_i in the closed interval and the
+    number m of them.  An empty selection raises."""
     lo, hi = _as_interval(interval)
     seq = farey_orbit(Q)
     start, end = _index_range(seq, interval)
     if start == end:
         raise DomainError(f"no Farey fraction of level {Q} in [{lo}, {hi}]")
-    a, b, n, d = start - before, end + after, len(seq), seq.denominators
-    if a >= 0 and b <= n + 1:
-        return seq.q[a:b]
+    return seq, start, end - start
+
+
+def _run(seq: FareySequence, a: int, length: int) -> np.ndarray:
+    """Denominators q_a .. q_{a+length-1}, indices mod N: a view of `seq.q`
+    up to gamma_{N+1} = 1/1, else a copy that wraps back to 0/1 (tiling
+    whole cycles when longer than N).  The one place where the cycle wraps."""
+    n = len(seq)
+    a %= n
+    if a + length <= n + 1:
+        return seq.q[a:a + length]
     import numpy as np
-    cycles, rest = divmod(max(b - n, 0), n)
-    return np.concatenate([d[n + min(a, 0):], d[max(a, 0):b]] + [d] * cycles + [d[:rest]])
+    return seq.denominators.take(np.arange(a, a + length), mode="wrap")
 
 
-def _normalized(Q: int, interval, w: np.ndarray) -> np.ndarray:
-    """(3/pi^2) |I| Q^2 / (q_i q_{i+1}) for the neighbour pairs of the window w."""
+def _blocks(Q: int, interval, before: int = 0, after: int = 1):
+    """(m, blocks) for the m gamma_i in the closed interval: blocks yields
+    (k, w) for k = 0, _BLOCK, 2 _BLOCK, ... < m, with w the denominators
+    q_{start+k-before} .. q_{start+k'-1+after}, k' = min(k + _BLOCK, m),
+    indices mod N.  So consecutive blocks overlap by before + after entries,
+    and only a block that wraps past 1/1 is a copy.  An empty selection
+    raises here, before any block is read."""
+    seq, start, m = _selection(Q, interval)
+
+    def read():
+        for k in range(0, m, _BLOCK):
+            yield k, _run(seq, start - before + k, min(_BLOCK, m - k) + before + after)
+    return m, read()
+
+
+def _window(Q: int, interval, before: int = 0, after: int = 1) -> np.ndarray:
+    """The denominators of `_blocks` as one run, q_{start-before} ..
+    q_{end-1+after}: a view of `seq.q` unless it wraps."""
+    seq, start, m = _selection(Q, interval)
+    return _run(seq, start - before, m + before + after)
+
+
+def _gap_scale(Q: int, interval) -> float:
+    """(3/pi^2) |I| Q^2, the normalized gap is this over q_i q_{i+1}."""
     lo, hi = _as_interval(interval)
-    return (3 / math.pi**2) * float(hi - lo) * Q * Q / (w[:-1].astype(float) * w[1:])
+    return (3 / math.pi**2) * float(hi - lo) * Q * Q
+
+
+def _gaps_into(scale: float, w: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """scale / (q_i q_{i+1}) for the neighbour pairs of w, in out[:len(w) - 1]."""
+    import numpy as np
+    g = out[:len(w) - 1]
+    np.multiply(w[:-1], w[1:], out=g, dtype=float)
+    return np.divide(scale, g, out=g)
+
+
+def _mean(block_sums: list, m: int):
+    """The mean of m terms from their per-block sums, as a Python scalar."""
+    import numpy as np
+    return (np.sum(block_sums) / m).item()
 
 
 class EmpiricalMeasure:
@@ -354,11 +405,14 @@ class EmpiricalMeasure:
         return [(Fraction(int(a), Q), Fraction(int(b), Q)) for a, b in zip(self.qi, self.qn)]
 
     def integral(self, G: Callable):
-        """G is called once with the two float coordinate arrays; a real G
-        gives a float, a complex one a complex."""
-        import numpy as np
-        x = self.window / self.level
-        return np.mean(G(x[:-1], x[1:])).item()
+        """G is called once per block of at most _BLOCK points, with the two
+        float coordinate arrays of the block, so it must act elementwise; a
+        real G gives a float, a complex one a complex."""
+        sums = []
+        for k in range(0, len(self), _BLOCK):
+            x = self.window[k:k + _BLOCK + 1] / self.level
+            sums.append(G(x[:-1], x[1:]).sum())
+        return _mean(sums, len(self))
 
 
 def empirical_measure(Q: int, interval=(0, 1)) -> EmpiricalMeasure:
@@ -372,7 +426,12 @@ def empirical_integral(Q: int, interval, G: Callable):
 
 def normalized_gaps(Q: int, interval=(0, 1)) -> np.ndarray:
     """(3/pi^2) |I| Q^2 (gamma_{i+1} - gamma_i) for the selected gamma_i."""
-    return _normalized(Q, interval, _window(Q, interval))
+    m, blocks = _blocks(Q, interval)
+    import numpy as np
+    scale, gaps = _gap_scale(Q, interval), np.empty(m)
+    for k, w in blocks:
+        _gaps_into(scale, w, gaps[k:])
+    return gaps
 
 
 def spacing_proportion(Q: int, interval, c: float, d: float) -> float:
@@ -391,28 +450,41 @@ def h_spacing_proportion(Q: int, interval, box: Sequence[tuple]) -> float:
         raise DomainError("box must contain at least one interval")
     if not all(0 <= c <= d for c, d in box):  # a nan bound fails too
         raise DomainError(f"need 0 <= c <= d for every box component, not {list(box)}")
-    gaps = _normalized(Q, interval, _window(Q, interval, after=len(box)))
-    m = len(gaps) - len(box) + 1  # the number of selected gamma_i
-    inside = True
-    for j, (cj, dj) in enumerate(box):
-        gj = gaps[j:j + m]
-        inside = inside & (gj > cj) & (gj < dj)
-    return float(inside.sum() / m)
+    h = len(box)
+    m, blocks = _blocks(Q, interval, after=h)
+    import numpy as np
+    scale, buf = _gap_scale(Q, interval), np.empty(min(_BLOCK, m) + h - 1)
+    count = 0
+    for _, w in blocks:
+        gaps = _gaps_into(scale, w, buf)
+        mk = len(gaps) - h + 1  # the gamma_i of this block
+        inside = np.ones(mk, dtype=bool)
+        for j, (cj, dj) in enumerate(box):
+            gj = gaps[j:j + mk]
+            inside &= gj > cj
+            inside &= gj < dj
+        count += int(np.count_nonzero(inside))
+    return count / m
 
 
 def index_values(Q: int, interval=(0, 1)) -> np.ndarray:
     """Farey indices nu(gamma_i) = (q_{i-1} + q_{i+1}) / q_i for gamma_i in I.
 
     Neighbors are cyclic; division is exact (a Farey-neighbor identity),
-    checked at runtime.  An empty selection raises, as for every statistic.
+    checked at runtime on every block: the float quotient times q_i must
+    give q_{i-1} + q_{i+1} back in integers.  An empty selection raises, as
+    for every statistic.
     """
     if Q < 2:
         raise DomainError("indices need Q >= 2")
-    w = _window(Q, interval, before=1)
-    qi, nu = w[1:-1], w[:-2] + w[2:]
-    if (nu % qi).any():
-        raise RuntimeError("index identity (q_{i-1}+q_{i+1}) | q_i failed")
-    nu //= qi
+    m, blocks = _blocks(Q, interval, before=1)
+    import numpy as np
+    nu = np.empty(m, dtype=np.int64)
+    for k, w in blocks:
+        qi, total = w[1:-1], w[:-2] + w[2:]
+        v = np.true_divide(total, qi, out=nu[k:k + len(qi)], casting="unsafe")
+        if (v * qi != total).any():
+            raise RuntimeError("index identity (q_{i-1}+q_{i+1}) | q_i failed")
     return nu
 
 
@@ -420,14 +492,26 @@ def moment_sum(Q: int, interval, s, t):
     """Normalized denominator moment sum (1/(N_I Q^{s+t})) sum q_i^s q_{i+1}^t.
 
     Equals the empirical integral of x^s y^t; complex exponents supported,
-    non-finite ones refused.
+    non-finite ones refused.  Real exponents read x^s and y^t off tables
+    over the Q values q/Q.
     """
     if not (cmath.isfinite(s) and cmath.isfinite(t)):
         raise DomainError(f"moment exponents must be finite, not {s}, {t}")
-    import numpy as np
     if isinstance(s, complex) or isinstance(t, complex):
+        import numpy as np
         return empirical_integral(Q, interval, lambda x, y: np.exp(s * np.log(x) + t * np.log(y)))
-    return empirical_integral(Q, interval, lambda x, y: x**float(s) * y**float(t))
+    m, blocks = _blocks(Q, interval)
+    import numpy as np
+    # entry q holds (q/Q)^e; entry 0 stays 0, as no q_i is 0 and 0^e may divide by zero
+    x = np.arange(1, Q + 1) / Q
+    xs, yt = np.zeros(Q + 1), np.zeros(Q + 1)
+    xs[1:], yt[1:] = x ** float(s), x ** float(t)
+    sums = []
+    for _, w in blocks:
+        v = xs.take(w[:-1])
+        v *= yt.take(w[1:])
+        sums.append(v.sum())
+    return _mean(sums, m)
 
 
 def counting_bound_check(Q: int, interval=(0, 1)) -> bool:

@@ -16,7 +16,7 @@ from scipy.special import zeta
 from bczmap.core import (DomainError, _orbit, _reproject, check_section,
                          reduce_to_section)
 from bczmap.excursions import ExcursionAverages
-from bczmap.farey import farey_orbit
+from bczmap.farey import _as_interval, _window, farey_orbit
 from bczmap.measure import _band_breakpoints
 
 
@@ -78,6 +78,35 @@ def index_values_via_kappa(Q: int) -> np.ndarray:
     q = farey_orbit(Q).denominators
     qm = np.roll(q, 1)
     return (Q + qm) // q
+
+
+def normalized_gaps_whole(Q: int, interval) -> np.ndarray:
+    """normalized_gaps as one formula over the whole window: the reference
+    the blocked statistic must match bit for bit."""
+    lo, hi = _as_interval(interval)
+    w = _window(Q, interval)
+    return (3 / math.pi**2) * float(hi - lo) * Q * Q / (w[:-1].astype(float) * w[1:])
+
+
+def index_values_whole(Q: int, interval) -> np.ndarray:
+    """index_values over the whole window, with the exact-division check
+    done by the integer remainder."""
+    w = _window(Q, interval, before=1)
+    qi, nu = w[1:-1], w[:-2] + w[2:]
+    if (nu % qi).any():
+        raise RuntimeError("index identity (q_{i-1}+q_{i+1}) | q_i failed")
+    return nu // qi
+
+
+def empirical_integral_whole(Q: int, interval, G: Callable):
+    """rho_{Q,I}(G) with G called once on the whole window."""
+    x = _window(Q, interval) / Q
+    return np.mean(G(x[:-1], x[1:])).item()
+
+
+def moment_sum_whole(Q: int, interval, s: float, t: float) -> float:
+    """The real-exponent moment sum as the mean of x^s y^t over the whole window."""
+    return empirical_integral_whole(Q, interval, lambda x, y: x**float(s) * y**float(t))
 
 
 def narrow_embed(p, t):

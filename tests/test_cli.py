@@ -180,6 +180,7 @@ def test_rows_beyond_memory_are_refused_before_iterating(capsys, monkeypatch, fi
     "orbit 1/5 1 -n 1000000000000",
     "slopes --basis 1 0 0 1 -t 25 -n 1000000000000",
     "excursions --slope-irrational golden -n 1000000000000 --record-every 1",
+    "farey 60 --stat gaps --bins 1000000000000",
 ])
 def test_huge_row_counts_exit_2_at_once(capsys, argv):
     with pytest.raises(SystemExit) as exc:

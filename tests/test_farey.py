@@ -1,6 +1,7 @@
 import math
 import os
 from fractions import Fraction as F
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,7 +27,8 @@ from bczmap.farey import (
 )
 from bczmap.measure import MAX_PEAK_INTEGRAL, MIN_PEAK_INTEGRAL, hall_cdf
 
-from oracles import grid_measure, index_values_via_kappa
+from oracles import (empirical_integral_whole, grid_measure, index_values_via_kappa,
+                     index_values_whole, moment_sum_whole, normalized_gaps_whole)
 
 PI2_3 = math.pi**2 / 3
 
@@ -304,6 +306,81 @@ def test_h_spacing_matches_rolled_oracle(case, box):
             h_spacing_proportion(Q, interval, box)
     else:
         assert h_spacing_proportion(Q, interval, box) == rolled_h_spacing(Q, interval, box)
+
+
+#: block sizes small enough that seams, and the wrap past 1/1, fall inside small levels
+SMALL_BLOCKS = [1, 2, 3, 7]
+
+
+@settings(max_examples=150)
+@given(level_and_interval(), st.integers(0, 1), st.integers(0, 9), st.sampled_from(SMALL_BLOCKS))
+@example((3, (F(0), F(1))), 1, 1, 2)
+@example((7, (F(1, 2), F(1))), 1, 9, 3)
+def test_blocks_tile_the_window(case, before, after, block):
+    # each block is the window's run at its offset, overlapping the next by
+    # before + after, and a view of F(Q) unless it wraps past 1/1
+    Q, interval = case
+    if interval_count(Q, interval) == 0:
+        return
+    seq = farey_orbit(Q)
+    w = farey._window(Q, interval, before, after)
+    with mock.patch.object(farey, "_BLOCK", block):
+        m, blocks = farey._blocks(Q, interval, before, after)
+        blocks = list(blocks)
+    assert [k for k, _ in blocks] == list(range(0, m, block))
+    for k, b in blocks:
+        assert len(b) == min(block, m - k) + before + after
+        assert b.tolist() == w[k:k + len(b)].tolist()
+        start = farey._index_range(seq, interval)[0] - before + k
+        assert (b.base is seq.q) == (0 <= start % len(seq) <= len(seq) + 1 - len(b))
+
+
+def excursion_min(a, b):
+    return np.minimum(np.minimum(1 / a, 1 / b), a + b)
+
+
+def excursion_max(a, b):
+    return np.maximum(np.maximum(a, b), 1 / (a + b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(level_and_interval(), st.sampled_from(SMALL_BLOCKS),
+       st.lists(st.tuples(st.floats(0, 1), st.floats(0.5, 4)).map(sorted), min_size=1, max_size=5),
+       st.floats(-1, 2), st.floats(-1, 2))
+@example((7, (F(0), F(1))), 2, [(0.0, 4.0), (0.5, 2.0), (0.0, 3.0)], -1.0, 2.0)
+@example((60, (F(1, 2), F(1))), 7, [(0.1, 1.5)], 0.5, 0.5)
+def test_blocked_statistics_match_the_whole_window(case, block, box, s, t):
+    Q, interval = case
+    if interval_count(Q, interval) == 0:
+        return
+    h_default = h_spacing_proportion(Q, interval, box)
+    with mock.patch.object(farey, "_BLOCK", block):
+        assert normalized_gaps(Q, interval).tolist() == normalized_gaps_whole(Q, interval).tolist()
+        h = h_spacing_proportion(Q, interval, box)
+        assert h == h_default == rolled_h_spacing(Q, interval, box)
+        if Q >= 2:
+            assert index_values(Q, interval).tolist() == index_values_whole(Q, interval).tolist()
+        assert orbit_flow_period(Q) == Q * Q
+        assert moment_sum(Q, interval, s, t) == pytest.approx(
+            moment_sum_whole(Q, interval, s, t), rel=1e-14)
+        for G in (excursion_min, excursion_max):
+            assert empirical_integral(Q, interval, G) == pytest.approx(
+                empirical_integral_whole(Q, interval, G), rel=1e-14)
+
+
+@pytest.mark.parametrize("block", [farey._BLOCK, 7])
+@pytest.mark.parametrize("call", [index_values, orbit_flow_period])
+def test_a_corrupted_late_block_is_refused(monkeypatch, call, block):
+    # F(300) has 27,398 fractions: the corrupted denominator lies past the
+    # first block of either size, so every block must be checked
+    seq = farey_orbit(300)
+    q = seq.q.copy()
+    q[len(seq) - 5] += 1
+    bad = farey.FareySequence(300, q, seq.p)
+    monkeypatch.setattr(farey, "farey_orbit", lambda Q: bad)
+    monkeypatch.setattr(farey, "_BLOCK", block)
+    with pytest.raises(RuntimeError):
+        call(300)
 
 
 def test_orbit_cache_is_bounded_lru(monkeypatch):
