@@ -407,12 +407,15 @@ class EmpiricalMeasure:
     def integral(self, G: Callable):
         """G is called once per block of at most _BLOCK points, with the two
         float coordinate arrays of the block, so it must act elementwise; a
-        real G gives a float, a complex one a complex."""
+        scalar result counts for every point of the block.  A real G gives
+        a float, a complex one a complex."""
+        import numpy as np
+        m, blocks = _blocks(self.level, self.interval)
         sums = []
-        for k in range(0, len(self), _BLOCK):
-            x = self.window[k:k + _BLOCK + 1] / self.level
-            sums.append(G(x[:-1], x[1:]).sum())
-        return _mean(sums, len(self))
+        for _, w in blocks:
+            x = w / self.level
+            sums.append(np.broadcast_to(G(x[:-1], x[1:]), len(w) - 1).sum())
+        return _mean(sums, m)
 
 
 def empirical_measure(Q: int, interval=(0, 1)) -> EmpiricalMeasure:
@@ -492,20 +495,18 @@ def moment_sum(Q: int, interval, s, t):
     """Normalized denominator moment sum (1/(N_I Q^{s+t})) sum q_i^s q_{i+1}^t.
 
     Equals the empirical integral of x^s y^t; complex exponents supported,
-    non-finite ones refused.  Real exponents read x^s and y^t off tables
-    over the Q values q/Q.
+    non-finite ones refused.  x^s and y^t are read off tables over the Q
+    values q/Q, complex when an exponent is.
     """
     if not (cmath.isfinite(s) and cmath.isfinite(t)):
         raise DomainError(f"moment exponents must be finite, not {s}, {t}")
-    if isinstance(s, complex) or isinstance(t, complex):
-        import numpy as np
-        return empirical_integral(Q, interval, lambda x, y: np.exp(s * np.log(x) + t * np.log(y)))
+    s, t = (e if isinstance(e, complex) else float(e) for e in (s, t))  # a Fraction too
     m, blocks = _blocks(Q, interval)
     import numpy as np
     # entry q holds (q/Q)^e; entry 0 stays 0, as no q_i is 0 and 0^e may divide by zero
     x = np.arange(1, Q + 1) / Q
-    xs, yt = np.zeros(Q + 1), np.zeros(Q + 1)
-    xs[1:], yt[1:] = x ** float(s), x ** float(t)
+    xs, yt = np.zeros((2, Q + 1), dtype=np.result_type(x, s, t))
+    xs[1:], yt[1:] = x ** s, x ** t
     sums = []
     for _, w in blocks:
         v = xs.take(w[:-1])

@@ -607,6 +607,23 @@ def test_moment_sum_complex():
     assert v.real == pytest.approx(moment_sum(300, (0, 1), 1, 0))
 
 
+@pytest.mark.parametrize("block", [farey._BLOCK, 7])
+@pytest.mark.parametrize("s, t", [(complex(0.7, 2), complex(-0.3, -1.5)), (complex(-1, 0.5), 1.3),
+                                  (0.5, complex(0, -3))])
+def test_complex_moments_match_exp_log(block, s, t):
+    # the power tables against exp(s log x + t log y) on the whole window
+    interval = (F(1, 3), F(5, 7))
+    with mock.patch.object(farey, "_BLOCK", block):
+        v = moment_sum(300, interval, s, t)
+    assert isinstance(v, complex)
+    assert v == pytest.approx(empirical_integral_whole(
+        300, interval, lambda x, y: np.exp(s * np.log(x) + t * np.log(y))), rel=1e-13)
+
+
+def test_moment_sum_takes_a_fraction_exponent():
+    assert moment_sum(300, (0, 1), F(1, 2), -1) == moment_sum(300, (0, 1), 0.5, -1.0)
+
+
 def test_empirical_measure_support():
     from bczmap.farey import empirical_measure
     from bczmap.core import in_section
@@ -630,6 +647,13 @@ def test_empirical_integral():
     )
     assert abs(mx - MAX_PEAK_INTEGRAL) < 1e-2
     assert abs(mn - MIN_PEAK_INTEGRAL) < 1e-2
+
+
+@pytest.mark.parametrize("block", [farey._BLOCK, 7])
+def test_a_scalar_integrand_counts_for_every_point(block):
+    with mock.patch.object(farey, "_BLOCK", block):
+        assert empirical_integral(300, (0, 1), lambda a, b: 2.5) == pytest.approx(2.5, rel=1e-15)
+        assert empirical_integral(300, (F(1, 3), F(1, 2)), lambda a, b: 1j) == pytest.approx(1j)
 
 
 def test_counting_bound():
