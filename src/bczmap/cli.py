@@ -13,8 +13,10 @@ the only place that maps an exception to an exit code.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import random
 import sys
 from fractions import Fraction
@@ -22,8 +24,8 @@ from fractions import Fraction
 from . import __version__
 from .core import DomainError, _mat2_mul, orbit_trace
 from .excursions import NAMED_STARTS, excursion_averages, named_start
-from .farey import (_as_interval, _check_memory, empirical_integral, farey_cardinality,
-                    index_values, moment_sum, normalized_gaps)
+from .farey import (_as_interval, _check_memory, _gap_histogram, empirical_integral,
+                    farey_cardinality, index_values, moment_sum)
 from .lattices import (UnimodularBasis, slope_gaps_via_bcz,
                        strip_slopes_bruteforce)
 from .measure import (MAX_PEAK_INTEGRAL, MIN_PEAK_INTEGRAL, excursion_integrals,
@@ -113,11 +115,7 @@ def cmd_farey(args) -> None:
         if not (args.bins >= 1 and -math.inf < lo < hi < math.inf):
             raise DomainError("need --bins >= 1 and a finite --range LO < HI")
         _check_rows(args.bins)
-        g = normalized_gaps(args.Q, interval)
-        import numpy as np
-        edges = np.linspace(lo, hi, args.bins + 1)
-        counts, _ = np.histogram(g, bins=edges)
-        n = len(g)
+        n, edges, counts = _gap_histogram(args.Q, interval, lo, hi, args.bins)
         params.update(bins=args.bins, range=f"[{lo:g};{hi:g}]", total=n)
         rows = [
             (float(edges[i]), float(edges[i + 1]), int(counts[i]), counts[i] / n)
@@ -413,6 +411,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # a missing output directory is refused before any work; `emit`
+        # reports the failures only `open` can see
+        if args.output and not os.path.isdir(os.path.dirname(args.output) or "."):
+            raise DomainError(f"cannot write {args.output}: {os.strerror(errno.ENOENT)}")
         args.run(args)
     except DomainError as exc:  # bad input, from the library or the checks here
         parser.error(str(exc))

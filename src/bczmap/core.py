@@ -25,13 +25,16 @@ Orbits run on one kernel, `_orbit`.  By the scaling conjugacy
 T_t o M_t = M_t o T an exact orbit is an integer orbit: with the common
 denominator D of the point and the width t cleared, it is the map
 (x, y) -> (y, floor((tD + x)/y) y - x).  Fractions appear only at the API
-boundary, built for the values a function returns.  The one-step
+boundary, built for the values a function returns; `orbit_trace` builds
+each distinct value once per call when its trace is long enough that the
+integer coordinates, which lie in (0, tD], must repeat.  The one-step
 functions t_bcz_step, t_kappa and t_roof keep Fraction arithmetic and are
 the reference the kernel is tested against.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -233,9 +236,18 @@ class OrbitTrace:
 
 
 def orbit_trace(p: Point, n: int) -> OrbitTrace:
+    """The first n points of the orbit of p, their return times and indices.
+
+    Exact coordinates are y/d with integer y in (0, d], so a trace of n > d
+    steps must repeat them: it builds each distinct coordinate and return
+    time once per call.  Shorter exact traces, which may repeat nothing, and
+    float traces build every value afresh.
+    """
     if n < 0:
         raise DomainError("n must be >= 0")
     d, ratio, orbit = _orbit(p)
+    if ratio is Fraction and d < n:
+        ratio = functools.cache(Fraction)
     d2 = d * d
     points, returns, indices = [], [], []
     a = check_section(p)[0]

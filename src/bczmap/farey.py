@@ -437,6 +437,16 @@ def normalized_gaps(Q: int, interval=(0, 1)) -> np.ndarray:
     return gaps
 
 
+def _gap_histogram(Q: int, interval, lo: float, hi: float, bins: int):
+    """(m, edges, counts): the m normalized gaps counted into `bins` equal bins
+    of [lo, hi] as np.histogram counts them, one block's gaps at a time."""
+    m, blocks = _blocks(Q, interval)
+    import numpy as np
+    edges = np.linspace(lo, hi, bins + 1)
+    scale, g = _gap_scale(Q, interval), np.empty(min(_BLOCK, m))
+    return m, edges, sum(np.histogram(_gaps_into(scale, w, g), bins=edges)[0] for _, w in blocks)
+
+
 def spacing_proportion(Q: int, interval, c: float, d: float) -> float:
     """Fraction of selected gaps with normalized value in the open interval (c, d)."""
     return h_spacing_proportion(Q, interval, [(c, d)])
