@@ -407,14 +407,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_output_dir(path: str) -> None:
+    """Refuse, before any work, an output file whose directory is missing,
+    with the reason `open` would give; `emit` reports the failures only
+    `open` can see."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        why = errno.ENOTDIR if os.path.exists(folder) else errno.ENOENT
+        raise DomainError(f"cannot write {path}: {os.strerror(why)}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # a missing output directory is refused before any work; `emit`
-        # reports the failures only `open` can see
-        if args.output and not os.path.isdir(os.path.dirname(args.output) or "."):
-            raise DomainError(f"cannot write {args.output}: {os.strerror(errno.ENOENT)}")
+        if args.output:
+            _check_output_dir(args.output)
         args.run(args)
     except DomainError as exc:  # bad input, from the library or the checks here
         parser.error(str(exc))

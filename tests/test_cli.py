@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import math
@@ -105,6 +106,19 @@ def test_farey_bad_input_exit_2(capsys, tmp_path, argv):
         main([a.format(tmp=tmp_path) for a in argv])
     assert exc.value.code == 2
     assert "internal error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("output, why", [
+    ("missing/x.csv", errno.ENOENT),  # refused before the command runs
+    ("file/x.csv", errno.ENOTDIR),  # the directory is a regular file
+    (".", errno.EISDIR),  # only `open` sees this one, in `emit`
+])
+def test_unwritable_output_names_its_cause(capsys, tmp_path, output, why):
+    (tmp_path / "file").touch()
+    with pytest.raises(SystemExit) as exc:
+        main(["farey", "3", "--output", str(tmp_path / output)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f": {os.strerror(why)}\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -385,7 +385,7 @@ def test_kernel_matches_fraction_oracle(start, t):
 
     # orbit_trace and cocycle at width 1
     tr = orbit_trace(p, n)
-    assert all(type(v) is F for v in (*sum(tr.points, ()), *tr.returns))
+    assert {type(v) for pt in tr.points for v in pt} | {type(r) for r in tr.returns} == {F}
     q, m = p, IntMatrix2(1, 0, 0, 1)
     for i in range(n):
         assert tr.points[i] == q
