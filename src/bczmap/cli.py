@@ -26,14 +26,13 @@ from .core import DomainError, _mat2_mul, orbit_trace
 from .excursions import NAMED_STARTS, excursion_averages, named_start
 from .farey import (_as_interval, _check_memory, _gap_histogram, empirical_integral,
                     farey_cardinality, index_values, moment_sum)
-from .lattices import (UnimodularBasis, slope_gaps_via_bcz,
-                       strip_slopes_bruteforce)
 from .measure import (MAX_PEAK_INTEGRAL, MIN_PEAK_INTEGRAL, excursion_integrals,
                       hall_cdf, hall_kinks, integrate_over_section, kappa_moment,
                       moment_integral, roof_integral, roof_region_measure,
                       tile_measure, tile_partition_defect)
-from .periodic import (hierarchy_report, orbit_report, period_on_segment,
-                       segment_matrix, shear_conjugation_check)
+
+# `lattices` and `periodic` are imported by the commands that run them, so
+# the other commands load neither
 
 #: bytes a row of `orbit`, `slopes` or `excursions` holds until printed (157-319 measured)
 ROW_BYTES = 320
@@ -127,10 +126,13 @@ def cmd_farey(args) -> None:
         alpha = args.alpha
         if not math.isfinite(alpha):
             raise DomainError(f"--alpha must be finite, not {alpha}")
-        emp = float((nu.astype(float) ** alpha).mean())
+        import numpy as np
+        counts = np.bincount(nu)  # nu takes at most 2Q values, one power each
+        k = np.flatnonzero(counts)
+        emp = float(counts[k] @ k.astype(float) ** alpha / len(nu))
         limit = kappa_moment(alpha) if 0 < alpha < 2 else float("nan")
         params.update(alpha=alpha)
-        rows = [(alpha, emp, limit, int(nu.max()), 2 * args.Q)]
+        rows = [(alpha, emp, limit, len(counts) - 1, 2 * args.Q)]
         emit(args, "farey", params,
              ["alpha", "empirical_moment", "limit", "max_index", "index_bound"], rows)
     elif args.stat == "moments":
@@ -201,6 +203,7 @@ def cmd_orbit(args) -> None:
     a = parse_scalar(args.a)
     b = parse_scalar(args.b)
     if args.periodic:
+        from .periodic import orbit_report
         rep = orbit_report((a, b))
         m = rep.matrix
         params = {"a": a, "b": b}
@@ -232,6 +235,7 @@ def cmd_excursions(args) -> None:
 
 
 def _basis_from_args(args) -> UnimodularBasis:
+    from .lattices import UnimodularBasis
     if args.random_basis:
         if args.seed is None:
             raise DomainError("--random-basis requires --seed")
@@ -249,6 +253,7 @@ def _basis_from_args(args) -> UnimodularBasis:
 
 
 def cmd_slopes(args) -> None:
+    from .lattices import slope_gaps_via_bcz, strip_slopes_bruteforce
     basis = _basis_from_args(args)
     t = parse_scalar(args.t)
     c1, c2 = basis.columns()
@@ -279,6 +284,8 @@ def cmd_slopes(args) -> None:
 
 
 def cmd_periodic(args) -> None:
+    from .periodic import (hierarchy_report, period_on_segment, segment_matrix,
+                           shear_conjugation_check)
     if args.hierarchy is not None:
         _check_rows(args.hierarchy)
         recs = hierarchy_report(args.hierarchy)

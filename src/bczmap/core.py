@@ -36,10 +36,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from operator import truediv
-from typing import Union
+from typing import NamedTuple, Union
 
 Scalar = Union[int, Fraction, float]
 Point = tuple  # an (a, b) pair
@@ -96,18 +96,20 @@ def check_section(p: Point, width: Scalar = 1):
     return a, b, width, exact
 
 
-@dataclass(frozen=True)
-class IntMatrix2:
+class IntMatrix2(namedtuple("IntMatrix2", "a11 a12 a21 a22")):
     """2x2 integer matrix of determinant 1, row-major."""
 
-    a11: int
-    a12: int
-    a21: int
-    a22: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, a11: int, a12: int, a21: int, a22: int):
+        self = super().__new__(cls, a11, a12, a21, a22)
         if self.det() != 1:
             raise ValueError(f"determinant {self.det()} != 1")
+        return self
+
+    @classmethod
+    def _make(cls, entries):  # so `_replace` checks the determinant too
+        return cls(*entries)
 
     def det(self) -> int:
         return self.a11 * self.a22 - self.a12 * self.a21
@@ -226,8 +228,7 @@ def cocycle(p: Point, n: int) -> IntMatrix2:
     return IntMatrix2(m11, m12, m21, m22)
 
 
-@dataclass
-class OrbitTrace:
+class OrbitTrace(NamedTuple):
     """Orbit history: points[i] = T^i(start), returns[i] = R, indices[i] = kappa."""
 
     points: list

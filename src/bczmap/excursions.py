@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import chain
+from typing import NamedTuple
 
 from .core import DomainError, _orbit, _reproject, check_section
 
@@ -61,8 +62,7 @@ def _handoff(a, b):
     return b / a, m
 
 
-@dataclass
-class ExcursionTrace:
+class ExcursionTrace(NamedTuple):
     """Minima/maxima history along an orbit: section-hit times are the minima."""
 
     minima_times: list
@@ -108,17 +108,23 @@ def excursion_trace(start, n: int) -> ExcursionTrace:
     return ExcursionTrace(mt, ml, xt, xl)
 
 
-@dataclass
-class ExcursionAverages:
-    """Birkhoff averages over n section visits (floats, drift-monitored)."""
+class ExcursionAverages(namedtuple("ExcursionAverages", "alpha_mean length_mean "
+                                   "peak_reciprocal_mean peak_mean steps repairs history")):
+    """Birkhoff averages over n section visits (floats, drift-monitored).
 
-    alpha_mean: float          # mean of 1/a at minima      -> 2
-    length_mean: float         # mean of a at minima        -> 2/3
-    peak_reciprocal_mean: float  # mean of 1/M              -> (2/3)(13 - 8 sqrt 2)
-    peak_mean: float           # mean of M                  -> (2/3)(7 - 4 sqrt 2)
-    steps: int
-    repairs: int
-    history: list = field(default_factory=list)  # (n, a_n, l_n, A_n, L_n) snapshots
+    alpha_mean           mean of 1/a at minima  -> 2
+    length_mean          mean of a at minima    -> 2/3
+    peak_reciprocal_mean mean of 1/M            -> (2/3)(13 - 8 sqrt 2)
+    peak_mean            mean of M              -> (2/3)(7 - 4 sqrt 2)
+    history              (n, a_n, l_n, A_n, L_n) snapshots, a new list by default
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, alpha_mean: float, length_mean: float, peak_reciprocal_mean: float,
+                peak_mean: float, steps: int, repairs: int, history: list = None):
+        return super().__new__(cls, alpha_mean, length_mean, peak_reciprocal_mean, peak_mean,
+                               steps, repairs, [] if history is None else history)
 
 
 NAMED_STARTS = {

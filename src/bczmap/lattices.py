@@ -18,10 +18,11 @@ rational lattice its decimals suggest.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import islice
 from operator import truediv
+from typing import NamedTuple
 
 from .core import DomainError, _int_orbit, _uniform, check_section, is_exact
 from .farey import _farey_predecessor, _predecessor
@@ -36,29 +37,29 @@ _STRIP_MAX_POINTS = 50_000_000
 _BEYOND_FLOATS = "a slope or gap of this lattice lies beyond the float range"
 
 
-@dataclass(frozen=True)
-class UnimodularBasis:
+class UnimodularBasis(namedtuple("UnimodularBasis", "x1 y1 x2 y2")):
     """Columns (x1, y1), (x2, y2) spanning a determinant-1 lattice.
 
     The entries follow the flavor rule of `core.check_section`: they are
     stored as Fractions when all four are int/Fraction, else all as floats.
     """
 
-    x1: object
-    y1: object
-    x2: object
-    y2: object
+    __slots__ = ()
 
-    def __post_init__(self):
-        entries, exact = _uniform(self.x1, self.y1, self.x2, self.y2)
-        for name, v in zip(("x1", "y1", "x2", "y2"), entries):
-            object.__setattr__(self, name, v)
+    def __new__(cls, x1, y1, x2, y2):
+        entries, exact = _uniform(x1, y1, x2, y2)
+        self = super().__new__(cls, *entries)
         d = self.det()
         if exact:
             if d != 1:
                 raise DomainError(f"determinant {d} != 1")
         elif not abs(d - 1.0) <= _FLOAT_DET_TOL:  # a nan determinant fails too
             raise DomainError(f"determinant {d!r} not within {_FLOAT_DET_TOL} of 1")
+        return self
+
+    @classmethod
+    def _make(cls, entries):  # so `_replace` applies the flavor rule and checks too
+        return cls(*entries)
 
     def det(self):
         return self.x1 * self.y2 - self.x2 * self.y1
@@ -227,8 +228,7 @@ def _interval_solve(a, c, lo, hi):
     return (-(10**18), 10**18) if lo <= c <= hi else (0, -1)
 
 
-@dataclass
-class SlopeGapSeries:
+class SlopeGapSeries(NamedTuple):
     """Increasing slopes of strip vectors and their consecutive gaps."""
 
     width: object

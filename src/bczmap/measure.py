@@ -21,10 +21,9 @@ from __future__ import annotations
 import cmath
 import heapq
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .core import DomainError
 from .excursions import peak_length
@@ -183,8 +182,7 @@ def roof_cdf(x: float) -> float:
     return min(1.0, 2.0 * (base - 0.5 * r + u * math.log((1.0 + r) / (1.0 - r))))
 
 
-@dataclass
-class RegionMeasureResult:
+class RegionMeasureResult(NamedTuple):
     value: float
     method: str           # "closed-form" | "quadrature"
     estimated_error: float

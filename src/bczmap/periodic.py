@@ -12,9 +12,9 @@ without stepping the map; the tests check each against the iterated orbit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from typing import NamedTuple
 
 from .core import DomainError, IntMatrix2, _mat2_mul, check_section
 from .farey import farey_cardinality, totient
@@ -87,8 +87,7 @@ def _check_coprime(k: int, l: int) -> None:
         raise DomainError(f"k = {k} and l = {l} must be coprime")
 
 
-@dataclass
-class PeriodicOrbitReport:
+class PeriodicOrbitReport(NamedTuple):
     point: tuple
     slope: Fraction
     discrete_period: int

@@ -373,17 +373,19 @@ SCIPY_FREE = [
     "hall-cdf --d-max 1 --step 0.1 --oracle both",
 ]
 
-#: in one fresh process: import bczmap, then run each command of argv[2] in
-#: turn; report after each whether the module argv[1] is loaded, and the exit
-#: code.  With argv[3] == "blocked", every import of the module fails.
+#: in one fresh process: import bczmap, then bczmap.cli, then run each command
+#: of argv[2] in turn; report after each whether the module argv[1] is loaded,
+#: and the exit code.  With argv[3] == "blocked", every import of the module
+#: fails.
 LOAD_PROBE = """
 import contextlib, io, json, sys
 module = sys.argv[1]
 if sys.argv[3:] == ["blocked"]:
     sys.modules[module] = None
 import bczmap
-from bczmap.cli import main
 loaded = {"import bczmap": sys.modules.get(module) is not None}
+from bczmap.cli import main
+loaded["import bczmap.cli"] = sys.modules.get(module) is not None
 for argv in json.loads(sys.argv[2]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
@@ -395,20 +397,26 @@ print(json.dumps(loaded))
 """
 
 
-def probe_loads(module, commands, *flags):
+def run_python(*args):
+    """stdout of a fresh interpreter that imports bczmap from this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", LOAD_PROBE, module, json.dumps(commands), *flags],
-                          capture_output=True, text=True, env=env, timeout=300)
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=300)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    return proc.stdout
+
+
+def probe_loads(module, commands, *flags):
+    return json.loads(run_python("-c", LOAD_PROBE, module, json.dumps(commands), *flags))
 
 
 @pytest.mark.parametrize("flags", [(), ("blocked",)], ids=["loaded", "import-blocked"])
 def test_no_command_loads_scipy(flags):
     loaded = probe_loads("scipy", SCIPY_FREE, *flags)
     assert loaded.pop("import bczmap") is False
+    assert loaded.pop("import bczmap.cli") is False
     for argv in SCIPY_FREE:
         assert loaded[argv] == [False, 0], argv
 
@@ -433,12 +441,43 @@ NUMPY_REFUSED = ["farey 0", "farey 1 --stat index", "farey 3 --output /nonexiste
 def test_numpy_is_loaded_only_for_farey_arrays():
     loaded = probe_loads("numpy", NUMPY_FREE + NUMPY_REFUSED + ["farey 60 --stat gaps --bins 10"])
     assert loaded.pop("import bczmap") is False
+    assert loaded.pop("import bczmap.cli") is False
     for argv in NUMPY_FREE:
         assert loaded[argv] == [False, 0], argv
     for argv in NUMPY_REFUSED:
         assert loaded[argv] == [False, 2], argv
     # the probe does see numpy once F(Q) is built
     assert loaded["farey 60 --stat gaps --bins 10"] == [True, 0]
+
+
+def test_import_bczmap_loads_no_submodule():
+    code = "import sys, bczmap; print([m for m in sys.modules if m.startswith('bczmap.')])"
+    assert run_python("-c", code) == "[]\n"
+
+
+#: commands that build no lattice and no periodic orbit
+LATTICE_AND_PERIODIC_FREE = [
+    "orbit 1/5 1 -n 12",
+    "excursions --slope-irrational golden -n 1000",
+    "hall-cdf --d-max 1 --step 0.1",
+    "measure --s 1 --t 0 --alpha 1.5",
+    "farey 60 --stat gaps --bins 10",
+]
+
+
+@pytest.mark.parametrize("module, free, user", [
+    ("bczmap.lattices", LATTICE_AND_PERIODIC_FREE + ["periodic 2 3"],
+     "slopes --basis 1 0 0 1 -t 2 -n 3"),
+    ("bczmap.periodic", LATTICE_AND_PERIODIC_FREE, "orbit 1 2/3 --periodic"),
+])
+def test_commands_load_only_the_modules_they_run(module, free, user):
+    loaded = probe_loads(module, free + [user])
+    assert loaded.pop("import bczmap") is False
+    assert loaded.pop("import bczmap.cli") is False
+    for argv in free:
+        assert loaded[argv] == [False, 0], argv
+    # the probe does see the module once a command runs it
+    assert loaded[user] == [True, 0]
 
 
 @settings(max_examples=300, deadline=None)

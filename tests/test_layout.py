@@ -1,9 +1,10 @@
 """Every top-level function and class in src/bczmap earns its place.
 
-A name is live when `__init__` exports it, when live code uses it, or when
-it is on the short list of names only the benchmark calls.  Module-level
-statements other than imports (constants, the `__main__` call) are live
-code.  A slow oracle that only the tests call belongs in tests/oracles.py.
+A name is live when `__init__` exports it (its lazy export table), when live
+code uses it, or when it is on the short list of names only the benchmark
+calls.  Module-level statements other than imports (constants, the
+`__main__` call) and the module hooks the interpreter calls are live code.
+A slow oracle that only the tests call belongs in tests/oracles.py.
 """
 
 import ast
@@ -15,19 +16,29 @@ SRC = ROOT / "src" / "bczmap"
 #: names only perfbench calls; each must still appear there and nowhere live
 BENCHMARK_ONLY = {"shear_basis"}
 
+#: module-level functions the interpreter calls on attribute lookup (PEP 562)
+HOOKS = {"__getattr__", "__dir__"}
+
 
 def _parse():
     """Top-level definitions by (module, name), each module's relative
-    imports by local name, and the live roots."""
+    imports by local name (those inside functions too, and `__init__`'s
+    export table), and the live roots."""
     defs, imports, roots = {}, {}, []
     for path in sorted(SRC.glob("*.py")):
         mod = path.stem
         imp = imports[mod] = {}
-        for node in ast.parse(path.read_text()).body:
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
                 for alias in node.names:
                     imp[alias.asname or alias.name] = (node.module, alias.name)
-            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and mod == "__init__" and \
+                    [t.id for t in node.targets] == ["_EXPORTS"]:
+                for module, names in ast.literal_eval(node.value).items():
+                    imp.update({name: (module, name) for name in names})
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in HOOKS:
                 defs[mod, node.name] = node
             elif not isinstance(node, (ast.Import, ast.ImportFrom)):
                 roots.append((mod, node))
@@ -84,3 +95,16 @@ def test_no_module_imports_numpy_or_scipy_at_module_level():
         top |= {node.module.split(".")[0] for node in tree.body
                 if isinstance(node, ast.ImportFrom) and node.level == 0}
         assert not top & {"numpy", "scipy"}, path.name
+
+
+def test_no_module_imports_dataclasses():
+    # records are named tuples: `dataclasses` imports `inspect`, which costs
+    # every fresh interpreter more than most bczmap modules do
+    for path in sorted(SRC.glob("*.py")):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+        assert "dataclasses" not in names, path.name
