@@ -14,10 +14,8 @@ from __future__ import annotations
 
 import argparse
 import errno
-import json
 import math
 import os
-import random
 import sys
 from fractions import Fraction
 
@@ -31,8 +29,8 @@ from .measure import (MAX_PEAK_INTEGRAL, MIN_PEAK_INTEGRAL, excursion_integrals,
                       moment_integral, roof_integral, roof_region_measure,
                       tile_measure, tile_partition_defect)
 
-# `lattices` and `periodic` are imported by the commands that run them, so
-# the other commands load neither
+# `lattices`, `periodic`, `json` and `random` are imported where a command
+# needs them, so the other commands load none of them
 
 #: bytes a row of `orbit`, `slopes` or `excursions` holds until printed (157-319 measured)
 ROW_BYTES = 320
@@ -64,6 +62,7 @@ def emit(args, command: str, params: dict, columns: list, rows: list) -> None:
         raise DomainError(f"cannot write {args.output}: {exc.strerror}") from exc
     try:
         if args.format == "json":
+            import json
             doc = {
                 "meta": meta,
                 "columns": columns,
@@ -122,10 +121,10 @@ def cmd_farey(args) -> None:
         ]
         emit(args, "farey", params, ["bin_lo", "bin_hi", "count", "proportion"], rows)
     elif args.stat == "index":
-        nu = index_values(args.Q, interval)
         alpha = args.alpha
         if not math.isfinite(alpha):
             raise DomainError(f"--alpha must be finite, not {alpha}")
+        nu = index_values(args.Q, interval)
         import numpy as np
         counts = np.bincount(nu)  # nu takes at most 2Q values, one power each
         k = np.flatnonzero(counts)
@@ -239,6 +238,7 @@ def _basis_from_args(args) -> UnimodularBasis:
     if args.random_basis:
         if args.seed is None:
             raise DomainError("--random-basis requires --seed")
+        import random
         rng = random.Random(args.seed)
         m = ((1, 0), (0, 1))
         for _ in range(rng.randint(4, 8)):

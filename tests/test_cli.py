@@ -435,7 +435,8 @@ NUMPY_FREE = [
     "measure --s 1 --t 0 --alpha 1.5",
 ]
 #: refused by the library before it builds F(Q)
-NUMPY_REFUSED = ["farey 0", "farey 1 --stat index", "farey 3 --output /nonexistent/x.csv"]
+NUMPY_REFUSED = ["farey 0", "farey 1 --stat index", "farey 3 --output /nonexistent/x.csv",
+                 "farey 3000 --stat index --alpha nan"]
 
 
 def test_numpy_is_loaded_only_for_farey_arrays():
