@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .core import DomainError, _mat2_mul, orbit_trace
+from .core import DomainError, _mat2_mul, check_section, orbit_trace
 from .excursions import NAMED_STARTS, excursion_averages, named_start
 from .farey import (_as_interval, _check_memory, _gap_histogram, empirical_integral,
                     farey_cardinality, index_values, moment_sum)
@@ -221,7 +221,9 @@ def cmd_orbit(args) -> None:
 
 def cmd_excursions(args) -> None:
     if args.start is not None:
-        start = tuple(float(parse_scalar(v)) for v in args.start)
+        start = [parse_scalar(v) for v in args.start]
+        check_section(start)  # exactly, before the floats of the run
+        start = tuple(float(v) for v in start)
     else:
         start = named_start(args.slope_irrational)
     record = args.record_every or max(1, args.n // 100)
@@ -284,8 +286,7 @@ def cmd_slopes(args) -> None:
 
 
 def cmd_periodic(args) -> None:
-    from .periodic import (hierarchy_report, period_on_segment, segment_matrix,
-                           shear_conjugation_check)
+    from .periodic import _farey_counts, hierarchy_report, segment_matrix, shear_conjugation_check
     if args.hierarchy is not None:
         _check_rows(args.hierarchy)
         recs = hierarchy_report(args.hierarchy)
@@ -297,8 +298,10 @@ def cmd_periodic(args) -> None:
         raise DomainError("provide K L or --hierarchy QMAX")
     k, l = args.k, args.l
     m = segment_matrix(k, l)
-    rows = [(r, f"({l}/{l + r};{l}/{l + r - 1}]", period_on_segment(k, l, r))
-            for r in range(1, k + 1)]
+    _check_rows(k)
+    # the r-th row is period_on_segment(k, l, r) = N(l + r - 1)
+    rows = [(r, f"({l}/{l + r};{l}/{l + r - 1}]", n)
+            for r, n in enumerate(_farey_counts(l, k), start=1)]
     params = {"k": k, "l": l,
               "matrix": f"[{m.a11};{m.a12};{m.a21};{m.a22}]",
               "shear_conjugation": shear_conjugation_check(k, l)}

@@ -27,9 +27,12 @@ denominator D of the point and the width t cleared, it is the map
 (x, y) -> (y, floor((tD + x)/y) y - x).  Fractions appear only at the API
 boundary, built for the values a function returns; `orbit_trace` builds
 each distinct value once per call when its trace is long enough that the
-integer coordinates, which lie in (0, tD], must repeat.  The one-step
-functions t_bcz_step, t_kappa and t_roof keep Fraction arithmetic and are
-the reference the kernel is tested against.
+integer coordinates, which lie in (0, tD], must repeat.  The same conjugacy
+makes the unit section the width-1 case of the width-t one, so every
+section function takes its width t = 1 by default; the one-step functions
+bcz_step, kappa and roof (t_bcz_step, t_kappa and t_roof are the same
+objects) keep Fraction arithmetic and are the reference the kernel is
+tested against.
 """
 
 from __future__ import annotations
@@ -135,29 +138,36 @@ def tile_matrix(k: int) -> IntMatrix2:
     return IntMatrix2(0, 1, -1, k)
 
 
-def kappa(p: Point) -> int:
-    """Index kappa(a, b) = floor((1+a)/b); equals k exactly on the tile Omega_k.
+def kappa(p: Point, t: Scalar = 1) -> int:
+    """Index floor((t+x)/y) on the width-t section; at t = 1 it equals k
+    exactly on the tile Omega_k.
 
-    On the boundary b = 1 this gives 1 for a < 1 and 2 at (1, 1).  This is
-    t_kappa at width 1.
+    On the boundary b = 1 this gives 1 for a < 1 and 2 at (1, 1).
     """
-    return t_kappa(p, 1)
+    x, y, t, _ = check_section(p, width=t)
+    return math.floor((t + x) / y)
 
 
-def roof(p: Point) -> Scalar:
-    """First-return time R(a, b) = 1/(ab); >= 1 on the section, = 1 only at (1, 1)."""
-    return t_roof(p, 1)
+def roof(p: Point, t: Scalar = 1) -> Scalar:
+    """First-return time 1/(xy) on the width-t section, >= 1/t^2 with
+    equality only at (t, t): R(a, b) = 1/(ab) at t = 1."""
+    x, y, _, _ = check_section(p, width=t)
+    return 1 / (x * y)
 
 
-def bcz_step(p: Point) -> Point:
-    """One application of the BCZ map: t_bcz_step at width 1.
+def bcz_step(p: Point, t: Scalar = 1) -> Point:
+    """One application of the width-t return map
+    T_t(x, y) = (y, -x + floor((t+x)/y) * y), the BCZ map at t = 1.
 
-    Exact flavor is closed on Omega by construction.  Float results are
-    re-projected into Omega when within DRIFT_TOL; larger violations raise
-    DriftError (piecewise-linear drift is additive, so this is a real bug
-    or genuine numerical decay, never expected behaviour).
+    Satisfies the scaling conjugacy T_t o M_t = M_t o T exactly.  Exact
+    flavor is closed on the section by construction.  Float results are
+    re-projected into the section when within DRIFT_TOL * max(1, t); larger
+    violations raise DriftError (piecewise-linear drift is additive, so this
+    is a real bug or genuine numerical decay, never expected behaviour).
     """
-    return t_bcz_step(p, 1)
+    x, y, t, exact = check_section(p, width=t)
+    y2 = math.floor((t + x) / y) * y - x
+    return (y, y2 if exact else _reproject(y, y2, t))
 
 
 def _reproject(a: float, b: float, width: float = 1.0) -> float:
@@ -315,26 +325,7 @@ def scale_point(p: Point, t: Scalar) -> Point:
     return (t * a, t * b)
 
 
-def t_kappa(p: Point, t: Scalar) -> int:
-    x, y, t, _ = check_section(p, width=t)
-    return math.floor((t + x) / y)
-
-
-def t_roof(p: Point, t: Scalar) -> Scalar:
-    """Return time on the width-t section: 1/(xy), bounded below by 1/t^2."""
-    x, y, _, _ = check_section(p, width=t)
-    return 1 / (x * y)
-
-
-def t_bcz_step(p: Point, t: Scalar) -> Point:
-    """The width-t return map T_t(x, y) = (y, -x + floor((t+x)/y) * y).
-
-    Satisfies the scaling conjugacy T_t o M_t = M_t o T exactly.  An exact
-    step stays in the section, so only a float step is ever re-projected.
-    """
-    x, y, t, exact = check_section(p, width=t)
-    y2 = math.floor((t + x) / y) * y - x
-    return (y, y2 if exact else _reproject(y, y2, t))
+t_kappa, t_roof, t_bcz_step = kappa, roof, bcz_step
 
 
 def to_upper_half_plane(p: Point):

@@ -27,7 +27,8 @@ whose fraction lands in I, read from one run of consecutive denominators.
 overlapping the next by the neighbours a statistic needs, so every
 temporary a statistic makes fits in cache and only the arrays it returns
 are as long as the selection.  A block is a view of the level's arrays
-unless it wraps from 1/1 back to 0/1, which `_run` alone does.
+unless it wraps from 1/1 back to 0/1, which `_run` alone does.  `_blocks`
+is the only reader of a selection, `EmpiricalMeasure`'s points included.
 
 N(Q) and phi(q) are integer arithmetic, so `import bczmap` and counting a
 level load no numpy; the functions that build or read F(Q)'s arrays import it.
@@ -40,7 +41,7 @@ import math
 import os
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, pairwise
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .core import DomainError
@@ -308,8 +309,8 @@ def _index_range(seq: FareySequence, interval) -> tuple[int, int]:
 
 
 def interval_count(Q: int, interval=(0, 1)) -> int:
-    """N_I(Q) = |F(Q) ∩ I|."""
-    if interval == (0, 1):
+    """N_I(Q) = |F(Q) ∩ I|; for all of [0, 1], in any spelling, N(Q) without building F(Q)."""
+    if _as_interval(interval) == (0, 1):
         return farey_cardinality(Q)
     start, end = _index_range(farey_orbit(Q), interval)
     return end - start
@@ -353,13 +354,6 @@ def _blocks(Q: int, interval, before: int = 0, after: int = 1):
     return m, read()
 
 
-def _window(Q: int, interval, before: int = 0, after: int = 1) -> np.ndarray:
-    """The denominators of `_blocks` as one run, q_{start-before} ..
-    q_{end-1+after}: a view of `seq.q` unless it wraps."""
-    seq, start, m = _selection(Q, interval)
-    return _run(seq, start - before, m + before + after)
-
-
 def _gap_scale(Q: int, interval) -> float:
     """(3/pi^2) |I| Q^2, the normalized gap is this over q_i q_{i+1}."""
     lo, hi = _as_interval(interval)
@@ -383,48 +377,48 @@ def _mean(block_sums: list, m: int):
 class EmpiricalMeasure:
     """Uniform probability on the orbit points (q_i/Q, q_{i+1}/Q), gamma_i in I.
 
-    `window` holds the consecutive denominators q_i of the selected gamma_i
-    and the one after the last; qi and qn are views of it.
-    """
+    It keeps the level, the interval and the number `size` of selected
+    gamma_i; `support` and `integral` read the points block by block."""
 
-    def __init__(self, level: int, interval, window: np.ndarray):
+    def __init__(self, level: int, interval, size: int):
         self.level = level
         self.interval = interval
-        self.window = window
-        self.qi, self.qn = window[:-1], window[1:]
+        self.size = size
 
     def __len__(self) -> int:
-        return len(self.qi)
+        return self.size
 
     @property
     def weight(self) -> float:
-        return 1.0 / len(self.qi)
+        return 1.0 / self.size
 
     def support(self) -> list:
         Q = self.level
-        return [(Fraction(int(a), Q), Fraction(int(b), Q)) for a, b in zip(self.qi, self.qn)]
+        return [(Fraction(a, Q), Fraction(b, Q))
+                for _, w in _blocks(Q, self.interval)[1] for a, b in pairwise(w.tolist())]
 
     def integral(self, G: Callable):
-        """G is called once per block of at most _BLOCK points, with the two
-        float coordinate arrays of the block, so it must act elementwise; a
-        scalar result counts for every point of the block.  A real G gives
-        a float, a complex one a complex."""
-        import numpy as np
-        m, blocks = _blocks(self.level, self.interval)
-        sums = []
-        for _, w in blocks:
-            x = w / self.level
-            sums.append(np.broadcast_to(G(x[:-1], x[1:]), len(w) - 1).sum())
-        return _mean(sums, m)
+        return empirical_integral(self.level, self.interval, G)
 
 
 def empirical_measure(Q: int, interval=(0, 1)) -> EmpiricalMeasure:
-    return EmpiricalMeasure(Q, interval, _window(Q, interval))
+    return EmpiricalMeasure(Q, interval, _selection(Q, interval)[2])
 
 
 def empirical_integral(Q: int, interval, G: Callable):
-    """rho_{Q,I}(G): mean of G over the orbit points with gamma_i in I."""
-    return empirical_measure(Q, interval).integral(G)
+    """rho_{Q,I}(G): mean of G over the orbit points with gamma_i in I.
+
+    G is called once per block of at most _BLOCK points, with the two float
+    coordinate arrays of the block, so it must act elementwise; a scalar
+    result counts for every point of the block.  A real G gives a float, a
+    complex one a complex."""
+    m, blocks = _blocks(Q, interval)
+    import numpy as np
+    sums = []
+    for _, w in blocks:
+        x = w / Q
+        sums.append(np.broadcast_to(G(x[:-1], x[1:]), len(w) - 1).sum())
+    return _mean(sums, m)
 
 
 def normalized_gaps(Q: int, interval=(0, 1)) -> np.ndarray:

@@ -167,7 +167,9 @@ def tile_partition_defect(k_max: int = 10**6) -> float:
 def roof_cdf(x: float) -> float:
     """Closed-form H(x) = m({R < x}); 0 for x <= 1, kinks at x = 1 and x = 4.
 
-    Rounding is clamped, so every result lies in [0, 1]."""
+    Rounding is clamped, so every result lies in [0, 1]; nan is refused."""
+    if math.isnan(x):
+        raise DomainError("the roof distribution is undefined at nan")
     if x <= 1:
         return 0.0
     if math.isinf(x):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, pairwise
 from typing import NamedTuple
 
 from .core import DomainError, IntMatrix2, _mat2_mul, check_section
@@ -112,6 +112,12 @@ def hierarchy_report(q_max: int) -> list:
     """
     if q_max < 2:
         raise DomainError("q_max must be >= 2")
-    jumps = [totient(q + 1) for q in range(1, q_max + 1)]
-    return [{"Q": q, "period": n, "jump_to_next": j} for q, n, j in
-            zip(range(1, q_max + 1), accumulate(jumps, initial=farey_cardinality(1)), jumps)]
+    return [{"Q": q, "period": n, "jump_to_next": n2 - n} for q, (n, n2) in
+            enumerate(pairwise(_farey_counts(1, q_max + 1)), start=1)]
+
+
+def _farey_counts(first: int, count: int) -> list:
+    """N(first), ..., N(first + count - 1): one count of N(first), then the
+    running sum N(q + 1) = N(q) + phi(q + 1)."""
+    return list(accumulate((totient(q) for q in range(first + 1, first + count)),
+                           initial=farey_cardinality(first)))

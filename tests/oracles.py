@@ -16,7 +16,7 @@ from scipy.special import zeta
 from bczmap.core import (DomainError, _orbit, _reproject, check_section,
                          reduce_to_section)
 from bczmap.excursions import ExcursionAverages
-from bczmap.farey import _as_interval, _window, farey_orbit
+from bczmap.farey import _as_interval, _index_range, farey_orbit
 from bczmap.measure import _band_breakpoints
 
 
@@ -80,18 +80,30 @@ def index_values_via_kappa(Q: int) -> np.ndarray:
     return (Q + qm) // q
 
 
+def whole_window(Q: int, interval, before: int = 0, after: int = 1) -> np.ndarray:
+    """The denominators q_{start-before} .. q_{end-1+after} of the gamma_i in
+    the closed interval, indices mod N, taken as one run by `np.take`: the
+    reference for the blocks `farey._blocks` reads, sharing no code with them
+    past the bisected index range."""
+    seq = farey_orbit(Q)
+    start, end = _index_range(seq, interval)
+    if start == end:
+        raise DomainError(f"no Farey fraction of level {Q} in {interval}")
+    return np.take(seq.denominators, range(start - before, end + after), mode="wrap")
+
+
 def normalized_gaps_whole(Q: int, interval) -> np.ndarray:
     """normalized_gaps as one formula over the whole window: the reference
     the blocked statistic must match bit for bit."""
     lo, hi = _as_interval(interval)
-    w = _window(Q, interval)
+    w = whole_window(Q, interval)
     return (3 / math.pi**2) * float(hi - lo) * Q * Q / (w[:-1].astype(float) * w[1:])
 
 
 def index_values_whole(Q: int, interval) -> np.ndarray:
     """index_values over the whole window, with the exact-division check
     done by the integer remainder."""
-    w = _window(Q, interval, before=1)
+    w = whole_window(Q, interval, before=1)
     qi, nu = w[1:-1], w[:-2] + w[2:]
     if (nu % qi).any():
         raise RuntimeError("index identity (q_{i-1}+q_{i+1}) | q_i failed")
@@ -100,7 +112,7 @@ def index_values_whole(Q: int, interval) -> np.ndarray:
 
 def empirical_integral_whole(Q: int, interval, G: Callable):
     """rho_{Q,I}(G) with G called once on the whole window."""
-    x = _window(Q, interval) / Q
+    x = whole_window(Q, interval) / Q
     return np.mean(G(x[:-1], x[1:])).item()
 
 

@@ -127,6 +127,7 @@ def test_unwritable_output_names_its_cause(capsys, tmp_path, output, why):
     "slopes --basis 1 0 0 1 -t 2 -n -5",
     "slopes --basis 1 0 0 1 -t 2 --gaps -n 5 --c 1 --d 0",
     "excursions --start 0.3 0.4 -n 5",  # start outside the section
+    "excursions --start 1/2 1/2 -n 3",  # ... exactly on its edge a + b = 1
     "orbit 1/2 7/10 -n -3",
     "farey 3 --stat gaps --interval 2/7 3/10",  # no fraction of F(3) selected
     "farey 3 --stat excursion --interval 2/7 3/10",
@@ -195,6 +196,7 @@ def test_rows_beyond_memory_are_refused_before_iterating(capsys, monkeypatch, fi
     "slopes --basis 1 0 0 1 -t 25 -n 1000000000000",
     "excursions --slope-irrational golden -n 1000000000000 --record-every 1",
     "farey 60 --stat gaps --bins 1000000000000",
+    "periodic 1000000000000 1000000000001",  # refused before N(10^12) is counted
 ])
 def test_huge_row_counts_exit_2_at_once(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -451,6 +453,22 @@ def test_numpy_is_loaded_only_for_farey_arrays():
     assert loaded["farey 60 --stat gaps --bins 10"] == [True, 0]
 
 
+#: in one fresh process: count F(argv[1]) over each spelling of [0, 1],
+#: then report the counts and whether numpy was loaded
+WHOLE_INTERVAL_PROBE = """
+import sys
+from fractions import Fraction as F
+from bczmap.farey import interval_count
+counts = [interval_count(int(sys.argv[1]), I) for I in ((0, 1), [0, 1], (0.0, 1.0), (F(0), F(1)))]
+print(counts, "numpy" in sys.modules)
+"""
+
+
+def test_the_whole_interval_is_counted_without_building_the_level():
+    out = run_python("-c", WHOLE_INTERVAL_PROBE, "4000")
+    assert out == f"{[farey_cardinality(4000)] * 4} False\n"
+
+
 def test_import_bczmap_loads_no_submodule():
     code = "import sys, bczmap; print([m for m in sys.modules if m.startswith('bczmap.')])"
     assert run_python("-c", code) == "[]\n"
@@ -609,6 +627,16 @@ def test_random_basis_requires_seed(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["slopes", "--random-basis"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("k, l", [(1, 1), (2, 3), (7, 10), (1, 20), (150, 151), (200, 3001)])
+def test_periodic_rows_are_the_segment_periods(capsys, k, l):
+    from bczmap.periodic import period_on_segment
+    code, out, _ = run_cli(capsys, ["periodic", str(k), str(l)])
+    assert code == 0
+    rows = parse_csv(out)[2]
+    assert rows == [[str(r), f"({l}/{l + r};{l}/{l + r - 1}]", str(period_on_segment(k, l, r))]
+                    for r in range(1, k + 1)]
 
 
 def test_json_format(capsys):

@@ -13,6 +13,7 @@ from bczmap.core import DomainError, bcz_step
 from bczmap.farey import (
     counting_bound_check,
     empirical_integral,
+    empirical_measure,
     farey_bruteforce,
     farey_cardinality,
     farey_orbit,
@@ -28,7 +29,8 @@ from bczmap.farey import (
 from bczmap.measure import MAX_PEAK_INTEGRAL, MIN_PEAK_INTEGRAL, hall_cdf
 
 from oracles import (empirical_integral_whole, grid_measure, index_values_via_kappa,
-                     index_values_whole, moment_sum_whole, normalized_gaps_whole)
+                     index_values_whole, moment_sum_whole, normalized_gaps_whole,
+                     whole_window)
 
 PI2_3 = math.pi**2 / 3
 
@@ -272,11 +274,17 @@ def test_window_is_the_cyclic_run_of_denominators(case, before, share):
     start, end = farey._index_range(seq, interval)
     if start == end:
         with pytest.raises(DomainError, match=f"no Farey fraction of level {Q}"):
-            farey._window(Q, interval, before, after)
+            farey._blocks(Q, interval, before, after)
     else:
+        # the blocks with their overlaps dropped, and the last one's tail
         expected = np.take(seq.denominators, range(start - before, end + after), mode="wrap")
-        w = farey._window(Q, interval, before, after)
-        assert w.dtype == np.int64 and w.tolist() == expected.tolist()
+        m, blocks = farey._blocks(Q, interval, before, after)
+        run = []
+        for k, b in blocks:
+            assert b.dtype == np.int64
+            run += b[:min(farey._BLOCK, m - k)].tolist()
+        run += b[min(farey._BLOCK, m - k):].tolist()
+        assert m == end - start and run == expected.tolist()
 
 
 def rolled_h_spacing(Q, interval, box):
@@ -323,7 +331,7 @@ def test_blocks_tile_the_window(case, before, after, block):
     if interval_count(Q, interval) == 0:
         return
     seq = farey_orbit(Q)
-    w = farey._window(Q, interval, before, after)
+    w = whole_window(Q, interval, before, after)
     with mock.patch.object(farey, "_BLOCK", block):
         m, blocks = farey._blocks(Q, interval, before, after)
         blocks = list(blocks)
@@ -638,6 +646,24 @@ def test_empirical_measure_support():
     assert all(in_section(p) for p in pts)
     # support points are genuine orbit points: denominators q_i, q_{i+1}
     assert pts[0][0].denominator <= 40
+
+
+@pytest.mark.parametrize("block", SMALL_BLOCKS + [farey._BLOCK])
+@pytest.mark.parametrize("Q, interval", [
+    (1, (0, 1)), (7, (0, 1)), (7, (F(0), F(0))), (7, (F(0), F(2, 5))), (7, (F(3, 7), F(1))),
+    (60, (0.0, 1.0)), (60, (F(1, 3), F(1))), (60, (F(0), F(1, 60))),
+])
+def test_empirical_measure_matches_the_whole_window(Q, interval, block):
+    w = whole_window(Q, interval)
+    with mock.patch.object(farey, "_BLOCK", block):
+        m = empirical_measure(Q, interval)
+        assert (m.level, m.interval, len(m)) == (Q, interval, len(w) - 1)
+        assert m.weight == 1.0 / (len(w) - 1)
+        assert m.support() == [(F(int(a), Q), F(int(b), Q)) for a, b in zip(w[:-1], w[1:])]
+        for G in (excursion_min, excursion_max):
+            assert m.integral(G) == pytest.approx(
+                empirical_integral_whole(Q, interval, G), rel=1e-14)
+            assert m.integral(G) == empirical_integral(Q, interval, G)
 
 
 def test_empirical_integral():

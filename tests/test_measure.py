@@ -37,13 +37,16 @@ PI2_3 = math.pi**2 / 3
     lambda: roof_region_measure(1, 0),
     lambda: roof_region_measure(0, 1, method="simpson"),
     lambda: hall_cdf(1.0, 0.0),
+    lambda: hall_cdf(math.nan),
+    lambda: roof_cdf(math.nan),
     lambda: moment_integral(-2, 0),
     lambda: moment_integral(math.inf, 0),
     lambda: kappa_moment(2.0),
     lambda: roof_integral("simpson"),
     lambda: excursion_integrals("simpson"),
-], ids=["tile k=0", "region c>d", "unknown method", "hall length 0", "B pole",
-        "B infinite", "kappa alpha=2", "roof integral method", "excursion integrals method"])
+], ids=["tile k=0", "region c>d", "unknown method", "hall length 0", "hall nan", "roof nan",
+        "B pole", "B infinite", "kappa alpha=2", "roof integral method",
+        "excursion integrals method"])
 def test_bad_arguments_raise_domain_error(call):
     with pytest.raises(DomainError):
         call()

@@ -50,6 +50,13 @@ def test_star_import_binds_every_export():
     assert all(namespace[name] is getattr(bczmap, name) for name in EXPORTS)
 
 
+def test_the_width_t_maps_are_the_unit_maps():
+    from bczmap import core
+    assert core.t_kappa is core.kappa
+    assert core.t_roof is bczmap.t_roof is bczmap.roof
+    assert core.t_bcz_step is bczmap.t_bcz_step is bczmap.bcz_step
+
+
 def test_an_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         bczmap.no_such_name
