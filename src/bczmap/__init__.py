@@ -22,10 +22,10 @@ _EXPORTS = {
         "handoff", "named_start", "peak_length", "vector_length_profile",
     ),
     "farey": (
-        "EmpiricalMeasure", "FareySequence", "counting_bound_check", "empirical_integral",
-        "empirical_measure", "farey_bruteforce", "farey_cardinality", "farey_orbit",
-        "h_spacing_proportion", "index_values", "interval_count", "moment_sum",
-        "normalized_gaps", "orbit_flow_period", "spacing_proportion",
+        "FareySequence", "counting_bound_check", "empirical_integral", "farey_bruteforce",
+        "farey_cardinality", "farey_orbit", "h_spacing_proportion", "index_values",
+        "interval_count", "moment_sum", "normalized_gaps", "orbit_flow_period",
+        "spacing_proportion",
     ),
     "lattices": (
         "SlopeGapSeries", "UnimodularBasis", "first_section_hit", "gap_distribution",

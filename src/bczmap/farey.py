@@ -28,7 +28,7 @@ overlapping the next by the neighbours a statistic needs, so every
 temporary a statistic makes fits in cache and only the arrays it returns
 are as long as the selection.  A block is a view of the level's arrays
 unless it wraps from 1/1 back to 0/1, which `_run` alone does.  `_blocks`
-is the only reader of a selection, `EmpiricalMeasure`'s points included.
+is the only reader of a selection.
 
 N(Q) and phi(q) are integer arithmetic, so `import bczmap` and counting a
 level load no numpy; the functions that build or read F(Q)'s arrays import it.
@@ -41,7 +41,7 @@ import math
 import os
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import chain, pairwise
+from itertools import chain
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .core import DomainError
@@ -316,17 +316,6 @@ def interval_count(Q: int, interval=(0, 1)) -> int:
     return end - start
 
 
-def _selection(Q: int, interval) -> tuple[FareySequence, int, int]:
-    """F(Q), the index of its first gamma_i in the closed interval and the
-    number m of them.  An empty selection raises."""
-    lo, hi = _as_interval(interval)
-    seq = farey_orbit(Q)
-    start, end = _index_range(seq, interval)
-    if start == end:
-        raise DomainError(f"no Farey fraction of level {Q} in [{lo}, {hi}]")
-    return seq, start, end - start
-
-
 def _run(seq: FareySequence, a: int, length: int) -> np.ndarray:
     """Denominators q_a .. q_{a+length-1}, indices mod N: a view of `seq.q`
     up to gamma_{N+1} = 1/1, else a copy that wraps back to 0/1 (tiling
@@ -346,7 +335,12 @@ def _blocks(Q: int, interval, before: int = 0, after: int = 1):
     indices mod N.  So consecutive blocks overlap by before + after entries,
     and only a block that wraps past 1/1 is a copy.  An empty selection
     raises here, before any block is read."""
-    seq, start, m = _selection(Q, interval)
+    lo, hi = _as_interval(interval)
+    seq = farey_orbit(Q)
+    start, end = _index_range(seq, interval)
+    if start == end:
+        raise DomainError(f"no Farey fraction of level {Q} in [{lo}, {hi}]")
+    m = end - start
 
     def read():
         for k in range(0, m, _BLOCK):
@@ -372,37 +366,6 @@ def _mean(block_sums: list, m: int):
     """The mean of m terms from their per-block sums, as a Python scalar."""
     import numpy as np
     return (np.sum(block_sums) / m).item()
-
-
-class EmpiricalMeasure:
-    """Uniform probability on the orbit points (q_i/Q, q_{i+1}/Q), gamma_i in I.
-
-    It keeps the level, the interval and the number `size` of selected
-    gamma_i; `support` and `integral` read the points block by block."""
-
-    def __init__(self, level: int, interval, size: int):
-        self.level = level
-        self.interval = interval
-        self.size = size
-
-    def __len__(self) -> int:
-        return self.size
-
-    @property
-    def weight(self) -> float:
-        return 1.0 / self.size
-
-    def support(self) -> list:
-        Q = self.level
-        return [(Fraction(a, Q), Fraction(b, Q))
-                for _, w in _blocks(Q, self.interval)[1] for a, b in pairwise(w.tolist())]
-
-    def integral(self, G: Callable):
-        return empirical_integral(self.level, self.interval, G)
-
-
-def empirical_measure(Q: int, interval=(0, 1)) -> EmpiricalMeasure:
-    return EmpiricalMeasure(Q, interval, _selection(Q, interval)[2])
 
 
 def empirical_integral(Q: int, interval, G: Callable):

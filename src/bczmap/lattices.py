@@ -122,16 +122,21 @@ def _gauss_bound(u, v) -> int:
 
 def _gauss_reduce(u, v):
     """Lagrange-Gauss reduction of integer columns; returns the reduced pair
-    (u, v), which spans the same lattice with the same orientation."""
+    (u, v), which spans the same lattice with the same orientation.  |u|^2,
+    |v|^2 and u.v are computed once and updated at each swap and step, so an
+    iteration multiplies long entries only by mu."""
     bound = _gauss_bound(u, v)
+    nu, nv = u[0] * u[0] + u[1] * u[1], v[0] * v[0] + v[1] * v[1]
+    uv = u[0] * v[0] + u[1] * v[1]
     for _ in range(bound):
-        nu, nv = u[0] * u[0] + u[1] * u[1], v[0] * v[0] + v[1] * v[1]
         if nv < nu:
-            u, v, nu = v, (-u[0], -u[1]), nv
-        mu = (2 * (u[0] * v[0] + u[1] * v[1]) + nu) // (2 * nu)  # the nearest integer
+            u, v, nu, nv, uv = v, (-u[0], -u[1]), nv, nu, -uv
+        mu = (2 * uv + nu) // (2 * nu)  # the nearest integer
         if mu == 0:
             return u, v
         v = (v[0] - mu * u[0], v[1] - mu * u[1])
+        nv -= mu * (2 * uv - mu * nu)
+        uv -= mu * nu
     raise RuntimeError(f"Gauss reduction did not finish in {bound} iterations")
 
 

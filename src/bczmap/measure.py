@@ -155,8 +155,11 @@ def tile_measure(k: int) -> Fraction:
 def tile_partition_defect(k_max: int = 10**6) -> float:
     """|sum_{k <= k_max} m(Omega_k) + tail - 1| with the exact telescoped tail.
 
-    The tail past k_max is 4/((k_max+1)(k_max+2)).
+    The tail past k_max is 4/((k_max+1)(k_max+2)); k_max >= 1, as the sum
+    starts after the k = 1 tile.
     """
+    if k_max < 1:
+        raise DomainError(f"k_max must be >= 1, not {k_max}")
     s = math.fsum(8.0 / (k * (k + 1) * (k + 2)) for k in range(2, k_max + 1))
     tail = 4.0 / ((k_max + 1) * (k_max + 2))
     return abs(1.0 / 3.0 + s + tail - 1.0)
@@ -299,9 +302,13 @@ def kappa_moment(alpha: float, head: int = 1000) -> float:
     Head terms are summed directly; the tail uses the expansion
     8 k^{alpha-3} / ((1+1/k)(1+2/k)) = 8 sum_j (-1)^j (2^{j+1}-1) k^{alpha-3-j}
     whose pieces are Hurwitz zeta values, giving ~1e-15 truncation error.
+    The series in 2/k diverges for k <= 2 and needs more than the loop's 60
+    terms at k = 3, so the tail starts at k = head + 1 >= 4.
     """
     if not 0 < alpha < 2:
         raise DomainError("alpha must lie in (0, 2); the moment diverges at 2")
+    if head < 3:
+        raise DomainError(f"head must be >= 3, not {head}: the tail series needs k >= 4")
     s = math.fsum(k**alpha * 8.0 / (k * (k + 1) * (k + 2)) for k in range(2, head + 1))
     tail = 0.0
     sign = 1.0

@@ -17,6 +17,7 @@ from bczmap.core import (DomainError, _orbit, _reproject, check_section,
                          reduce_to_section)
 from bczmap.excursions import ExcursionAverages
 from bczmap.farey import _as_interval, _index_range, farey_orbit
+from bczmap.lattices import _gauss_bound
 from bczmap.measure import _band_breakpoints
 
 
@@ -90,6 +91,22 @@ def whole_window(Q: int, interval, before: int = 0, after: int = 1) -> np.ndarra
     if start == end:
         raise DomainError(f"no Farey fraction of level {Q} in {interval}")
     return np.take(seq.denominators, range(start - before, end + after), mode="wrap")
+
+
+def gauss_reduce_recomputed(u, v):
+    """Lagrange-Gauss reduction that recomputes both squared norms and the
+    dot product from the entries every iteration: the reference for
+    `lattices._gauss_reduce`, which updates them instead."""
+    bound = _gauss_bound(u, v)
+    for _ in range(bound):
+        nu, nv = u[0] * u[0] + u[1] * u[1], v[0] * v[0] + v[1] * v[1]
+        if nv < nu:
+            u, v, nu = v, (-u[0], -u[1]), nv
+        mu = (2 * (u[0] * v[0] + u[1] * v[1]) + nu) // (2 * nu)  # the nearest integer
+        if mu == 0:
+            return u, v
+        v = (v[0] - mu * u[0], v[1] - mu * u[1])
+    raise RuntimeError(f"Gauss reduction did not finish in {bound} iterations")
 
 
 def normalized_gaps_whole(Q: int, interval) -> np.ndarray:
@@ -224,6 +241,57 @@ def roof_power_integral_truncated(p: float, r_max: float) -> float:
 def kappa_moment_tail_bound(alpha: float) -> float:
     """Crude analytic bound 1/3 + 8 zeta(3 - alpha) dominating the moment."""
     return 1.0 / 3.0 + 8.0 * float(zeta(3.0 - alpha, 1))
+
+
+#: the named starts (1, beta) whose slope is a quadratic irrational,
+#: beta = (r + sqrt(D))/s given as (r, D, s)
+QUADRATIC_STARTS = {"golden": (-1, 5, 2), "sqrt2": (0, 2, 2)}
+
+
+def quadratic_orbit(name: str, n: int):
+    """(indices, points): the kappa itinerary and the first n points of the
+    orbit of (1, beta) for a start in QUADRATIC_STARTS, run exactly.
+
+    Every coordinate is u + v beta with integers u, v, and every comparison
+    is the sign of A + B sqrt(D), A = s u + r v and B = v, read off the
+    integers A^2 and D B^2.  The points are floats within a few ulps of the
+    exact ones: a difference of opposite signs is taken as
+    (A^2 - D B^2)/(A - B sqrt(D)), which cancels nothing.
+    """
+    r, D, s = QUADRATIC_STARTS[name]
+    root = math.sqrt(D)
+
+    def split(z):
+        return s * z[0] + r * z[1], z[1]
+
+    def positive(z):
+        A, B = split(z)
+        if (A >= 0) == (B >= 0):
+            return A + B > 0
+        return A > 0 if A * A > D * B * B else B > 0
+
+    def value(z):
+        A, B = split(z)
+        if (A >= 0) == (B >= 0):
+            return (A + B * root) / s
+        return (A * A - D * B * B) / (A - B * root) / s
+
+    def rest(k, a, b):  # 1 + a - k b
+        return 1 + a[0] - k * b[0], a[1] - k * b[1]
+
+    a, b = (1, 0), (0, 1)
+    indices, points = [], []
+    for _ in range(n):
+        fa, fb = value(a), value(b)
+        k = math.floor((1 + fa) / fb)  # a guess, made exact below
+        while not positive(rest(k, a, b)):
+            k -= 1
+        while positive(rest(k + 1, a, b)):
+            k += 1
+        indices.append(k)
+        points.append((fa, fb))
+        a, b = b, (k * b[0] - a[0], k * b[1] - a[1])
+    return indices, points
 
 
 def excursion_averages_loop(start, n: int, record_every: int = 0) -> ExcursionAverages:

@@ -97,6 +97,20 @@ def test_validation_exit_codes(capsys):
     assert exc.value.code == 2
 
 
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+def test_a_closed_stdout_ends_quietly(capsys, monkeypatch):
+    # `bczmap orbit ... | head -0`: nothing is left to print to, which is no error
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    code = main(["orbit", "1/5", "1", "-n", "12"])
+    assert (code, capsys.readouterr().err) == (0, "")
+
+
 @pytest.mark.parametrize("argv", [
     ["farey", "1", "--stat", "index"],  # indices need Q >= 2
     ["farey", "3", "--output", "{tmp}/missing/x.csv"],  # unwritable output path

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from bczmap.core import DomainError, DriftError, bcz_step, roof
+from bczmap.core import DomainError, DriftError, bcz_step, orbit_trace, roof
 from bczmap.excursions import (
     NAMED_STARTS,
     ExcursionTrace,
@@ -22,7 +22,7 @@ from bczmap.lattices import UnimodularBasis, shortest_vector_length
 from bczmap.measure import MAX_PEAK_INTEGRAL, MIN_PEAK_INTEGRAL
 
 from conftest import random_section_point
-from oracles import excursion_averages_loop
+from oracles import QUADRATIC_STARTS, excursion_averages_loop, quadratic_orbit
 
 
 def test_profile_basic():
@@ -206,6 +206,22 @@ def test_excursion_averages_smoke():
     assert abs(res.peak_reciprocal_mean - MIN_PEAK_INTEGRAL) < 0.05
     assert abs(res.peak_mean - MAX_PEAK_INTEGRAL) < 0.05
     assert res.steps == 20000
+
+
+@pytest.mark.parametrize("name", sorted(QUADRATIC_STARTS))
+def test_float_orbit_follows_the_exact_orbit(name):
+    n = 10**5
+    indices, points = quadratic_orbit(name, n)
+    # orbit_trace runs the float step and repair of excursion_averages
+    assert orbit_trace(named_start(name), n).indices == indices
+    got = excursion_averages(named_start(name), n)
+    assert got.repairs == 0
+    # the float points leave the exact ones by about 5e-10 (golden) and
+    # 2e-11 (sqrt2) at step 10^5, so the means agree to that, not to rounding
+    peaks = [max(a, b, 1 / (a + b)) for a, b in points]
+    means = [math.fsum(v) / n for v in ([1 / a for a, _ in points], [a for a, _ in points],
+                                        [1 / m for m in peaks], peaks)]
+    assert list(got[:4]) == pytest.approx(means, rel=1e-9)
 
 
 def test_excursion_averages_rational_start_warns():

@@ -13,7 +13,6 @@ from bczmap.core import DomainError, bcz_step
 from bczmap.farey import (
     counting_bound_check,
     empirical_integral,
-    empirical_measure,
     farey_bruteforce,
     farey_cardinality,
     farey_orbit,
@@ -81,9 +80,11 @@ def fraction_flow_sum(q, Q):
     lambda: h_spacing_proportion(200, (0, 1), [(2.0, 1.0)]),
     lambda: h_spacing_proportion(200, (0, 1), [(-5.0, 0.5)]),
     lambda: h_spacing_proportion(200, (0, 1), [(0.0, 1.0), (math.nan, 2.0)]),
+    lambda: h_spacing_proportion(200, (0, 1), []),
 ], ids=["orbit Q=0", "cardinality Q<0", "index Q=1", "reversed interval", "infinite interval",
         "empty selection", "non-finite exponent", "totient q=0", "totient q=-1",
-        "totient q=-5", "bruteforce Q=0", "h-box c>d", "h-box c<0", "h-box nan bound"])
+        "totient q=-5", "bruteforce Q=0", "h-box c>d", "h-box c<0", "h-box nan bound",
+        "h-box empty"])
 def test_bad_arguments_raise_domain_error(call):
     with pytest.raises(DomainError):
         call()
@@ -635,35 +636,19 @@ def test_moment_sum_takes_a_fraction_exponent():
     assert moment_sum(300, (0, 1), F(1, 2), -1) == moment_sum(300, (0, 1), 0.5, -1.0)
 
 
-def test_empirical_measure_support():
-    from bczmap.farey import empirical_measure
-    from bczmap.core import in_section
-
-    m = empirical_measure(40, (F(1, 4), F(1, 2)))
-    assert len(m) == interval_count(40, (F(1, 4), F(1, 2)))
-    assert len(m) * m.weight == pytest.approx(1.0)
-    pts = m.support()
-    assert all(in_section(p) for p in pts)
-    # support points are genuine orbit points: denominators q_i, q_{i+1}
-    assert pts[0][0].denominator <= 40
-
-
 @pytest.mark.parametrize("block", SMALL_BLOCKS + [farey._BLOCK])
 @pytest.mark.parametrize("Q, interval", [
     (1, (0, 1)), (7, (0, 1)), (7, (F(0), F(0))), (7, (F(0), F(2, 5))), (7, (F(3, 7), F(1))),
     (60, (0.0, 1.0)), (60, (F(1, 3), F(1))), (60, (F(0), F(1, 60))),
 ])
 def test_empirical_measure_matches_the_whole_window(Q, interval, block):
+    # rho_{Q,I} is its size and its integrals; its atoms are read off farey_orbit
     w = whole_window(Q, interval)
+    assert interval_count(Q, interval) == len(w) - 1
     with mock.patch.object(farey, "_BLOCK", block):
-        m = empirical_measure(Q, interval)
-        assert (m.level, m.interval, len(m)) == (Q, interval, len(w) - 1)
-        assert m.weight == 1.0 / (len(w) - 1)
-        assert m.support() == [(F(int(a), Q), F(int(b), Q)) for a, b in zip(w[:-1], w[1:])]
         for G in (excursion_min, excursion_max):
-            assert m.integral(G) == pytest.approx(
+            assert empirical_integral(Q, interval, G) == pytest.approx(
                 empirical_integral_whole(Q, interval, G), rel=1e-14)
-            assert m.integral(G) == empirical_integral(Q, interval, G)
 
 
 def test_empirical_integral():

@@ -23,6 +23,7 @@ from bczmap.lattices import (
 from bczmap.measure import roof_region_measure
 
 from conftest import random_rational, random_section_point
+from oracles import gauss_reduce_recomputed
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -92,9 +93,26 @@ def test_gauss_reduction_cap_raises(monkeypatch):
 
 def test_gauss_reduction_of_long_columns_finishes():
     # 10^4 + 1 steps on 13886-bit entries, past any fixed cap of 10^4
-    (x1, y1), (x2, y2) = _fibonacci_basis(20_002).columns()
-    cols = (int(x1), int(y1)), (int(x2), int(y2))
-    assert lattices._gauss_reduce(*cols) == ((-1, 0), (0, -1))
+    assert lattices._gauss_reduce(*_fibonacci_columns(20_002)) == ((-1, 0), (0, -1))
+
+
+def _fibonacci_columns(m: int):
+    (x1, y1), (x2, y2) = _fibonacci_basis(m).columns()
+    return (int(x1), int(y1)), (int(x2), int(y2))
+
+
+_ENTRY = st.integers(-2**60, 2**60)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.tuples(st.tuples(_ENTRY, _ENTRY), st.tuples(_ENTRY, _ENTRY)),
+                 st.builds(_fibonacci_columns, st.integers(1, 300).map(lambda k: 2 * k))))
+@example(_fibonacci_columns(20))
+@example(_fibonacci_columns(2002))
+def test_gauss_reduction_matches_the_recomputing_loop(cols):
+    (x1, y1), (x2, y2) = cols
+    assume(x1 * y2 != x2 * y1)  # the columns of a lattice
+    assert lattices._gauss_reduce(*cols) == gauss_reduce_recomputed(*cols)
 
 
 def test_strip_too_large_to_enumerate_is_bad_input(monkeypatch):

@@ -42,10 +42,16 @@ PI2_3 = math.pi**2 / 3
     lambda: moment_integral(-2, 0),
     lambda: moment_integral(math.inf, 0),
     lambda: kappa_moment(2.0),
+    lambda: kappa_moment(0.5, head=0),
+    lambda: kappa_moment(0.5, head=1),
+    lambda: kappa_moment(0.5, head=2),
+    lambda: tile_partition_defect(0),
+    lambda: tile_partition_defect(-1),
     lambda: roof_integral("simpson"),
     lambda: excursion_integrals("simpson"),
 ], ids=["tile k=0", "region c>d", "unknown method", "hall length 0", "hall nan", "roof nan",
-        "B pole", "B infinite", "kappa alpha=2", "roof integral method",
+        "B pole", "B infinite", "kappa alpha=2", "kappa head=0", "kappa head=1",
+        "kappa head=2", "partition k_max=0", "partition k_max=-1", "roof integral method",
         "excursion integrals method"])
 def test_bad_arguments_raise_domain_error(call):
     with pytest.raises(DomainError):
@@ -79,6 +85,7 @@ def test_tile_vertices_on_defining_lines():
 
 def test_partition_of_unity():
     assert tile_partition_defect(10**5) < 1e-12
+    assert tile_partition_defect(1) == 0  # the k = 1 tile and the telescoped rest
 
 
 def test_roof_cdf_shape():
@@ -279,11 +286,13 @@ def test_moment_integral_vs_scipy_complex(s, t):
 def test_kappa_moment():
     assert kappa_moment(1.0) == pytest.approx(3.0, abs=1e-12)
     assert kappa_moment(1e-6) == pytest.approx(1.0, abs=1e-4)
-    for alpha in (0.3, 0.8, 1.0, 1.5, 1.9):
+    for alpha in (0.01, 0.3, 0.8, 1.0, 1.5, 1.9, 1.99):
         v = kappa_moment(alpha)
         assert v < kappa_moment_tail_bound(alpha)
-        # head-length independence (the Hurwitz tail is doing its job)
+        # head-length independence (the Hurwitz tail is doing its job),
+        # down to the shortest head, whose tail starts at k = 4
         assert v == pytest.approx(kappa_moment(alpha, head=5000), abs=1e-12)
+        assert v == pytest.approx(kappa_moment(alpha, head=3), rel=2e-15)
     with pytest.raises(ValueError):
         kappa_moment(2.0)
 

@@ -1,6 +1,8 @@
 """The public surface of `import bczmap`: the names it exported when it
-imported every module up front, each resolved on first use, and records
-that keep their fields, reprs and checks as named tuples."""
+imported every module up front, less `EmpiricalMeasure` and
+`empirical_measure` (rho_{Q,I} is `empirical_integral` and its size
+`interval_count`), each resolved on first use, and records that keep their
+fields, reprs and checks as named tuples."""
 
 import sys
 from fractions import Fraction as F
@@ -10,21 +12,20 @@ import pytest
 import bczmap
 
 EXPORTS = [
-    "DomainError", "DriftError", "EmpiricalMeasure", "ExcursionAverages", "ExcursionTrace",
-    "FareySequence", "IntMatrix2", "OrbitTrace", "PeriodicOrbitReport", "RegionMeasureResult",
-    "SlopeGapSeries", "UnimodularBasis", "bcz_step", "cocycle", "continuous_period",
-    "counting_bound_check", "discrete_period", "empirical_integral", "empirical_measure",
-    "excursion_averages", "excursion_integrals", "excursion_trace", "farey_bruteforce",
-    "farey_cardinality", "farey_orbit", "first_section_hit", "gap_distribution",
-    "h_spacing_proportion", "hall_cdf", "hall_kinks", "handoff", "has_short_vertical",
-    "hierarchy_report", "in_section", "index_values", "interval_count", "kappa",
-    "kappa_moment", "moment_integral", "moment_sum", "named_start", "normalized_gaps",
-    "orbit_flow_period", "orbit_report", "orbit_trace", "peak_length", "period_on_segment",
-    "periodic_matrix", "reduce_to_section", "roof", "roof_cdf", "roof_integral",
-    "roof_region_measure", "scale_point", "shear_conjugation_check", "shortest_vector_length",
-    "shortest_vertical_length", "slope_gaps_via_bcz", "spacing_proportion", "step_matrix",
-    "strip_slopes_bruteforce", "t_bcz_step", "t_roof", "tile_measure", "to_upper_half_plane",
-    "vector_length_profile", "verify_return_identity",
+    "DomainError", "DriftError", "ExcursionAverages", "ExcursionTrace", "FareySequence",
+    "IntMatrix2", "OrbitTrace", "PeriodicOrbitReport", "RegionMeasureResult", "SlopeGapSeries",
+    "UnimodularBasis", "bcz_step", "cocycle", "continuous_period", "counting_bound_check",
+    "discrete_period", "empirical_integral", "excursion_averages", "excursion_integrals",
+    "excursion_trace", "farey_bruteforce", "farey_cardinality", "farey_orbit",
+    "first_section_hit", "gap_distribution", "h_spacing_proportion", "hall_cdf", "hall_kinks",
+    "handoff", "has_short_vertical", "hierarchy_report", "in_section", "index_values",
+    "interval_count", "kappa", "kappa_moment", "moment_integral", "moment_sum", "named_start",
+    "normalized_gaps", "orbit_flow_period", "orbit_report", "orbit_trace", "peak_length",
+    "period_on_segment", "periodic_matrix", "reduce_to_section", "roof", "roof_cdf",
+    "roof_integral", "roof_region_measure", "scale_point", "shear_conjugation_check",
+    "shortest_vector_length", "shortest_vertical_length", "slope_gaps_via_bcz",
+    "spacing_proportion", "step_matrix", "strip_slopes_bruteforce", "t_bcz_step", "t_roof",
+    "tile_measure", "to_upper_half_plane", "vector_length_profile", "verify_return_identity",
 ]
 
 
