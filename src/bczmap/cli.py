@@ -30,7 +30,9 @@ from .measure import (MAX_PEAK_INTEGRAL, MIN_PEAK_INTEGRAL, excursion_integrals,
                       tile_measure, tile_partition_defect)
 
 # `lattices`, `periodic`, `json` and `random` are imported where a command
-# needs them, so the other commands load none of them
+# needs them, so the other commands load none of them.  `farey` and `measure`
+# stay at module level: the benchmark's traced runs time their import lines in
+# `python -X importtime -c "import bczmap.cli"`, and fail when one is missing
 
 #: bytes a row of `orbit`, `slopes` or `excursions` holds until printed (157-319 measured)
 ROW_BYTES = 320
@@ -309,25 +311,25 @@ def cmd_periodic(args) -> None:
 
 
 def cmd_measure(args) -> None:
+    s, t, alpha = args.s, args.t, args.alpha
+    # the closed forms refuse bad exponents before any quadrature runs
+    b_c = moment_integral(s, t)
+    k_c, k_head = kappa_moment(alpha), kappa_moment(alpha, head=4000)
     rows = []
     part = tile_partition_defect(10**5)
     rows.append(("tile_partition_defect", part, 0.0, part))
     ri_c, ri_q = roof_integral(), roof_integral("quadrature")
     rows.append(("roof_integral", ri_c, ri_q, abs(ri_c - ri_q)))
-    s, t = args.s, args.t
-    b_c = moment_integral(s, t)
     b_q, _ = integrate_over_section(lambda a, b: a**s * b**t)
     rows.append((f"B({s:g},{t:g})", b_c, b_q, abs(b_c - b_q)))
-    if 0 < args.alpha < 2:
-        rows.append((f"kappa_moment({args.alpha:g})", kappa_moment(args.alpha),
-                     kappa_moment(args.alpha, head=4000), 0.0))
+    rows.append((f"kappa_moment({alpha:g})", k_c, k_head, 0.0))
     eq = excursion_integrals("quadrature")
     rows.append(("min_peak_integral", MIN_PEAK_INTEGRAL, eq[0],
                  abs(MIN_PEAK_INTEGRAL - eq[0])))
     rows.append(("max_peak_integral", MAX_PEAK_INTEGRAL, eq[1],
                  abs(MAX_PEAK_INTEGRAL - eq[1])))
     rows.append(("tile_measure_1", float(tile_measure(1)), 1 / 3, 0.0))
-    emit(args, "measure", {"s": s, "t": t, "alpha": args.alpha},
+    emit(args, "measure", {"s": s, "t": t, "alpha": alpha},
          ["quantity", "closed_form", "cross_check", "abs_diff"], rows)
 
 

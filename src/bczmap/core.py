@@ -25,9 +25,10 @@ Orbits run on one kernel, `_orbit`.  By the scaling conjugacy
 T_t o M_t = M_t o T an exact orbit is an integer orbit: with the common
 denominator D of the point and the width t cleared, it is the map
 (x, y) -> (y, floor((tD + x)/y) y - x).  Fractions appear only at the API
-boundary, built for the values a function returns; `orbit_trace` builds
-each distinct value once per call when its trace is long enough that the
-integer coordinates, which lie in (0, tD], must repeat.  The same conjugacy
+boundary, built for the values a function returns.  `orbit_trace` and
+`excursion_trace` pass their step count n to `_orbit`, which builds each
+distinct value once per call when n > tD: the integer coordinates lie in
+(0, tD], so they must repeat.  The same conjugacy
 makes the unit section the width-1 case of the width-t one, so every
 section function takes its width t = 1 by default; the one-step functions
 bcz_step, kappa and roof (t_bcz_step, t_kappa and t_roof are the same
@@ -187,23 +188,24 @@ def _reproject(a: float, b: float, width: float = 1.0) -> float:
     return b
 
 
-def _orbit(p: Point, t: Scalar = 1):
+def _orbit(p: Point, t: Scalar = 1, n: int = 0):
     """The orbit kernel: check p once and return (d, ratio, orbit).
 
     `orbit` yields (x, y, kappa) without end: (x/d, y/d) runs through the
     width-t orbit of p, and kappa is the index floor((t + x/d)/(y/d)) of
-    each visit.  `ratio(n, m)` is n/m in the flavor of p: `Fraction` for an
+    each visit.  `ratio(u, v)` is u/v in the flavor of p: `Fraction` for an
     exact point with an exact width, which runs on integers with d the
     common denominator of p and t, and plain division for anything else,
     which runs in floats with d = 1.0 and is re-projected into the section
-    after every step.
+    after every step.  A caller reading n > tD visits, whose integer
+    coordinates in (0, tD] must repeat, gets a per-call memo of `Fraction`.
     """
     a, b, w, exact = check_section(p, width=t)
     if not exact:
         return 1.0, truediv, _float_orbit(a, b, w)
     d = math.lcm(a.denominator, b.denominator, w.denominator)
     x, y, w = (f.numerator * (d // f.denominator) for f in (a, b, w))
-    return d, Fraction, _int_orbit(x, y, w)
+    return d, functools.cache(Fraction) if w < n else Fraction, _int_orbit(x, y, w)
 
 
 def _int_orbit(x: int, y: int, w: int):
@@ -249,16 +251,13 @@ class OrbitTrace(NamedTuple):
 def orbit_trace(p: Point, n: int) -> OrbitTrace:
     """The first n points of the orbit of p, their return times and indices.
 
-    Exact coordinates are y/d with integer y in (0, d], so a trace of n > d
-    steps must repeat them: it builds each distinct coordinate and return
-    time once per call.  Shorter exact traces, which may repeat nothing, and
+    An exact trace of n > d steps builds each distinct coordinate and
+    return time once per call (see `_orbit`); shorter exact traces and
     float traces build every value afresh.
     """
     if n < 0:
         raise DomainError("n must be >= 0")
-    d, ratio, orbit = _orbit(p)
-    if ratio is Fraction and d < n:
-        ratio = functools.cache(Fraction)
+    d, ratio, orbit = _orbit(p, n=n)
     d2 = d * d
     points, returns, indices = [], [], []
     a = check_section(p)[0]

@@ -40,26 +40,16 @@ def peak_length(p):
 
 
 def handoff(p):
-    """Hand-off time and peak of the excursion leaving the section at p.
+    """Hand-off time and peak of the excursion leaving the section at p: the
+    first maximum of `excursion_trace(p, 1)`.
 
     Solves max(a, sa) = max(b, -sb + 1/a) on (0, R(p)) by cases on which of
     a, b, 1/(a+b) dominates; the peak always equals M(p).  At ties (e.g. the
     fixed point (1, 1), where the profile is constant) the crossing time
     degenerates to an endpoint of the sojourn.
     """
-    a, b, _, _ = check_section(p)
-    return _handoff(a, b)
-
-
-def _handoff(a, b):
-    """handoff at a section point whose coordinates are both Fractions or
-    both floats."""
-    m = peak_length((a, b))
-    if m == 1 / (a + b):
-        return 1 / (a * (a + b)), m
-    if m == a:
-        return (1 / a - a) / b, m
-    return b / a, m
+    tr = excursion_trace(p, 1)
+    return tr.maxima_times[0], tr.maxima_lengths[0]
 
 
 class ExcursionTrace(NamedTuple):
@@ -80,13 +70,14 @@ def excursion_trace(start, n: int) -> ExcursionTrace:
 
     The n-th minimum is the n-th section visit: flat intervals of the
     sup-norm profile have radius 1 around the visit, so the midpoint IS the
-    visit time.  Works in either scalar flavor.  The hand-off is `_handoff`
-    with the kernel's denominator d cleared from (a, b) = (x/d, y/d), so
-    each time and peak is one `ratio` of integers in the exact flavor.
+    visit time.  Works in either scalar flavor.  The hand-off's case is
+    picked on the kernel's integers (a, b) = (x/d, y/d), so each time and
+    peak is one `ratio` of integers in the exact flavor, and passing n to
+    `_orbit` builds each distinct one once in a trace longer than d.
     """
     if n < 0:
         raise DomainError("n must be >= 0")
-    d, ratio, orbit = _orbit(start)
+    d, ratio, orbit = _orbit(start, n=n)
     d2 = d * d
     s = ratio(0, 1)
     mt, ml, xt, xl = [], [], [], []

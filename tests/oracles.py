@@ -15,7 +15,7 @@ from scipy.special import zeta
 
 from bczmap.core import (DomainError, _orbit, _reproject, check_section,
                          reduce_to_section)
-from bczmap.excursions import ExcursionAverages
+from bczmap.excursions import ExcursionAverages, peak_length
 from bczmap.farey import _as_interval, _index_range, farey_orbit
 from bczmap.lattices import _gauss_bound
 from bczmap.measure import _band_breakpoints
@@ -318,3 +318,14 @@ def excursion_averages_loop(start, n: int, record_every: int = 0) -> ExcursionAv
     return ExcursionAverages(
         sum_alpha / n, sum_len / n, sum_rpeak / n, sum_peak / n, n, repairs, history
     )
+
+
+def _handoff(a, b):
+    """handoff at a section point whose coordinates are both Fractions or
+    both floats."""
+    m = peak_length((a, b))
+    if m == 1 / (a + b):
+        return 1 / (a * (a + b)), m
+    if m == a:
+        return (1 / a - a) / b, m
+    return b / a, m

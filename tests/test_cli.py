@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import errno
 import io
@@ -18,6 +19,8 @@ from bczmap import cli, core, lattices
 from bczmap.cli import main
 from bczmap.farey import farey_cardinality
 from test_farey import _fake_memory
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, argv):
@@ -149,6 +152,9 @@ def test_unwritable_output_names_its_cause(capsys, tmp_path, output, why):
     "farey 5 --range 5 1",
     "farey 5 --bins 0",
     "measure --s -2",
+    "measure --alpha nan",  # refused by the closed forms before any quadrature
+    "measure --alpha 3",
+    "measure --t inf",
     "periodic --hierarchy 1",
     "periodic --hierarchy 1000000000000",  # 10^12 rows, refused before any count
     "farey 50 --stat moments --s nan",  # non-finite exponents
@@ -414,18 +420,32 @@ print(json.dumps(loaded))
 
 
 def run_python(*args):
-    """stdout of a fresh interpreter that imports bczmap from this checkout."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
+    """The finished run of a fresh interpreter that imports bczmap from this
+    checkout; it must exit 0."""
+    src = str(ROOT / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    return proc
 
 
 def probe_loads(module, commands, *flags):
-    return json.loads(run_python("-c", LOAD_PROBE, module, json.dumps(commands), *flags))
+    return json.loads(run_python("-c", LOAD_PROBE, module, json.dumps(commands), *flags).stdout)
+
+
+def test_import_probe_sees_every_module_the_benchmark_times():
+    # a traced benchmark run takes the median of these modules' lines from
+    # this probe, and fails on a module that `import bczmap.cli` never loads
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text())
+    timed = next(ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets] == ["IMPORTS"])
+    err = run_python("-X", "importtime", "-c", "import bczmap.cli").stderr
+    names = [parts[2].strip() for parts in (line.split("|") for line in err.splitlines())
+             if parts[0].startswith("import time:") and len(parts) == 3]
+    for module in timed:
+        assert names.count(module) == 1, module
 
 
 @pytest.mark.parametrize("flags", [(), ("blocked",)], ids=["loaded", "import-blocked"])
@@ -479,13 +499,13 @@ print(counts, "numpy" in sys.modules)
 
 
 def test_the_whole_interval_is_counted_without_building_the_level():
-    out = run_python("-c", WHOLE_INTERVAL_PROBE, "4000")
+    out = run_python("-c", WHOLE_INTERVAL_PROBE, "4000").stdout
     assert out == f"{[farey_cardinality(4000)] * 4} False\n"
 
 
 def test_import_bczmap_loads_no_submodule():
     code = "import sys, bczmap; print([m for m in sys.modules if m.startswith('bczmap.')])"
-    assert run_python("-c", code) == "[]\n"
+    assert run_python("-c", code).stdout == "[]\n"
 
 
 #: commands that build no lattice and no periodic orbit

@@ -10,7 +10,6 @@ from bczmap.core import DomainError, DriftError, bcz_step, orbit_trace, roof
 from bczmap.excursions import (
     NAMED_STARTS,
     ExcursionTrace,
-    _handoff,
     excursion_averages,
     excursion_trace,
     handoff,
@@ -22,7 +21,7 @@ from bczmap.lattices import UnimodularBasis, shortest_vector_length
 from bczmap.measure import MAX_PEAK_INTEGRAL, MIN_PEAK_INTEGRAL
 
 from conftest import random_section_point
-from oracles import QUADRATIC_STARTS, excursion_averages_loop, quadratic_orbit
+from oracles import QUADRATIC_STARTS, _handoff, excursion_averages_loop, quadratic_orbit
 
 
 def test_profile_basic():
@@ -92,6 +91,20 @@ def test_handoff_against_grid(p):
     assert at_time == pytest.approx(float(peak), abs=1e-12)
 
 
+# the fixed point, and the ties a = b, b = 1/(a+b) and a = 1/(a+b)
+TIE_CASES = [(F(1), F(1)), (F(9, 10), F(9, 10)), (F(11, 30), F(5, 6)), (F(5, 6), F(11, 30))]
+
+
+@pytest.mark.parametrize("p", ORDERING_CASES + TIE_CASES)
+def test_handoff_matches_oracle(p):
+    # exactly for an exact point, and to rounding for its float image, whose
+    # time the oracle writes (1/a - a)/b where handoff divides 1 - a^2 by ab
+    got = handoff(p)
+    assert got == _handoff(*p) and all(isinstance(v, F) for v in got)
+    fp = (float(p[0]), float(p[1]))
+    assert handoff(fp) == pytest.approx(_handoff(*fp), rel=1e-12, abs=1e-12)
+
+
 def test_handoff_peak_matches_max_random():
     rng = random.Random(30)
     for _ in range(10**4):
@@ -154,16 +167,18 @@ def exact_section_points(draw, max_den=60):
     return a, F(draw(st.integers(math.floor((1 - a) * db) + 1, db)), db)
 
 
-# the fixed point, and the ties a = b, b = 1/(a+b) and a = 1/(a+b)
-@example((F(1), F(1)))
-@example((F(9, 10), F(9, 10)))
-@example((F(11, 30), F(5, 6)))
-@example((F(5, 6), F(11, 30)))
-@given(exact_section_points())
-def test_trace_handoff_matches_oracle(p):
+# denominators <= 12 traced for up to 400 visits run past their coordinate
+# range, so the kernel's memo of built Fractions is hit there
+@example((TIE_CASES[0], 25))
+@example((TIE_CASES[1], 25))
+@example((TIE_CASES[2], 25))
+@example((TIE_CASES[3], 25))
+@given(st.one_of(st.tuples(exact_section_points(), st.just(25)),
+                 st.tuples(exact_section_points(max_den=12), st.integers(1, 400))))
+def test_trace_handoff_matches_oracle(start_n):
     # the integer hand-off equals _handoff on the visited points, exactly
     # for an exact start and to rounding for its float image
-    n = 25
+    p, n = start_n
     for start, exact in ((p, True), ((float(p[0]), float(p[1])), False)):
         tr = excursion_trace(start, n + 1)
         for i in range(n):
@@ -175,6 +190,11 @@ def test_trace_handoff_matches_oracle(p):
                 assert got == want and all(isinstance(v, F) for v in got)
             else:
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+        # past the coordinate range every coordinate the kernel built
+        # repeats as the one object built first
+        if exact and n + 1 > math.lcm(p[0].denominator, p[1].denominator):
+            first = {}
+            assert all(first.setdefault(v, v) is v for v in tr.minima_lengths[1:])
 
 
 @st.composite
