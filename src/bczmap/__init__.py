@@ -15,7 +15,8 @@ _EXPORTS = {
     "core": (
         "DomainError", "DriftError", "IntMatrix2", "OrbitTrace", "bcz_step", "cocycle",
         "in_section", "kappa", "orbit_trace", "reduce_to_section", "roof", "scale_point",
-        "step_matrix", "t_bcz_step", "t_roof", "to_upper_half_plane", "verify_return_identity",
+        "step_matrix", "t_bcz_step", "t_kappa", "t_roof", "to_upper_half_plane",
+        "verify_return_identity",
     ),
     "excursions": (
         "ExcursionAverages", "ExcursionTrace", "excursion_averages", "excursion_trace",

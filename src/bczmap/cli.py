@@ -223,9 +223,8 @@ def cmd_orbit(args) -> None:
 
 def cmd_excursions(args) -> None:
     if args.start is not None:
-        start = [parse_scalar(v) for v in args.start]
-        check_section(start)  # exactly, before the floats of the run
-        start = tuple(float(v) for v in start)
+        # checked exactly, and a float start clamped, before the floats of the run
+        start = tuple(float(v) for v in check_section([parse_scalar(v) for v in args.start])[:2])
     else:
         start = named_start(args.slope_irrational)
     record = args.record_every or max(1, args.n // 100)

@@ -73,9 +73,12 @@ def _uniform(*values):
 
 
 def in_section(p: Point, width: Scalar = 1) -> bool:
-    """Exact membership test for Omega_t (t = width, default the unit section)."""
+    """Exact membership test for Omega_t (t = width, default the unit section),
+    floats too: a + b > t is the sign of (max(a, b) - t) + min(a, b), whose
+    subtraction is exact (Sterbenz) wherever the float sum a + b may round to t."""
     a, b = p
-    return 0 < a <= width and 0 < b <= width and a + b > width
+    return 0 < a <= width and 0 < b <= width and \
+        ((a - width) + b if a >= b else (b - width) + a) > 0
 
 
 def check_section(p: Point, width: Scalar = 1):
@@ -83,8 +86,9 @@ def check_section(p: Point, width: Scalar = 1):
 
     Returns (a, b, width, exact) in the flavor `_uniform` gives a, b and the
     width, as for a basis.  Float points are accepted within
-    DRIFT_TOL * max(1, width) of the section, unless their index
-    (width + a)/b overflows.
+    DRIFT_TOL * max(1, width) of a nonempty section, unless their index
+    (width + a)/b overflows, and returned clamped onto it: a to at most the
+    width, and b into (width - a, width] as `_reproject` does.
     """
     a, b = p
     (a, b, width), exact = _uniform(a, b, width)
@@ -92,7 +96,12 @@ def check_section(p: Point, width: Scalar = 1):
         inside = in_section((a, b), width)
     else:
         tol = DRIFT_TOL * max(1.0, width)
-        inside = 0 < a <= width + tol and 0 < b <= width + tol and a + b > width - tol
+        inside = 0 < width and 0 < a <= width + tol and 0 < b <= width + tol \
+            and a + b > width - tol
+        if inside:
+            a, b = min(a, width), min(b, width)
+            if not in_section((a, b), width):
+                b = min(math.nextafter(width - a, math.inf), width)
     if not inside:
         raise DomainError(f"({a}, {b}) not in the width-{width} section")
     if not exact and (width + a) / b == math.inf:

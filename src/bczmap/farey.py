@@ -12,8 +12,10 @@ which is the BCZ step with denominators cleared.  Numerators obey the same
 three-term recurrence with the same multiplier k_i = floor((Q + q_{i-1})/q_i),
 p_{i+1} = k_i p_i - p_{i-1}, and are carried along with the denominators.
 The orbit is cut into K = min(Q, isqrt(N)) lanes, one starting at each
-reduced j/K, whose first step is its successor in F(Q); the lanes step
-together as numpy arrays and each writes its stretch of F(Q) in place.
+reduced j/K, whose first step is its successor in F(Q).  All lanes step
+together for the longest stretch plus two steps, a lane past its own
+writing what the next one writes; each seed and its successor, read back
+where the lanes below left them, then prove every lane by induction from 0/1.
 Neighbours in F(n) come from one step, `_predecessor`, whose reflection is
 the successor; `lattices` reads a first section hit and its section point
 off two consecutive predecessors.
@@ -150,14 +152,14 @@ def _farey_predecessor(i: int, q: int, n: int):
 
 def _lane_seeds(Q: int, K: int):
     """Numerators a and denominators b of the reduced j/K, j = 0..K, and the
-    successor c/d in F(Q) of each but the last."""
+    successor c/d of each in the cycle: in F(Q), and (Q + 1)/Q after 1/1."""
     import numpy as np
     j = np.arange(K + 1, dtype=np.int64)
     g = np.gcd(j, K)
     a, b = j // g, K // g
-    d = np.array([_predecessor(-x, y, Q)[1] for x, y in zip(a[:-1].tolist(), b[:-1].tolist())],
+    d = np.array([_predecessor(-x, y, Q)[1] for x, y in zip(a.tolist(), b.tolist())],
                  dtype=np.int64)
-    c = (1 + a[:-1] * d) // b[:-1]
+    c = (1 + a * d) // b
     return a, b, c, d
 
 
@@ -167,11 +169,10 @@ def _lane_lengths(Q: int, b: np.ndarray, d: np.ndarray, n: int) -> np.ndarray:
     A lane that has arrived would return only n steps later, so each lane
     hits its next seed once."""
     import numpy as np
-    # the point after gamma_{N+1} = 1/1 is the start (1, Q) again
-    tb, td = b[1:], np.append(d[1:], Q)
-    x, y = b[:-1], d
-    lengths = np.zeros(len(d), dtype=np.int64)
-    left = len(d)
+    tb, td = b[1:], d[1:]
+    x, y = b[:-1], d[:-1]
+    lengths = np.zeros(len(tb), dtype=np.int64)
+    left = len(tb)
     for s in range(1, n + 1):
         k = (Q + x) // y
         x, y = y, k * y - x
@@ -185,8 +186,9 @@ def _lane_lengths(Q: int, b: np.ndarray, d: np.ndarray, n: int) -> np.ndarray:
 
 
 def _farey_lanes(Q: int) -> FareySequence:
-    """F(Q) from K lanes of the orbit stepped together; each lane must land
-    on the next seed, and the lanes must cover N(Q) fractions."""
+    """F(Q) from K lanes of the orbit stepped together, each past its stretch
+    into the next; each seed and its successor must be where the lanes below
+    left them, and the lanes must cover N(Q) fractions."""
     # 2 N(Q) - 1, the coprime pairs in [1, Q]^2, is >= Q^2 (1 - sum_p p^-2) > 0.547 Q^2:
     # the bound N(Q) >= Q^2/4 refuses hopeless levels before counting, never a feasible one
     _check_memory(16 * (Q * Q // 4 + 1), f"F({Q}), with at least {Q * Q // 4} fractions,")
@@ -198,31 +200,23 @@ def _farey_lanes(Q: int) -> FareySequence:
     lengths = _lane_lengths(Q, b, d, n)
     if int(lengths.sum()) != n:
         raise RuntimeError(f"lanes of F({Q}) cover {int(lengths.sum())} fractions, not N = {n}")
-    # longest lane first, so the lanes still running are always a prefix
-    order = np.argsort(-lengths, kind="stable")
-    todo = lengths[order].tolist()
-    at = (np.cumsum(lengths) - lengths)[order]
-    p0, q0, p1, q1 = a[:-1][order], b[:-1][order], c[order], d[order]
-    end_p, end_q = a[1:][order], b[1:][order]
-    p = np.empty(n + 1, dtype=np.int64)
-    q = np.empty(n + 1, dtype=np.int64)
-    p[n] = q[n] = 1
-    m = K
-    for s in range(todo[0] + 1):
-        r = m
-        while r and todo[r - 1] == s:
-            r -= 1
-        if r < m and not (np.array_equal(p0[r:m], end_p[r:m])
-                          and np.array_equal(q0[r:m], end_q[r:m])):
-            raise RuntimeError(f"a lane of F({Q}) missed its next seed after {s} steps")
-        m = r
-        q[at[:m]] = q0[:m]
-        p[at[:m]] = p0[:m]
-        at[:m] += 1
-        k = (Q + q0[:m]) // q1[:m]
-        p0[:m] = k * p1[:m] - p0[:m]
-        q0[:m] = k * q1[:m] - q0[:m]
-        p0, p1, q0, q1 = p1, p0, q1, q0
+    seeds = np.cumsum(lengths)  # where seeds 1..K land; 1/1 at n
+    at = seeds - lengths
+    steps = int(lengths.max()) + 2
+    p = np.empty(n + steps, dtype=np.int64)
+    q = np.empty(n + steps, dtype=np.int64)
+    p0, q0, p1, q1 = a[:-1], b[:-1], c[:-1], d[:-1]
+    for _ in range(steps):
+        p[at], q[at] = p0, q0
+        at += 1
+        k = (Q + q0) // q1
+        p0, p1 = p1, k * p1 - p0
+        q0, q1 = q1, k * q1 - q0
+    if not (np.array_equal(p[seeds], a[1:]) and np.array_equal(q[seeds], b[1:])
+            and np.array_equal(p[seeds + 1], c[1:]) and np.array_equal(q[seeds + 1], d[1:])):
+        raise RuntimeError(f"a lane of F({Q}) missed its next seed")
+    p.resize(n + 1, refcheck=False)
+    q.resize(n + 1, refcheck=False)
     return FareySequence(Q, q, p)
 
 

@@ -233,6 +233,21 @@ def test_orbit_next_to_the_cusp_stays_in_the_section(capsys):
     assert [r[4] for r in rows[1:]] == ["1", "2", "2"]
 
 
+def test_a_float_start_just_off_the_section_runs_the_point_it_was_accepted_as(capsys):
+    # (0.5, 1.0000000005) is accepted as (0.5, 1), whose orbit has period 2
+    code, out, _ = run_cli(capsys, ["orbit", "0.5", "1.0000000005", "-n", "3"])
+    assert code == 0
+    rows = parse_csv(out)[2]
+    assert [r[1:3] + r[4:] for r in rows] == [
+        ["0.5", "1", "1"], ["1", "0.5", "4"], ["0.5", "1", "1"]]
+    code, out, _ = run_cli(capsys, ["excursions", "--start", "0.5", "1.0000000005",
+                                    "-n", "4", "--record-every", "1"])
+    assert code == 0
+    meta, header, rows = parse_csv(out)
+    assert meta["params"].startswith("start_a=0.5 start_b=1 ")
+    assert header[4] == "L_N" and all(float(r[4]) <= 1 for r in rows)
+
+
 def test_slope_gap_window_to_a_huge_bound(capsys):
     # the limit mass m({1 < R < 1e17}) is 1 in floats, with no division by zero
     code, out, _ = run_cli(capsys, ["slopes", "--basis", "2", "1", "1", "1", "-t", "1",

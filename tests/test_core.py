@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bczmap.core import (
+    DRIFT_TOL,
     DomainError,
     DriftError,
     IntMatrix2,
@@ -29,7 +30,7 @@ from bczmap.core import (
     to_upper_half_plane,
     verify_return_identity,
 )
-from bczmap.excursions import handoff
+from bczmap.excursions import excursion_trace, handoff
 from bczmap.lattices import (UnimodularBasis, first_section_hit,
                              shortest_vertical_length, slope_gaps_via_bcz)
 
@@ -341,7 +342,7 @@ def near_edge_starts(draw):
 def test_float_orbit_near_an_edge_stays_in_the_section(start):
     p, w = start
     try:
-        check_section(p, w)
+        assert check_section(p, w)[:2] == p  # a point inside is not moved
     except DomainError:  # refused at the start: the float index overflows
         return
     for _, (x, y, k) in zip(range(30), _orbit(p, w)[-1]):
@@ -354,6 +355,55 @@ def test_float_orbit_near_an_edge_stays_in_the_section(start):
         tr = orbit_trace(p, 30)
         assert all(in_section((F(a), F(b))) for a, b in tr.points)
         assert min(tr.indices) >= 1
+
+
+@st.composite
+def edge_points(draw):
+    """A float point of the width-w square whose a + b is a few ulps from w,
+    or a corner point with one coordinate tiny."""
+    w = draw(st.sampled_from([1.0, 0.25, 25.0]))
+    a = draw(st.floats(0.0, w, exclude_min=True) | st.sampled_from([w, 1e-300, 5e-324]))
+    b = w - a
+    if b:
+        b += draw(st.integers(-4, 4)) * math.ulp(b)
+    else:
+        b = draw(st.sampled_from([5e-324, 1e-300]))
+    return (a, b) if draw(st.booleans()) else (b, a), w
+
+
+@settings(max_examples=500)
+@given(edge_points())
+@example(start=((1.0, 1e-300), 1.0))
+@example(start=((0.3, 0.7000000000000001), 1.0))  # the float sum is 1
+@example(start=((0.3, 0.7), 1.0))  # the float sum is 1, the exact one below
+def test_in_section_decides_floats_exactly(start):
+    (a, b), w = start
+    assert in_section((a, b), w) == in_section((F(a), F(b)), F(w))
+
+
+@st.composite
+def starts_just_off_the_section(draw):
+    """A float start at most DRIFT_TOL/2 outside the unit section: above
+    b = 1, right of a = 1, or below the diagonal a + b = 1."""
+    s = draw(st.floats(1e-3, 1 - 1e-3))
+    off = draw(st.floats(0.0, DRIFT_TOL / 2))
+    return draw(st.sampled_from([(s, 1 + off), (1 + off, s), (s, (1 - s) - off)]))
+
+
+@settings(max_examples=300)
+@given(starts_just_off_the_section())
+@example(p=(0.5, 1.0000000005))
+def test_a_float_start_just_off_the_section_is_clamped_onto_it(p):
+    assert in_section(check_section(p)[:2])
+    assert in_section(bcz_step(p))
+    assert all(in_section(q) for q in orbit_trace(p, 2).points)
+    assert max(excursion_trace(p, 4).maxima_lengths) <= 1
+
+
+def test_an_empty_float_section_refuses_every_point():
+    # nothing lies within width 0, so nothing can be clamped onto it
+    with pytest.raises(DomainError):
+        check_section((1e-10, 1e-10), 0.0)
 
 
 # -- the integer orbit kernel against the Fraction one-step functions ---------

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bczmap import farey
@@ -167,6 +167,9 @@ def test_lanes_match_scalar_orbit_and_bruteforce(Q):
     assert seq.denominators.tolist() == qs == brute.denominators.tolist()
     assert seq.numerators.tolist() == ps == brute.numerators.tolist()
     assert seq.q[-1] == seq.p[-1] == 1
+    # the lanes' overrun is cut off in place: the level owns its N + 1 entries
+    assert seq.q.base is None and seq.p.base is None
+    assert len(seq.q) == len(seq.p) == farey_cardinality(Q) + 1
 
 
 def _wrong_successor_denominator(seeds, Q):
@@ -194,6 +197,29 @@ def test_lanes_refuse_a_wrong_successor(monkeypatch, wrong, message):
     monkeypatch.setattr(farey, "_lane_seeds", lambda Q, K: wrong(true_seeds(Q, K), Q))
     with pytest.raises(RuntimeError, match=message):
         farey._farey_lanes(30)
+
+
+@settings(max_examples=150)
+@given(st.integers(2, 60), st.integers(-1, 60), st.booleans(), st.integers(1, 60))
+@example(Q=7, lane=-1, denominator=False, shift=1)  # 1/1's successor (Q + 1)/Q
+@example(Q=7, lane=-1, denominator=True, shift=1)
+@example(Q=7, lane=0, denominator=False, shift=1)  # 0/1's, which no lane below reads
+def test_lanes_refuse_any_corrupted_successor(Q, lane, denominator, shift):
+    # the successor c/d of seed lane mod (K + 1) moves: d to another value in
+    # 1..Q + 1, or c up by shift
+    assume(not denominator or shift % (Q + 1))
+    true_seeds = farey._lane_seeds
+
+    def wrong(Q, K):
+        a, b, c, d = (x.copy() for x in true_seeds(Q, K))
+        j = lane % (K + 1)
+        if denominator:
+            d[j] = (d[j] - 1 + shift) % (Q + 1) + 1
+        else:
+            c[j] += shift
+        return a, b, c, d
+    with mock.patch.object(farey, "_lane_seeds", wrong), pytest.raises(RuntimeError):
+        farey._farey_lanes(Q)
 
 
 @settings(max_examples=200)

@@ -1,8 +1,9 @@
 """The public surface of `import bczmap`: the names it exported when it
 imported every module up front, less `EmpiricalMeasure` and
 `empirical_measure` (rho_{Q,I} is `empirical_integral` and its size
-`interval_count`), each resolved on first use, and records that keep their
-fields, reprs and checks as named tuples."""
+`interval_count`) and plus `t_kappa`, which the README and `core` name
+with `t_roof` and `t_bcz_step`, each resolved on first use, and records
+that keep their fields, reprs and checks as named tuples."""
 
 import sys
 from fractions import Fraction as F
@@ -24,8 +25,9 @@ EXPORTS = [
     "period_on_segment", "periodic_matrix", "reduce_to_section", "roof", "roof_cdf",
     "roof_integral", "roof_region_measure", "scale_point", "shear_conjugation_check",
     "shortest_vector_length", "shortest_vertical_length", "slope_gaps_via_bcz",
-    "spacing_proportion", "step_matrix", "strip_slopes_bruteforce", "t_bcz_step", "t_roof",
-    "tile_measure", "to_upper_half_plane", "vector_length_profile", "verify_return_identity",
+    "spacing_proportion", "step_matrix", "strip_slopes_bruteforce", "t_bcz_step", "t_kappa",
+    "t_roof", "tile_measure", "to_upper_half_plane", "vector_length_profile",
+    "verify_return_identity",
 ]
 
 
@@ -53,7 +55,7 @@ def test_star_import_binds_every_export():
 
 def test_the_width_t_maps_are_the_unit_maps():
     from bczmap import core
-    assert core.t_kappa is core.kappa
+    assert core.t_kappa is bczmap.t_kappa is bczmap.kappa
     assert core.t_roof is bczmap.t_roof is bczmap.roof
     assert core.t_bcz_step is bczmap.t_bcz_step is bczmap.bcz_step
 
