@@ -17,6 +17,7 @@ import errno
 import math
 import os
 import sys
+import warnings
 from fractions import Fraction
 
 from . import __version__
@@ -223,14 +224,19 @@ def cmd_orbit(args) -> None:
 
 def cmd_excursions(args) -> None:
     if args.start is not None:
-        # checked exactly, and a float start clamped, before the floats of the run
-        start = tuple(float(v) for v in check_section([parse_scalar(v) for v in args.start])[:2])
+        # checked, and a float start clamped, in its own flavor: the library
+        # demotes an exact start, and warns that its slope is rational
+        start = check_section([parse_scalar(v) for v in args.start])[:2]
     else:
         start = named_start(args.slope_irrational)
     record = args.record_every or max(1, args.n // 100)
     _check_rows(-(-args.n // record))  # one row per record_every steps, rounded up
-    res = excursion_averages(start, args.n, record_every=record)
-    params = {"start_a": start[0], "start_b": start[1], "n": args.n,
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = excursion_averages(start, args.n, record_every=record)
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
+    params = {"start_a": float(start[0]), "start_b": float(start[1]), "n": args.n,
               "record_every": record, "repairs": res.repairs}
     rows = list(res.history)
     emit(args, "excursions", params, ["n", "a_N", "l_N", "A_N", "L_N"], rows)
@@ -258,6 +264,8 @@ def _basis_from_args(args) -> UnimodularBasis:
 def cmd_slopes(args) -> None:
     from .lattices import slope_gaps_via_bcz, strip_slopes_bruteforce
     basis = _basis_from_args(args)
+    if (args.c is None) != (args.d is None) or (args.c is not None and not args.gaps):
+        raise DomainError("--c and --d give a gap window: pass both, and --gaps")
     t = parse_scalar(args.t)
     c1, c2 = basis.columns()
     params = {"basis": f"[{_fmt(c1[0])};{_fmt(c2[0])};{_fmt(c1[1])};{_fmt(c2[1])}]",
@@ -274,7 +282,7 @@ def cmd_slopes(args) -> None:
         if t == int(t) <= FAREY_PERIOD_WIDTH_MAX:
             params["farey_period_of_integer_width"] = farey_cardinality(int(t))
         rows = [(i, g) for i, g in enumerate(series.gaps)]
-        if args.c is not None and args.d is not None:
+        if args.c is not None:
             inside = sum(1 for g in series.gaps if args.c < g < args.d)
             params.update(c=args.c, d=args.d,
                           fraction_in_window=inside / max(1, len(series.gaps)),

@@ -85,10 +85,9 @@ def check_section(p: Point, width: Scalar = 1):
     """Validate p against the width-`width` section and fix its flavor.
 
     Returns (a, b, width, exact) in the flavor `_uniform` gives a, b and the
-    width, as for a basis.  Float points are accepted within
-    DRIFT_TOL * max(1, width) of a nonempty section, unless their index
-    (width + a)/b overflows, and returned clamped onto it: a to at most the
-    width, and b into (width - a, width] as `_reproject` does.
+    width, as for a basis.  Float points within `_reproject`'s tolerance of a
+    nonempty finite section are accepted, unless their index (width + a)/b
+    overflows, and returned with a <= width and b through `_reproject`.
     """
     a, b = p
     (a, b, width), exact = _uniform(a, b, width)
@@ -96,12 +95,11 @@ def check_section(p: Point, width: Scalar = 1):
         inside = in_section((a, b), width)
     else:
         tol = DRIFT_TOL * max(1.0, width)
-        inside = 0 < width and 0 < a <= width + tol and 0 < b <= width + tol \
-            and a + b > width - tol
+        inside = 0 < width < math.inf and 0 < a <= width + tol and 0 < b <= width + tol \
+            and (width - min(a, width)) - b <= tol
         if inside:
-            a, b = min(a, width), min(b, width)
-            if not in_section((a, b), width):
-                b = min(math.nextafter(width - a, math.inf), width)
+            a = min(a, width)
+            b = _reproject(a, b, width)
     if not inside:
         raise DomainError(f"({a}, {b}) not in the width-{width} section")
     if not exact and (width + a) / b == math.inf:
@@ -181,14 +179,14 @@ def bcz_step(p: Point, t: Scalar = 1) -> Point:
 
 
 def _reproject(a: float, b: float, width: float = 1.0) -> float:
-    """Clamp the second coordinate into (width - a, width]; raise DriftError
-    past the tolerance DRIFT_TOL * max(1, width)."""
+    """The one float clamp, for 0 < a <= width: b if in_section((a, b), width),
+    else b moved into (width - a, width], or DriftError past DRIFT_TOL * max(1, width)."""
     tol = DRIFT_TOL * max(1.0, width)
     if b > width:
         if b > width + tol:
             raise DriftError(f"float orbit drifted above the width-{width:g} section: b = {b!r}")
         b = width
-    if b <= width - a:
+    if not in_section((a, b), width):
         if (width - a) - b > tol:
             raise DriftError(f"float orbit drifted below the width-{width:g} section: b = {b!r}")
         # when a is below half an ulp of the width, width - a rounds to the

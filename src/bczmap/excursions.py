@@ -138,9 +138,9 @@ def excursion_averages(start, n: int, record_every: int = 0) -> ExcursionAverage
 
     Exact-rational starts have rational slope, hence periodic orbits; they
     are accepted with a warning and demoted to floats.  Float starts are
-    assumed irrational.  Each step is re-projected into the section when
-    within the drift tolerance, and counted in `repairs`; exceeding the
-    tolerance aborts with DriftError.
+    assumed irrational.  A step that leaves the section by at most the drift
+    tolerance is clamped back by `_reproject`, and `repairs` counts the
+    points it moved; a larger drift aborts with DriftError.
     """
     if n < 1 or record_every < 0:
         raise DomainError("need n >= 1 and record_every >= 0")
@@ -172,9 +172,9 @@ def excursion_averages(start, n: int, record_every: int = 0) -> ExcursionAverage
             sum_rpeak += 1.0 / m
             k = floor((1.0 + a) / b)
             a, b = b, k * b - a
-            if not 1.0 - a < b <= 1.0:
-                b = _reproject(a, b)
-                repairs += 1
+            if not 1.0 - a < b <= 1.0:  # true outside the section, and at some points inside
+                b, drifted = _reproject(a, b), b
+                repairs += b != drifted
         if record_every:
             history.append((i, sum_alpha / i, sum_len / i, sum_rpeak / i, sum_peak / i))
     return ExcursionAverages(

@@ -135,10 +135,32 @@ def _lgamma(z: complex) -> complex:
     while abs(z) < 16:
         prod *= z
         z += 1
+    return (z - 0.5) * cmath.log(z) - z + 0.5 * math.log(2 * math.pi) + _stirling_series(z) \
+        - cmath.log(prod)
+
+
+def _stirling_series(z):
+    """log Gamma(z) - ((z - 1/2) log z - z + log(2 pi)/2), exact to rounding for |z| >= 16."""
     w = 1 / z
-    series = sum(b / (2 * j * (2 * j - 1)) * w ** (2 * j - 1)
-                 for j, b in enumerate(_BERNOULLI, 1))
-    return (z - 0.5) * cmath.log(z) - z + 0.5 * math.log(2 * math.pi) + series - cmath.log(prod)
+    return sum(b / (2 * j * (2 * j - 1)) * w ** (2 * j - 1) for j, b in enumerate(_BERNOULLI, 1))
+
+
+def _log_beta(x: float, y: float) -> float:
+    """log B(x, y) = lgamma(x) + lgamma(y) - lgamma(x + y) for max(x, y) >= 16.
+
+    The difference cancels: at x = 1e17 it has no correct digit, and lgamma
+    overflows from 2.6e305.  With a <= b the arguments, Stirling's series
+    gives lgamma(b) - lgamma(a + b), and lgamma(a) too when a >= 16, with
+    log(a + b) = log b + log1p(a/b), so nothing cancels or overflows (the
+    betaln of ACM TOMS 708).
+    """
+    a, b = sorted((x, y))
+    h = a / b
+    tail = _stirling_series(b) - _stirling_series(a + b)
+    if a < 16:
+        return math.lgamma(a) + tail + a - a * math.log(b) - (a + b - 0.5) * math.log1p(h)
+    return tail + _stirling_series(a) + 0.5 * math.log(2 * math.pi / b) \
+        + (a - 0.5) * math.log(h / (1 + h)) - b * math.log1p(h)
 
 
 # -- tiles -------------------------------------------------------------------
@@ -281,7 +303,9 @@ def moment_integral(s, t):
     """B_{s,t} = int x^s y^t dm = 2 (1/((s+1)(t+1)) - G(s+1)G(t+1)/G(s+t+3)).
 
     Defined for Re s, Re t > -1, with the limiting values at the poles the
-    theory assigns: B_{-1,0} = B_{0,-1} = 2 and B_{-1,-1} = pi^2/3.
+    theory assigns: B_{-1,0} = B_{0,-1} = 2 and B_{-1,-1} = pi^2/3.  Real
+    exponents from 15 up take the Gamma ratio through `_log_beta`, whose
+    relative error stays near rounding up to the largest float.
     """
     special = {(-1, 0): 2.0, (0, -1): 2.0, (-1, -1): PI2_3}
     key = (s, t)
@@ -291,8 +315,12 @@ def moment_integral(s, t):
     tr = t.real if isinstance(t, complex) else float(t)
     if not (-1 < sr < math.inf and -1 < tr < math.inf):
         raise DomainError(f"B_{{{s},{t}}} undefined: exponents must be finite and exceed -1")
-    lgamma, exp = (_lgamma, cmath.exp) if isinstance(s + t, complex) else (math.lgamma, math.exp)
-    g = exp(lgamma(s + 1) + lgamma(t + 1) - lgamma(s + t + 3))
+    if isinstance(s + t, complex):
+        g = cmath.exp(_lgamma(s + 1) + _lgamma(t + 1) - _lgamma(s + t + 3))
+    elif max(sr, tr) < 15:
+        g = math.exp(math.lgamma(s + 1) + math.lgamma(t + 1) - math.lgamma(s + t + 3))
+    else:  # G(s+1)G(t+1)/G(s+t+3) = B(s+1, t+1)/(s+t+2)
+        g = math.exp(_log_beta(s + 1, t + 1)) / (s + t + 2)
     return 2.0 * (1.0 / ((s + 1) * (t + 1)) - g)
 
 

@@ -313,8 +313,8 @@ def excursion_averages_loop(start, n: int, record_every: int = 0) -> ExcursionAv
         k = math.floor((1.0 + a) / b)
         a, b = b, k * b - a
         if not 1.0 - a < b <= 1.0:
-            b = _reproject(a, b)
-            repairs += 1
+            b, drifted = _reproject(a, b), b
+            repairs += b != drifted
     return ExcursionAverages(
         sum_alpha / n, sum_len / n, sum_rpeak / n, sum_peak / n, n, repairs, history
     )

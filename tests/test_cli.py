@@ -143,6 +143,9 @@ def test_unwritable_output_names_its_cause(capsys, tmp_path, output, why):
     "slopes --basis 1 0 0 1 -t 9e400",  # infinite width
     "slopes --basis 1 0 0 1 -t 2 -n -5",
     "slopes --basis 1 0 0 1 -t 2 --gaps -n 5 --c 1 --d 0",
+    "slopes --basis 1 0 0 1 -t 1 -n 3 --c 0.5",  # a gap window needs --gaps ...
+    "slopes --basis 1 0 0 1 -t 1 -n 3 --c 0.5 --d 1",
+    "slopes --basis 1 0 0 1 -t 1 -n 3 --gaps --d 1",  # ... and both ends
     "excursions --start 0.3 0.4 -n 5",  # start outside the section
     "excursions --start 1/2 1/2 -n 3",  # ... exactly on its edge a + b = 1
     "orbit 1/2 7/10 -n -3",
@@ -246,6 +249,24 @@ def test_a_float_start_just_off_the_section_runs_the_point_it_was_accepted_as(ca
     meta, header, rows = parse_csv(out)
     assert meta["params"].startswith("start_a=0.5 start_b=1 ")
     assert header[4] == "L_N" and all(float(r[4]) <= 1 for r in rows)
+
+
+def test_an_exact_excursions_start_warns_of_its_rational_slope(capsys):
+    # the library demotes the exact start to the floats the decimal one runs
+    code, out, err = run_cli(capsys, ["excursions", "--start", "1/2", "3/4", "-n", "1000"])
+    assert code == 0
+    assert [line for line in err.splitlines() if "rational slope" in line] == [
+        "warning: rational slope: the orbit is periodic, averages converge to orbit "
+        "means rather than the space averages"]
+    code, decimal_out, err = run_cli(capsys, ["excursions", "--start", "0.5", "0.75",
+                                              "-n", "1000"])
+    assert code == 0 and decimal_out == out and "rational slope" not in err
+
+
+def test_a_float_start_inside_the_section_makes_no_repair(capsys):
+    # the float test 1 - a < b fails at (0.1, 0.9), which is inside
+    _, out, _ = run_cli(capsys, ["excursions", "--start", "0.9", "0.1", "-n", "3"])
+    assert " repairs=0" in parse_csv(out)[0]["params"]
 
 
 def test_slope_gap_window_to_a_huge_bound(capsys):

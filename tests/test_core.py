@@ -13,6 +13,7 @@ from bczmap.core import (
     DriftError,
     IntMatrix2,
     _orbit,
+    _reproject,
     bcz_step,
     check_section,
     cocycle,
@@ -278,8 +279,6 @@ def test_float_drift_detection():
 
 
 def test_float_reprojection_clamps():
-    from bczmap.core import _reproject
-
     assert _reproject(0.5, 1.0 + 1e-10) == 1.0
     repaired = _reproject(0.5, 0.5 - 1e-10)
     assert 0.5 < repaired <= 1.0
@@ -298,8 +297,6 @@ def test_float_reprojection_clamps():
 
 
 def test_reprojection_near_the_cusp_stays_in_the_section():
-    from bczmap.core import _reproject
-
     # 1 - 1e-300 rounds to 1, and the one float in (1 - 1e-300, 1] is 1
     assert _reproject(1e-300, 1.0) == 1.0
     assert _reproject(1e-300, 25.0, 25.0) == 25.0
@@ -404,6 +401,61 @@ def test_an_empty_float_section_refuses_every_point():
     # nothing lies within width 0, so nothing can be clamped onto it
     with pytest.raises(DomainError):
         check_section((1e-10, 1e-10), 0.0)
+    with pytest.raises(DomainError):  # nor is an infinite width a section
+        check_section((0.5, 0.5), math.inf)
+
+
+@st.composite
+def points_near_an_edge(draw):
+    """A float (a, b) with 0 < a <= w and b within 2 DRIFT_TOL * max(1, w),
+    or a few ulps, of the diagonal b = w - a or the top b = w."""
+    w = draw(st.sampled_from([1.0, 0.25, 3.0, 1e6]))
+    a = draw(st.floats(0.0, w, exclude_min=True) | st.sampled_from([w, 1e-300]))
+    edge = draw(st.sampled_from([w - a, w]))
+    tol = DRIFT_TOL * max(1.0, w)
+    b = draw(st.floats(edge - 2 * tol, edge + 2 * tol)
+             | st.integers(-4, 4).map(lambda i: edge + i * math.ulp(edge)))
+    return a, b, w
+
+
+@settings(max_examples=500)
+@given(points_near_an_edge())
+@example(p=(0.1, 0.9, 1.0))  # fl(1 - 0.1) = 0.9, but 0.1 + 0.9 > 1 exactly
+@example(p=(0.3, 0.7, 1.0))  # the float sum is 1, the exact one below
+def test_reproject_moves_only_points_outside_the_section(p):
+    a, b, w = p
+    try:
+        got = _reproject(a, b, w)
+    except DriftError:
+        assert not in_section((a, b), w)
+        return
+    if in_section((a, b), w):
+        assert got == b
+    else:
+        assert in_section((F(a), F(got)), F(w))
+
+
+@settings(max_examples=300)
+@given(points_near_an_edge(), st.sampled_from([-1, 0, 1]), st.booleans())
+def test_check_section_at_its_tolerance_never_drifts(p, ulps, swap):
+    """check_section accepts up to _reproject's thresholds, so it returns a
+    section point or raises DomainError, never DriftError."""
+    a, b, w = p
+    tol = DRIFT_TOL * max(1.0, w)
+    edge = (w - a) - tol if b < w - a else w + tol  # the tolerance boundary
+    b = edge + ulps * math.ulp(edge)
+    try:
+        x, y, _, _ = check_section((b, a) if swap else (a, b), w)
+    except DomainError:
+        return
+    assert in_section((F(x), F(y)), F(w))
+
+
+def test_a_float_step_inside_the_section_is_not_moved():
+    # fl(1 - 0.1) = 0.9, yet 0.1 + 0.9 > 1 exactly: the point is inside
+    assert in_section((0.1, 0.9))
+    assert bcz_step((0.9, 0.1)) == (0.1, 0.9)
+    assert orbit_trace((0.9, 0.1), 2).points[1] == (0.1, 0.9)
 
 
 # -- the integer orbit kernel against the Fraction one-step functions ---------

@@ -262,6 +262,8 @@ def test_excursion_averages_drift_repairs():
     start = REPAIR_START
     for n in (1, 2, 3):
         assert excursion_averages(start, n).repairs == 1
+    # the float test fires at (0.1, 0.9), which is inside: nothing moves
+    assert excursion_averages((0.9, 0.1), 3).repairs == 0
 
 
 @pytest.mark.parametrize("call", [
