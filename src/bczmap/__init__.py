@@ -14,24 +14,20 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "core": (
         "DomainError", "DriftError", "IntMatrix2", "OrbitTrace", "bcz_step", "cocycle",
-        "in_section", "kappa", "orbit_trace", "reduce_to_section", "roof", "scale_point",
-        "step_matrix", "t_bcz_step", "t_kappa", "t_roof", "to_upper_half_plane",
-        "verify_return_identity",
+        "in_section", "kappa", "orbit_trace", "reduce_to_section", "roof",
     ),
     "excursions": (
         "ExcursionAverages", "ExcursionTrace", "excursion_averages", "excursion_trace",
-        "handoff", "named_start", "peak_length", "vector_length_profile",
+        "handoff", "named_start", "peak_length",
     ),
     "farey": (
         "FareySequence", "counting_bound_check", "empirical_integral", "farey_bruteforce",
         "farey_cardinality", "farey_orbit", "h_spacing_proportion", "index_values",
-        "interval_count", "moment_sum", "normalized_gaps", "orbit_flow_period",
-        "spacing_proportion",
+        "interval_count", "moment_sum", "orbit_flow_period", "spacing_proportion",
     ),
     "lattices": (
-        "SlopeGapSeries", "UnimodularBasis", "first_section_hit", "gap_distribution",
-        "has_short_vertical", "shortest_vector_length", "shortest_vertical_length",
-        "slope_gaps_via_bcz", "strip_slopes_bruteforce",
+        "SlopeGapSeries", "UnimodularBasis", "first_section_hit", "slope_gaps_via_bcz",
+        "strip_slopes_bruteforce",
     ),
     "measure": (
         "RegionMeasureResult", "excursion_integrals", "hall_cdf", "hall_kinks",
@@ -40,7 +36,7 @@ _EXPORTS = {
     ),
     "periodic": (
         "PeriodicOrbitReport", "continuous_period", "discrete_period", "hierarchy_report",
-        "orbit_report", "period_on_segment", "periodic_matrix", "shear_conjugation_check",
+        "orbit_report", "periodic_matrix", "shear_conjugation_check",
     ),
 }
 

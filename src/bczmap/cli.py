@@ -283,9 +283,10 @@ def cmd_slopes(args) -> None:
             params["farey_period_of_integer_width"] = farey_cardinality(int(t))
         rows = [(i, g) for i, g in enumerate(series.gaps)]
         if args.c is not None:
+            if not series.gaps:
+                raise DomainError("--c and --d need at least one gap to count")
             inside = sum(1 for g in series.gaps if args.c < g < args.d)
-            params.update(c=args.c, d=args.d,
-                          fraction_in_window=inside / max(1, len(series.gaps)),
+            params.update(c=args.c, d=args.d, fraction_in_window=inside / len(series.gaps),
                           limit_mass=roof_region_measure(
                               float(t) ** 2 * args.c, float(t) ** 2 * args.d).value)
         emit(args, "slopes", params, ["i", "gap"], rows)
@@ -308,7 +309,7 @@ def cmd_periodic(args) -> None:
     k, l = args.k, args.l
     m = segment_matrix(k, l)
     _check_rows(k)
-    # the r-th row is period_on_segment(k, l, r) = N(l + r - 1)
+    # the r-th row, a in (l/(l + r), l/(l + r - 1)], has the period N(l + r - 1)
     rows = [(r, f"({l}/{l + r};{l}/{l + r - 1}]", n)
             for r, n in enumerate(_farey_counts(l, k), start=1)]
     params = {"k": k, "l": l,
@@ -328,8 +329,8 @@ def cmd_measure(args) -> None:
     ri_c, ri_q = roof_integral(), roof_integral("quadrature")
     rows.append(("roof_integral", ri_c, ri_q, abs(ri_c - ri_q)))
     b_q, _ = integrate_over_section(lambda a, b: a**s * b**t)
-    rows.append((f"B({s:g},{t:g})", b_c, b_q, abs(b_c - b_q)))
-    rows.append((f"kappa_moment({alpha:g})", k_c, k_head, 0.0))
+    rows.append((f"B({_fmt(s)},{_fmt(t)})", b_c, b_q, abs(b_c - b_q)))
+    rows.append((f"kappa_moment({_fmt(alpha)})", k_c, k_head, 0.0))
     eq = excursion_integrals("quadrature")
     rows.append(("min_peak_integral", MIN_PEAK_INTEGRAL, eq[0],
                  abs(MIN_PEAK_INTEGRAL - eq[0])))

@@ -31,9 +31,8 @@ distinct value once per call when n > tD: the integer coordinates lie in
 (0, tD], so they must repeat.  The same conjugacy
 makes the unit section the width-1 case of the width-t one, so every
 section function takes its width t = 1 by default; the one-step functions
-bcz_step, kappa and roof (t_bcz_step, t_kappa and t_roof are the same
-objects) keep Fraction arithmetic and are the reference the kernel is
-tested against.
+bcz_step, kappa and roof keep Fraction arithmetic and are the reference the
+kernel is tested against.
 """
 
 from __future__ import annotations
@@ -141,11 +140,6 @@ class IntMatrix2(namedtuple("IntMatrix2", "a11 a12 a21 a22")):
         return ((self.a11, self.a12), (self.a21, self.a22))
 
 
-def tile_matrix(k: int) -> IntMatrix2:
-    """A_k = [[0, 1], [-1, k]]; T acts by p -> p . A_k^T on the tile kappa = k."""
-    return IntMatrix2(0, 1, -1, k)
-
-
 def kappa(p: Point, t: Scalar = 1) -> int:
     """Index floor((t+x)/y) on the width-t section; at t = 1 it equals k
     exactly on the tile Omega_k.
@@ -231,11 +225,6 @@ def _float_orbit(x: float, y: float, w: float):
             y = _reproject(x, y, w)
 
 
-def step_matrix(p: Point) -> IntMatrix2:
-    """A_{kappa(p)}; satisfies bcz_step(p) = p . A^T, det 1, trace kappa(p)."""
-    return tile_matrix(kappa(p))
-
-
 def cocycle(p: Point, n: int) -> IntMatrix2:
     """Ordered product A(T^{n-1} p) ... A(T p) A(p); T^n(p) = p . (result)^T."""
     if n < 1:
@@ -296,50 +285,9 @@ def reduce_to_section(a: Scalar, b_raw: Scalar, width: Scalar = 1):
     return (a, b), shift
 
 
-def verify_return_identity(p: Point) -> bool:
-    """Exact check of the return identity h_{R(p)} . p_{a,b} . A(p)^T = p_{T(p)}.
-
-    Here p_{a,b} = [[a, b], [0, 1/a]] and h_s = [[1, 0], [-s, 1]].  Note the
-    multiplying matrix is the transpose [[0, -1], [1, kappa]] of the tile
-    matrix A_{kappa(p)} = [[0, 1], [-1, kappa]].
-    """
-    a, b, _, exact = check_section(p)
-    if not exact:
-        raise DomainError("verify_return_identity requires the exact flavor")
-    r = 1 / (a * b)
-    h = ((1, 0), (-r, 1))
-    pa = ((a, b), (0, 1 / a))
-    w = ((0, -1), (1, kappa(p)))
-    left = _mat2_mul(_mat2_mul(h, pa), w)
-    ta, tb = bcz_step(p)
-    right = ((ta, tb), (0, 1 / ta))
-    return left == right
-
-
 def _mat2_mul(x, y):
     return (
         (x[0][0] * y[0][0] + x[0][1] * y[1][0], x[0][0] * y[0][1] + x[0][1] * y[1][1]),
         (x[1][0] * y[0][0] + x[1][1] * y[1][0], x[1][0] * y[0][1] + x[1][1] * y[1][1]),
     )
 
-
-# -- scaled sections -------------------------------------------------------
-
-def scale_point(p: Point, t: Scalar) -> Point:
-    """M_t(a, b) = (ta, tb), carrying Omega onto the width-t section."""
-    a, b = p
-    return (t * a, t * b)
-
-
-t_kappa, t_roof, t_bcz_step = kappa, roof, bcz_step
-
-
-def to_upper_half_plane(p: Point):
-    """Coordinates of the lattice in the standard cuspidal strip.
-
-    Returns (x, y) with y = 1/a^2 >= 1 and x = b/a reduced mod 1 into
-    (-1/2, 1/2].
-    """
-    a, b, _, _ = check_section(p)
-    x = b / a
-    return (x - math.ceil((2 * b - a) / (2 * a)), 1 / (a * a))

@@ -21,18 +21,6 @@ from typing import NamedTuple
 from .core import DomainError, _orbit, _reproject, check_section
 
 
-def vector_length_profile(v, s):
-    """Sup-norm of h_s v = (x, y - sx) for a vector v = (x, y) with x > 0.
-
-    As a function of s this is flat at |x| on [sigma - 1, sigma + 1] around
-    the slope sigma = y/x, with slope -+|x| outside.
-    """
-    x, y = v
-    if not x > 0:
-        raise DomainError("profile requires a positive first coordinate")
-    return max(x, abs(y - s * x))
-
-
 def peak_length(p):
     """Excursion peak M(a, b) = max(a, b, 1/(a+b))."""
     a, b = p

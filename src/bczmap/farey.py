@@ -378,16 +378,6 @@ def empirical_integral(Q: int, interval, G: Callable):
     return _mean(sums, m)
 
 
-def normalized_gaps(Q: int, interval=(0, 1)) -> np.ndarray:
-    """(3/pi^2) |I| Q^2 (gamma_{i+1} - gamma_i) for the selected gamma_i."""
-    m, blocks = _blocks(Q, interval)
-    import numpy as np
-    scale, gaps = _gap_scale(Q, interval), np.empty(m)
-    for k, w in blocks:
-        _gaps_into(scale, w, gaps[k:])
-    return gaps
-
-
 def _gap_histogram(Q: int, interval, lo: float, hi: float, bins: int):
     """(m, edges, counts): the m normalized gaps counted into `bins` equal bins
     of [lo, hi] as np.histogram counts them, one block's gaps at a time."""

@@ -140,42 +140,11 @@ def _gauss_reduce(u, v):
     raise RuntimeError(f"Gauss reduction did not finish in {bound} iterations")
 
 
-def shortest_vector_length(basis: UnimodularBasis):
-    """Sup-norm length of the shortest nonzero lattice vector; after Gauss
-    reduction the minimizer has coefficients in [-2, 2]^2."""
-    lat = _Lattice(basis)
-    (x1, y1), (x2, y2) = _gauss_reduce(*lat.cols)
-    dn, dd = lat.delta
-    # the sup norm of (x, delta y) over the denominator dd D
-    norm = min(max(dd * abs(m * x1 + n * x2), dn * abs(m * y1 + n * y2))
-               for m in range(-2, 3) for n in range(-2, 3) if m or n)
-    return lat.ratio(norm, dd * lat.d)  # at most 1, by Minkowski's theorem
-
-
 def _vertical(lat: _Lattice) -> int:
     """y of the shortest vertical vector (0, y) of the integer lattice."""
     (x1, y1), (x2, y2) = lat.cols
     g = math.gcd(x1, x2)  # (m, n) = (x2, -x1)/g is the primitive solution of m x1 + n x2 = 0
     return abs(x2 // g * y1 - x1 // g * y2)
-
-
-def shortest_vertical_length(basis: UnimodularBasis):
-    """Length of the shortest nonzero vertical vector.  Rational x-components
-    always have one: the doubles (1.0, 0.0), (sqrt(2), 1.0) spell (0, 2^52)."""
-    lat = _Lattice(basis)
-    try:
-        return lat.scaled(_vertical(lat), lat.d)
-    except OverflowError:
-        raise DomainError("a vertical vector of this lattice is longer than any float") from None
-
-
-def has_short_vertical(basis: UnimodularBasis, t=1) -> bool:
-    """True iff the lattice has a nonzero vertical vector of length <= 1/t,
-    decided on integers (the length is delta y/D, and t = w/D): it is then
-    horocycle-periodic with period <= 1/t^2 and never (or only degenerately)
-    meets the width-t section."""
-    lat = _Lattice(basis, t)
-    return lat.delta[0] * _vertical(lat) * lat.w <= lat.delta[1] * lat.d**2
 
 
 # -- strip enumeration --------------------------------------------------------
@@ -357,14 +326,3 @@ def slope_gaps_via_bcz(basis: UnimodularBasis, t, n: int) -> SlopeGapSeries:
         raise DomainError(_BEYOND_FLOATS) from None
     return SlopeGapSeries(t, slopes, gaps)
 
-
-def gap_distribution(basis: UnimodularBasis, t, n: int, c: float, d: float) -> float:
-    """Fraction of the first n slope gaps lying in (c, d), counted with
-    multiplicity: the quantity that converges to m(R^{-1}(t^2 c, t^2 d)) for
-    width t."""
-    if not 0 <= c <= d:
-        raise DomainError("need 0 <= c <= d")
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    gaps = slope_gaps_via_bcz(basis, t, n).gaps
-    return sum(1 for g in gaps if c < g < d) / len(gaps)

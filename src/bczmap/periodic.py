@@ -39,7 +39,7 @@ def discrete_period(p) -> int:
     return farey_cardinality(math.isqrt(math.floor(continuous_period(p))))
 
 
-#: the older name of `discrete_period`, kept for its callers
+#: the older name of `discrete_period`, which the benchmark's worker calls
 predicted_period = discrete_period
 
 
@@ -56,15 +56,6 @@ def segment_matrix(k: int, l: int) -> IntMatrix2:
     the period matrix of its point a = 1."""
     _check_coprime(k, l)
     return periodic_matrix((1, Fraction(k, l)))
-
-
-def period_on_segment(k: int, l: int, r: int) -> int:
-    """Period N(l + r - 1) on the r-th subinterval (l/(l+r), l/(l+r-1)] of
-    the slope-k/l segment, 1 <= r <= k."""
-    _check_coprime(k, l)
-    if not 1 <= r <= k:
-        raise DomainError(f"r must lie in [1, {k}]")
-    return farey_cardinality(l + r - 1)
 
 
 def shear_conjugation_check(k: int, l: int) -> bool:

@@ -13,12 +13,32 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import zeta
 
-from bczmap.core import (DomainError, _orbit, _reproject, check_section,
-                         reduce_to_section)
+from bczmap.core import (DomainError, _mat2_mul, _orbit, _reproject, bcz_step,
+                         check_section, kappa, reduce_to_section)
 from bczmap.excursions import ExcursionAverages, peak_length
 from bczmap.farey import _as_interval, _index_range, farey_orbit
-from bczmap.lattices import _gauss_bound
+from bczmap.lattices import _Lattice, _gauss_bound, _gauss_reduce
 from bczmap.measure import _band_breakpoints
+
+
+def verify_return_identity(p) -> bool:
+    """Exact check of the return identity h_{R(p)} . p_{a,b} . A(p)^T = p_{T(p)}.
+
+    Here p_{a,b} = [[a, b], [0, 1/a]] and h_s = [[1, 0], [-s, 1]].  Note the
+    multiplying matrix is the transpose [[0, -1], [1, kappa]] of the tile
+    matrix A_{kappa(p)} = [[0, 1], [-1, kappa]].
+    """
+    a, b, _, exact = check_section(p)
+    if not exact:
+        raise DomainError("verify_return_identity requires the exact flavor")
+    r = 1 / (a * b)
+    h = ((1, 0), (-r, 1))
+    pa = ((a, b), (0, 1 / a))
+    w = ((0, -1), (1, kappa(p)))
+    left = _mat2_mul(_mat2_mul(h, pa), w)
+    ta, tb = bcz_step(p)
+    right = ((ta, tb), (0, 1 / ta))
+    return left == right
 
 
 def tile_vertices(k: int) -> list:
@@ -107,6 +127,18 @@ def gauss_reduce_recomputed(u, v):
             return u, v
         v = (v[0] - mu * u[0], v[1] - mu * u[1])
     raise RuntimeError(f"Gauss reduction did not finish in {bound} iterations")
+
+
+def shortest_vector_length(basis):
+    """Sup-norm length of the shortest nonzero vector of the lattice the basis
+    spells; after Gauss reduction the minimizer has coefficients in [-2, 2]^2."""
+    lat = _Lattice(basis)
+    (x1, y1), (x2, y2) = _gauss_reduce(*lat.cols)
+    dn, dd = lat.delta
+    # the sup norm of (x, delta y) over the denominator dd D
+    norm = min(max(dd * abs(m * x1 + n * x2), dn * abs(m * y1 + n * y2))
+               for m in range(-2, 3) for n in range(-2, 3) if m or n)
+    return lat.ratio(norm, dd * lat.d)  # at most 1, by Minkowski's theorem
 
 
 def normalized_gaps_whole(Q: int, interval) -> np.ndarray:
@@ -329,3 +361,15 @@ def _handoff(a, b):
     if m == a:
         return (1 / a - a) / b, m
     return b / a, m
+
+
+def vector_length_profile(v, s):
+    """Sup-norm of h_s v = (x, y - sx) for a vector v = (x, y) with x > 0.
+
+    As a function of s this is flat at |x| on [sigma - 1, sigma + 1] around
+    the slope sigma = y/x, with slope -+|x| outside.
+    """
+    x, y = v
+    if not x > 0:
+        raise DomainError("profile requires a positive first coordinate")
+    return max(x, abs(y - s * x))

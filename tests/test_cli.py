@@ -146,6 +146,8 @@ def test_unwritable_output_names_its_cause(capsys, tmp_path, output, why):
     "slopes --basis 1 0 0 1 -t 1 -n 3 --c 0.5",  # a gap window needs --gaps ...
     "slopes --basis 1 0 0 1 -t 1 -n 3 --c 0.5 --d 1",
     "slopes --basis 1 0 0 1 -t 1 -n 3 --gaps --d 1",  # ... and both ends
+    "slopes --basis 1 0 0 1 -t 1 -n 0 --gaps --c 0.5 --d 2",  # ... and a gap to count
+    "slopes --basis 1 0 0 1 -t 1 --bruteforce --slope-max 0 --gaps --c 0 --d 1",  # one slope
     "excursions --start 0.3 0.4 -n 5",  # start outside the section
     "excursions --start 1/2 1/2 -n 3",  # ... exactly on its edge a + b = 1
     "orbit 1/2 7/10 -n -3",
@@ -701,11 +703,11 @@ def test_random_basis_requires_seed(capsys):
 
 @pytest.mark.parametrize("k, l", [(1, 1), (2, 3), (7, 10), (1, 20), (150, 151), (200, 3001)])
 def test_periodic_rows_are_the_segment_periods(capsys, k, l):
-    from bczmap.periodic import period_on_segment
+    # the r-th subinterval (l/(l + r), l/(l + r - 1)] has the period N(l + r - 1)
     code, out, _ = run_cli(capsys, ["periodic", str(k), str(l)])
     assert code == 0
     rows = parse_csv(out)[2]
-    assert rows == [[str(r), f"({l}/{l + r};{l}/{l + r - 1}]", str(period_on_segment(k, l, r))]
+    assert rows == [[str(r), f"({l}/{l + r};{l}/{l + r - 1}]", str(farey_cardinality(l + r - 1))]
                     for r in range(1, k + 1)]
 
 
@@ -736,6 +738,16 @@ def test_measure_report(capsys):
     assert float(by_name["roof_integral"][3]) < 1e-8
     assert float(by_name["min_peak_integral"][3]) < 1e-8
     assert float(by_name["max_peak_integral"][3]) < 1e-8
+
+
+def test_measure_labels_name_their_exponents_to_12_digits(capsys):
+    # at 6 digits the B row read B(-1,-1), the pole whose value it does not print
+    code, out, _ = run_cli(capsys, ["measure", "--s", "-0.99999999", "--t", "-0.99999999",
+                                    "--alpha", "1.00000001"])
+    assert code == 0
+    lines = out.splitlines()
+    assert any(line.startswith("B(-0.99999999,-0.99999999),") for line in lines)
+    assert any(line.startswith("kappa_moment(1.00000001),") for line in lines)
 
 
 def test_a_failing_quadrature_oracle_exits_1(capsys, monkeypatch):

@@ -22,21 +22,13 @@ from bczmap.core import (
     orbit_trace,
     reduce_to_section,
     roof,
-    scale_point,
-    step_matrix,
-    t_bcz_step,
-    t_kappa,
-    t_roof,
-    tile_matrix,
-    to_upper_half_plane,
-    verify_return_identity,
 )
 from bczmap.excursions import excursion_trace, handoff
-from bczmap.lattices import (UnimodularBasis, first_section_hit,
-                             shortest_vertical_length, slope_gaps_via_bcz)
+from bczmap.lattices import UnimodularBasis, first_section_hit, slope_gaps_via_bcz
+from bczmap.periodic import continuous_period
 
 from conftest import random_section_point, random_rational
-from oracles import narrow_embed, narrow_first_return, tile_contains
+from oracles import narrow_embed, narrow_first_return, tile_contains, verify_return_identity
 
 
 def test_kappa_examples():
@@ -101,21 +93,17 @@ def test_roof_lower_bound():
 
 
 def test_step_matrix():
-    a2 = step_matrix((F(7, 10), F(7, 10)))
-    assert a2.rows() == ((0, 1), (-1, 2))
-    assert step_matrix((F(1, 5), 1)).rows() == ((0, 1), (-1, 1))
+    # the tile matrix A_k = [[0, 1], [-1, k]] at k = kappa(p) carries p to T(p) = p . A^T
+    assert IntMatrix2(0, 1, -1, kappa((F(7, 10), F(7, 10)))).rows() == ((0, 1), (-1, 2))
     rng = random.Random(3)
     for _ in range(500):
         p = random_section_point(rng)
-        m = step_matrix(p)
-        assert m.det() == 1
-        assert m.trace() == kappa(p)
-        assert m.act_on_point(p) == bcz_step(p)
+        assert IntMatrix2(0, 1, -1, kappa(p)).act_on_point(p) == bcz_step(p)
 
 
 def test_cocycle():
     p = (F(1, 5), 1)
-    assert cocycle(p, 1) == step_matrix(p)
+    assert cocycle(p, 1) == IntMatrix2(0, 1, -1, kappa(p))
     assert cocycle((F(3, 4), F(3, 4)), 3).rows() == ((-2, 3), (-3, 4))
     m = cocycle(p, 10)
     assert m.trace() == 2 and m != IntMatrix2(1, 0, 0, 1)
@@ -189,13 +177,13 @@ def test_t_bcz_reduces_to_bcz():
     rng = random.Random(7)
     for _ in range(200):
         p = random_section_point(rng)
-        assert t_bcz_step(p, 1) == bcz_step(p)
+        assert bcz_step(p, 1) == bcz_step(p)
 
 
 def test_t_bcz_example():
-    assert scale_point((F(1, 5), 1), 2) == (F(2, 5), 2)
-    assert t_bcz_step((F(2, 5), 2), 2) == (2, F(8, 5))
-    assert scale_point(bcz_step((F(1, 5), 1)), 2) == (2, F(8, 5))
+    # M_2 carries (1/5, 1) -> (1, 4/5) onto (2/5, 2) -> (2, 8/5)
+    assert bcz_step((F(1, 5), 1)) == (1, F(4, 5))
+    assert bcz_step((F(2, 5), 2), 2) == (2, F(8, 5))
 
 
 def test_scaling_conjugacy_random():
@@ -203,8 +191,8 @@ def test_scaling_conjugacy_random():
     for _ in range(100):
         p = random_section_point(rng)
         t = random_rational(rng, F(0), F(4))
-        left = t_bcz_step(scale_point(p, t), t)
-        right = scale_point(bcz_step(p), t)
+        left = bcz_step((t * p[0], t * p[1]), t)
+        right = tuple(t * v for v in bcz_step(p))
         assert left == right
 
 
@@ -213,7 +201,7 @@ def test_t_roof_scaling():
     for _ in range(200):
         p = random_section_point(rng)
         t = random_rational(rng, F(0), F(4))
-        assert t_roof(scale_point(p, t), t) == roof(p) / (t * t)
+        assert roof((t * p[0], t * p[1]), t) == roof(p) / (t * t)
 
 
 def test_narrow_conjugacy():
@@ -226,22 +214,12 @@ def test_narrow_conjugacy():
             p = random_section_point(rng, max_den=100)
             if p[0] <= t:
                 break
-        left = t_bcz_step(narrow_embed(p, t), t)
+        left = bcz_step(narrow_embed(p, t), t)
         right = narrow_embed(narrow_first_return(p, t), t)
         assert left == right
     # worked instance: the visit with a = t exactly is a genuine strip visit
     assert narrow_first_return((F(3, 10), F(8, 10)), F(1, 2)) == (F(1, 2), F(7, 10))
     assert narrow_embed((F(3, 10), F(8, 10)), F(1, 2)) == (F(3, 10), F(1, 2))
-
-
-def test_upper_half_plane():
-    assert to_upper_half_plane((1, 1)) == (0, 1)
-    assert to_upper_half_plane((F(1, 2), F(3, 4))) == (F(1, 2), 4)
-    rng = random.Random(11)
-    for _ in range(500):
-        x, y = to_upper_half_plane(random_section_point(rng))
-        assert y >= 1
-        assert -F(1, 2) < x <= F(1, 2)
 
 
 def test_tile_membership_two_ways():
@@ -312,7 +290,7 @@ def test_float_start_whose_index_overflows_is_refused():
     with pytest.raises(DomainError):
         orbit_trace((1.0, 1e-320), 3)
     with pytest.raises(DomainError):
-        t_bcz_step((25.0, 1e-320), 25)
+        bcz_step((25.0, 1e-320), 25)
     assert check_section((1.0, 1e-300))[:2] == (1.0, 1e-300)
 
 
@@ -346,7 +324,7 @@ def test_float_orbit_near_an_edge_stays_in_the_section(start):
         assert in_section((F(x), F(y)), F(w)) and k >= 1
     q = p
     for _ in range(30):
-        q = t_bcz_step(q, w)
+        q = bcz_step(q, w)
         assert in_section((F(q[0]), F(q[1])), F(w))
     if w == 1.0:
         tr = orbit_trace(p, 30)
@@ -479,11 +457,11 @@ widths = st.fractions(min_value=F(1, 4), max_value=4, max_denominator=50).filter
 def test_kernel_matches_fraction_oracle(start, t):
     p, n = start
     # the width-t kernel, step by step
-    q = scale_point(p, t)
+    q = (t * p[0], t * p[1])
     d, _, orbit = _orbit(q, t)
     for _, (x, y, k) in zip(range(n), orbit):
-        assert (F(x, d), F(y, d), k) == (*q, t_kappa(q, t))
-        q = t_bcz_step(q, t)
+        assert (F(x, d), F(y, d), k) == (*q, kappa(q, t))
+        q = bcz_step(q, t)
 
     # orbit_trace and cocycle at width 1
     tr = orbit_trace(p, n)
@@ -491,10 +469,10 @@ def test_kernel_matches_fraction_oracle(start, t):
     q, m = p, IntMatrix2(1, 0, 0, 1)
     for i in range(n):
         assert tr.points[i] == q
-        assert tr.returns[i] == t_roof(q, 1)
-        assert tr.indices[i] == t_kappa(q, 1)
-        m = tile_matrix(t_kappa(q, 1)) @ m
-        q = t_bcz_step(q, 1)
+        assert tr.returns[i] == roof(q, 1)
+        assert tr.indices[i] == kappa(q, 1)
+        m = IntMatrix2(0, 1, -1, kappa(q, 1)) @ m
+        q = bcz_step(q, 1)
     assert cocycle(p, n) == m
 
     # the same orbit in floats runs the same arithmetic as the float step
@@ -507,14 +485,16 @@ def test_kernel_matches_fraction_oracle(start, t):
 
     # slope gaps at width t: roofs and their prefix sums along the orbit
     basis = UnimodularBasis.from_section_point(p)
-    assume(shortest_vertical_length(basis) * t >= 1)
+    # its shortest vertical vector is (0, l/a) for the slope k/l of p, and
+    # the flow period is (l/a)^2
+    assume(continuous_period(p) * t * t >= 1)
     series = slope_gaps_via_bcz(basis, t, n)
     s, q = first_section_hit(basis, t)
     slopes, gaps = [s], []
     for _ in range(n):
-        gaps.append(t_roof(q, t))
+        gaps.append(roof(q, t))
         slopes.append(slopes[-1] + gaps[-1])
-        q = t_bcz_step(q, t)
+        q = bcz_step(q, t)
     assert series.gaps == gaps
     assert series.slopes == slopes
 
@@ -528,12 +508,11 @@ def _leaves(x):
 def _flavored_results(p, t, b_raw):
     """The functions that fix a flavor from their input, at a unit-section
     point p, its width-t image q and the raw pair (q's a, b_raw) at width t."""
-    q = scale_point(p, t)
+    q = (t * p[0], t * p[1])
     return {
-        "t_kappa": t_kappa(q, t),
-        "t_roof": t_roof(q, t),
-        "t_bcz_step": t_bcz_step(q, t),
-        "to_upper_half_plane": to_upper_half_plane(p),
+        "kappa": kappa(q, t),
+        "roof": roof(q, t),
+        "bcz_step": bcz_step(q, t),
         "handoff": handoff(p),
         "reduce_to_section": reduce_to_section(q[0], b_raw, t),
     }
@@ -543,11 +522,10 @@ def _flavored_results(p, t, b_raw):
 @given(section_points(), widths, st.fractions(min_value=-5, max_value=5, max_denominator=50))
 @example(p=(F(1), F(3, 5)), t=F(1), b_raw=F(1, 2))
 def test_exact_inputs_give_fractions_and_float_images_agree(p, t, b_raw):
-    # floor and ceil jump where their argument is an integer, and a float
-    # image may round to either side of the jump
-    q = scale_point(p, t)
+    # a floor jumps where its argument is an integer, and a float image may
+    # round to either side of the jump
+    q = (t * p[0], t * p[1])
     assume(((t + q[0]) / q[1]).denominator != 1)
-    assume(((2 * p[1] - p[0]) / (2 * p[0])).denominator != 1)
     assume(((t - b_raw) / q[0]).denominator != 1)
     exact = _flavored_results(p, t, b_raw)
 
@@ -568,16 +546,14 @@ def test_exact_inputs_give_fractions_and_float_images_agree(p, t, b_raw):
 
 @pytest.mark.parametrize("call, value", [
     (lambda: roof((1, 0.5)), 2.0),
-    (lambda: t_roof((F(1, 2), F(3, 4)), 1.0), 8 / 3),
-    (lambda: to_upper_half_plane((1, 0.6)), (-0.4, 1.0)),
+    (lambda: roof((F(1, 2), F(3, 4)), 1.0), 8 / 3),
     (lambda: handoff((1, 0.6)), (0.0, 1.0)),
     (lambda: reduce_to_section(1, 1, 1.0)[0], (1.0, 1.0)),
     (lambda: orbit_trace((1, 0.6), 1).points[0], (1.0, 0.6)),
     (lambda: bcz_step((F(1, 2), 0.9)), (0.9, 0.4)),
     (lambda: slope_gaps_via_bcz(UnimodularBasis(1, 0.5, 0, 1), 1, 2).slopes, (0.5, 1.5, 2.5)),
-], ids=["roof", "t_roof float width", "to_upper_half_plane",
-        "handoff", "reduce_to_section float width", "orbit_trace", "fraction beside a float",
-        "mixed basis"])
+], ids=["roof", "t_roof float width", "handoff", "reduce_to_section float width",
+        "orbit_trace", "fraction beside a float", "mixed basis"])
 def test_int_float_mix_runs_in_floats(call, value):
     # one decimal entry makes the whole computation float
     out = _leaves(call())

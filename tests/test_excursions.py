@@ -15,13 +15,13 @@ from bczmap.excursions import (
     handoff,
     named_start,
     peak_length,
-    vector_length_profile,
 )
-from bczmap.lattices import UnimodularBasis, shortest_vector_length
+from bczmap.lattices import UnimodularBasis
 from bczmap.measure import MAX_PEAK_INTEGRAL, MIN_PEAK_INTEGRAL
 
 from conftest import random_section_point
-from oracles import QUADRATIC_STARTS, _handoff, excursion_averages_loop, quadratic_orbit
+from oracles import (QUADRATIC_STARTS, _handoff, excursion_averages_loop, quadratic_orbit,
+                     shortest_vector_length, vector_length_profile)
 
 
 def test_profile_basic():

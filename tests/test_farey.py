@@ -20,7 +20,6 @@ from bczmap.farey import (
     index_values,
     interval_count,
     moment_sum,
-    normalized_gaps,
     orbit_flow_period,
     spacing_proportion,
     totient,
@@ -69,8 +68,8 @@ def fraction_flow_sum(q, Q):
     lambda: farey_orbit(0),
     lambda: farey_cardinality(-3),
     lambda: index_values(1),
-    lambda: normalized_gaps(5, (F(3, 4), F(1, 4))),
-    lambda: normalized_gaps(5, (0, math.inf)),
+    lambda: spacing_proportion(5, (F(3, 4), F(1, 4)), 0, 1),
+    lambda: spacing_proportion(5, (0, math.inf), 0, 1),
     lambda: empirical_integral(3, (F(2, 7), F(3, 10)), lambda a, b: a),  # empty selection
     lambda: moment_sum(5, (0, 1), complex(1, math.nan), 1),
     lambda: totient(0),
@@ -391,7 +390,6 @@ def test_blocked_statistics_match_the_whole_window(case, block, box, s, t):
     h_default = h_spacing_proportion(Q, interval, box)
     with mock.patch.object(farey, "_BLOCK", block):
         whole = normalized_gaps_whole(Q, interval)
-        assert normalized_gaps(Q, interval).tolist() == whole.tolist()
         m, edges, counts = farey._gap_histogram(Q, interval, -0.5, 3.0, 9)
         assert (m, counts.tolist()) == (len(whole), np.histogram(whole, bins=edges)[0].tolist())
         h = h_spacing_proportion(Q, interval, box)

@@ -7,23 +7,19 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bczmap import lattices
-from bczmap.core import DomainError, in_section, t_roof
+from bczmap.core import DomainError, bcz_step, in_section, roof
 from bczmap.farey import farey_bruteforce, farey_cardinality
 from bczmap.lattices import (
     UnimodularBasis,
     first_section_hit,
-    gap_distribution,
-    has_short_vertical,
     shear_basis,
-    shortest_vector_length,
-    shortest_vertical_length,
     slope_gaps_via_bcz,
     strip_slopes_bruteforce,
 )
 from bczmap.measure import roof_region_measure
 
 from conftest import random_rational, random_section_point
-from oracles import gauss_reduce_recomputed
+from oracles import gauss_reduce_recomputed, shortest_vector_length
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -54,8 +50,6 @@ Z2 = UnimodularBasis.identity()
 
 @pytest.mark.parametrize("call", [
     lambda: slope_gaps_via_bcz(Z2, 2, -5),
-    lambda: gap_distribution(Z2, 2, 0, 1, 2),
-    lambda: gap_distribution(Z2, 2, 5, 1, 0),
     lambda: first_section_hit(Z2, 0),
     lambda: first_section_hit(Z2, -1),
     lambda: first_section_hit(Z2, math.inf),
@@ -65,9 +59,8 @@ Z2 = UnimodularBasis.identity()
     lambda: UnimodularBasis(1.0, math.inf, 0.0, 1.0),  # determinant nan
     lambda: first_section_hit(UnimodularBasis(1.0, 0.0, 5e-324, 1.0), 1e-300),  # slope 2^1074
     lambda: slope_gaps_via_bcz(UnimodularBasis(1.0, 0.0, 5e-324, 1.0), 1e-300, 2),
-], ids=["gaps n<0", "distribution n=0", "distribution c>d", "hit t=0", "hit t<0",
-        "hit t=inf", "hit short", "bruteforce t=0", "bruteforce slope_max=inf", "nan det",
-        "hit beyond floats", "gaps beyond floats"])
+], ids=["gaps n<0", "hit t=0", "hit t<0", "hit t=inf", "hit short", "bruteforce t=0",
+        "bruteforce slope_max=inf", "nan det", "hit beyond floats", "gaps beyond floats"])
 def test_bad_arguments_raise_domain_error(call):
     with pytest.raises(DomainError):
         call()
@@ -169,7 +162,6 @@ def test_the_first_hit_sweeps_no_strip(monkeypatch):
                      (UnimodularBasis(1.0, 0.0, PHI, 1.0), 1.0)]:
         hit, _ = first_section_hit(basis, t)
         assert slope_gaps_via_bcz(basis, t, 5).slopes[0] == hit
-        assert 0 <= gap_distribution(basis, t, 5, 0, 2) <= 1
 
 
 @settings(max_examples=80, deadline=None)
@@ -211,34 +203,54 @@ def test_vertical_check_takes_the_exact_value_of_a_decimal_width():
         first_section_hit(UnimodularBasis(F(1, 3), 0, 0, 3), 0.3333333333333333)
 
 
+def _vertical_length(basis) -> F:
+    """Length of the shortest vertical vector of the unimodular lattice the
+    basis spells, in Fractions: m (x1, y1) + n (x2, y2) for the primitive
+    (m, n) with m x1 + n x2 = 0, its y over the spelled determinant."""
+    x1, y1, x2, y2 = map(F, basis)
+    m, n = (1, 0) if x1 == 0 else (-x2 / x1).as_integer_ratio()
+    return abs(m * y1 + n * y2) / (x1 * y2 - x2 * y1)
+
+
+def _vertically_short(basis, t) -> bool:
+    """Whether `first_section_hit` refuses the lattice at width t as vertically short."""
+    try:
+        first_section_hit(basis, t)
+    except DomainError as e:
+        if "vertically short" not in str(e):
+            raise
+        return True
+    return False
+
+
 def test_vertical_detection():
+    # refused only below the boundary: a vertical of length exactly 1/t
+    # meets the section at its fixed corner
     ident = UnimodularBasis.identity()
-    assert shortest_vertical_length(ident) == 1
-    assert has_short_vertical(ident, 1)
-    assert has_short_vertical(ident, F(1, 2))  # threshold 1/t grows as t shrinks
-    assert not has_short_vertical(ident, 2)
+    assert _vertical_length(ident) == 1
+    assert not _vertically_short(ident, 1)
+    assert _vertically_short(ident, F(1, 2))  # threshold 1/t grows as t shrinks
+    assert not _vertically_short(ident, 2)
     # basis of (1/Q, 1): shortest vertical is (0, Q)
     for Q in (2, 3, 5):
         b = UnimodularBasis(F(1, Q), 0, 1, Q)
-        assert shortest_vertical_length(b) == Q
-        assert not has_short_vertical(b, 1)
-        assert has_short_vertical(b, F(1, Q))
+        assert _vertical_length(b) == Q
+        assert not _vertically_short(b, 1)
+        assert not _vertically_short(b, F(1, Q))
+        assert _vertically_short(b, F(1, Q + 1))
     # the double sqrt(2) is k/2^52 with k odd, so the lattice these columns
     # spell has the vertical vector 2^52 (k/2^52, 1) - k (1, 0) = (0, 2^52)
     rot = UnimodularBasis(1.0, 0.0, math.sqrt(2), 1.0)
-    assert shortest_vertical_length(rot) == 2**52
-    assert type(shortest_vertical_length(rot)) is float
-    assert not has_short_vertical(rot, 1)
-    assert has_short_vertical(rot, 2.0**-52)
+    assert _vertical_length(rot) == 2**52
+    assert not _vertically_short(rot, 1)
+    assert _vertically_short(rot, 2.0**-53)
 
 
 def test_vertical_beyond_the_float_range():
     # the doubles spell the vertical vector (0, 2^1074)
     basis = UnimodularBasis(1.0, 0.0, 5e-324, 1.0)
-    assert not has_short_vertical(basis, 1)
-    assert has_short_vertical(basis, 2.0**-1074)
-    with pytest.raises(DomainError, match="longer than any float"):
-        shortest_vertical_length(basis)
+    assert _vertical_length(basis) == 2**1074
+    assert not _vertically_short(basis, 1)
     assert shortest_vector_length(basis) == 1.0
 
 
@@ -246,26 +258,29 @@ def test_short_vertical_decided_on_integers_agrees_with_lengths():
     rng = random.Random(15)
     for _ in range(1000):
         exact = random_exact_basis(rng, words=4)
-        edge = 1 / shortest_vertical_length(exact)  # where the length is 1/t
+        edge = 1 / _vertical_length(exact)  # where the length is 1/t
         for t in (edge, random_rational(rng, F(0), 2 * edge)):
             for width in (t, float(t)):
-                assert has_short_vertical(exact, width) == (F(width) <= edge)
+                assert _vertically_short(exact, width) == (F(width) < edge)
 
 
 def test_short_vertical_of_a_decimal_basis_is_decided_exactly():
-    # the doubles spell a vertical of length 16 (1 + 3/2^57), which rounds to 16.0
+    # the doubles spell a vertical of length 16 (1 + 3/2^57) and the
+    # determinant 1 + 3/2^57, so the unimodular lattice they spell has a
+    # vertical of length 16 exactly, which 2^-60 more decides
     basis = UnimodularBasis(1.875, -0.7678571428571429, -4.5625, 2.4017857142857144)
-    assert shortest_vertical_length(basis) == 16.0
-    assert not has_short_vertical(basis, F(1, 16))
-    assert has_short_vertical(basis, F(1, 17))
+    assert _vertical_length(basis) == 16
+    assert not _vertically_short(basis, F(1, 16))
+    assert _vertically_short(basis, 1 / (16 + F(1, 2**60)))
 
 
 def test_vertical_detection_hidden_combination():
     # vertical vector only appears as a combination: columns (2, 1), (1, 1)
     # give 2m + n = 0 at (m, n) = (1, -2), i.e. the vector (0, -1)
     b = UnimodularBasis(2, 1, 1, 1)
-    assert shortest_vertical_length(b) == 1
-    assert has_short_vertical(b, 1)
+    assert _vertical_length(b) == 1
+    assert not _vertically_short(b, 1)
+    assert _vertically_short(b, F(1, 2))
 
 
 def test_shortest_vector_length():
@@ -309,7 +324,7 @@ def test_first_hit_postconditions_random():
     checked = 0
     while checked < 25:
         basis = random_exact_basis(rng)
-        if has_short_vertical(basis, 1) and shortest_vertical_length(basis) < 1:
+        if _vertical_length(basis) < 1:
             continue
         s1, p = first_section_hit(basis, 1)
         assert s1 >= 0
@@ -371,8 +386,7 @@ def test_bcz_vs_bruteforce_random_bases():
     checked = 0
     while checked < 8:
         basis = random_exact_basis(rng)
-        sv = shortest_vertical_length(basis)
-        if sv is not None and sv < 1:
+        if _vertical_length(basis) < 1:
             continue
         n = 1000 if checked < 3 else 200
         via = slope_gaps_via_bcz(basis, 1, n)
@@ -396,7 +410,7 @@ def _spelled_exact_bases(rng, t):
     # only lattices whose exact spelling has a vertical vector longer than
     # 1/t: on the line x = 1/t a spelled strip point can fall just outside
     exact = random_exact_basis(rng, words=4)
-    return _float_spelling(exact) if shortest_vertical_length(exact) * t > 1 else None
+    return _float_spelling(exact) if _vertical_length(exact) * t > 1 else None
 
 
 def _irrational_shear(m, r):
@@ -423,10 +437,10 @@ def test_first_hit_is_the_least_enumerated_slope(basis, t, n, spell, oracle):
     if spell:
         # a spelled vertical shorter than 1/t turns into a strip vector of
         # slope about 1e16, too tall to enumerate
-        assume(isinstance(basis.x1, F) and shortest_vertical_length(basis) * F(t) > 1)
+        assume(isinstance(basis.x1, F) and _vertical_length(basis) * F(t) > 1)
         basis = _float_spelling(basis)
         assume(basis is not None)
-    if F(shortest_vertical_length(basis)) * F(t) < 1:
+    if _vertical_length(basis) * F(t) < 1:
         with pytest.raises(DomainError, match="vertically short"):
             first_section_hit(basis, t)
         return
@@ -466,12 +480,10 @@ def test_gaps_are_roofs_and_bounded_below():
     t = F(2)
     series = slope_gaps_via_bcz(basis, t, 300)
     s1, p = first_section_hit(basis, t)
-    from bczmap.core import t_bcz_step
-
     for g in series.gaps:
-        assert g == t_roof(p, t)
+        assert g == roof(p, t)
         assert g >= 1 / (t * t)
-        p = t_bcz_step(p, t)
+        p = bcz_step(p, t)
 
 
 def test_farey_basis_gap_cycle():
@@ -505,10 +517,10 @@ def test_fractional_width_same_slopes_as_floor():
 
 
 def test_gap_distribution_windows():
-    basis = UnimodularBasis(1.0, 0.0, PHI, 1.0)
-    assert gap_distribution(basis, 1.0, 2000, 0, math.inf) == 1.0
-    assert gap_distribution(basis, 1.0, 2000, 0, 1.0) == 0.0  # roofs >= 1
-    frac = gap_distribution(basis, 1.0, 2 * 10**5, 1.0, 2.0)
+    # the share of gaps in (c, d) tends to m(R^{-1}(c, d)); roofs are >= 1
+    gaps = slope_gaps_via_bcz(UnimodularBasis(1.0, 0.0, PHI, 1.0), 1.0, 2 * 10**5).gaps
+    assert min(gaps) >= 1.0
+    frac = sum(1 for g in gaps if 1.0 < g < 2.0) / len(gaps)
     assert abs(frac - roof_region_measure(1.0, 2.0).value) < 2e-2
 
 

@@ -4,10 +4,13 @@ A name is live when `__init__` exports it (its lazy export table), when live
 code uses it, or when it is on the short list of names only the benchmark
 calls.  Module-level statements other than imports (constants, the
 `__main__` call) and the module hooks the interpreter calls are live code.
-A slow oracle that only the tests call belongs in tests/oracles.py.
+An export in turn earns its place when a command reaches it, the benchmark
+names it or the README names it.  A slow oracle that only the tests call
+belongs in tests/oracles.py.
 """
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -60,6 +63,11 @@ def _live(defs, imports, roots, extra=()):
     todo += [key for key in defs if key[1] in extra]
     for mod, node in roots:
         todo += _uses(mod, node, defs, imports)
+    return _reach(defs, imports, todo)
+
+
+def _reach(defs, imports, todo):
+    """The definitions in `todo` and every definition their code names, in turn."""
     live = set()
     while todo:
         key = todo.pop()
@@ -83,6 +91,21 @@ def test_benchmark_only_names_are_still_benchmark_only():
     for name in BENCHMARK_ONLY:
         assert name not in live, f"{name} has a caller in src/; drop it from the list"
         assert f".{name}(" in bench, f"perfbench no longer calls {name}"
+
+
+def test_every_export_is_used_by_a_command_the_benchmark_or_the_readme():
+    # the export table is the API: a name that only the tests reach is an
+    # oracle for tests/oracles.py, or dead
+    defs, imports, roots = _parse()
+    todo = [key for key in defs if key[0] == "cli"]
+    todo += [key for mod, node in roots if mod == "cli" for key in _uses(mod, node, defs, imports)]
+    commands = _reach(defs, imports, todo)
+    bench = "".join(p.read_text() for p in (ROOT / "perfbench").glob("*.py"))
+    readme = " ".join(re.findall(r"`([^`]*)`", (ROOT / "README.md").read_text()))
+    unused = sorted(name for name, key in imports["__init__"].items() if key not in commands
+                    and not re.search(rf"\b{name}\b", bench)
+                    and not re.search(rf"\b{name}\b", readme))
+    assert not unused, "no command, perfbench task or README line uses: " + ", ".join(unused)
 
 
 def test_no_module_imports_numpy_or_scipy_at_module_level():

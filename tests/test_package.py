@@ -1,10 +1,9 @@
-"""The public surface of `import bczmap`: the names it exported when it
-imported every module up front, less `EmpiricalMeasure` and
-`empirical_measure` (rho_{Q,I} is `empirical_integral` and its size
-`interval_count`) and plus `t_kappa`, which the README and `core` name
-with `t_roof` and `t_bcz_step`, each resolved on first use, and records
-that keep their fields, reprs and checks as named tuples."""
+"""The public surface of `import bczmap`: the names a command, the benchmark
+or the README uses, each resolved on first use, and records that keep their
+fields, reprs and checks as named tuples.  The paper identities and lengths
+that only the tests check live in tests/oracles.py."""
 
+import inspect
 import sys
 from fractions import Fraction as F
 
@@ -18,16 +17,12 @@ EXPORTS = [
     "UnimodularBasis", "bcz_step", "cocycle", "continuous_period", "counting_bound_check",
     "discrete_period", "empirical_integral", "excursion_averages", "excursion_integrals",
     "excursion_trace", "farey_bruteforce", "farey_cardinality", "farey_orbit",
-    "first_section_hit", "gap_distribution", "h_spacing_proportion", "hall_cdf", "hall_kinks",
-    "handoff", "has_short_vertical", "hierarchy_report", "in_section", "index_values",
-    "interval_count", "kappa", "kappa_moment", "moment_integral", "moment_sum", "named_start",
-    "normalized_gaps", "orbit_flow_period", "orbit_report", "orbit_trace", "peak_length",
-    "period_on_segment", "periodic_matrix", "reduce_to_section", "roof", "roof_cdf",
-    "roof_integral", "roof_region_measure", "scale_point", "shear_conjugation_check",
-    "shortest_vector_length", "shortest_vertical_length", "slope_gaps_via_bcz",
-    "spacing_proportion", "step_matrix", "strip_slopes_bruteforce", "t_bcz_step", "t_kappa",
-    "t_roof", "tile_measure", "to_upper_half_plane", "vector_length_profile",
-    "verify_return_identity",
+    "first_section_hit", "h_spacing_proportion", "hall_cdf", "hall_kinks", "handoff",
+    "hierarchy_report", "in_section", "index_values", "interval_count", "kappa", "kappa_moment",
+    "moment_integral", "moment_sum", "named_start", "orbit_flow_period", "orbit_report",
+    "orbit_trace", "peak_length", "periodic_matrix", "reduce_to_section", "roof", "roof_cdf",
+    "roof_integral", "roof_region_measure", "shear_conjugation_check", "slope_gaps_via_bcz",
+    "spacing_proportion", "strip_slopes_bruteforce", "tile_measure",
 ]
 
 
@@ -54,10 +49,12 @@ def test_star_import_binds_every_export():
 
 
 def test_the_width_t_maps_are_the_unit_maps():
-    from bczmap import core
-    assert core.t_kappa is bczmap.t_kappa is bczmap.kappa
-    assert core.t_roof is bczmap.t_roof is bczmap.roof
-    assert core.t_bcz_step is bczmap.t_bcz_step is bczmap.bcz_step
+    # one function per quantity: the width t is the last argument, and its
+    # default 1 is the unit section, as the README documents
+    for f in (bczmap.kappa, bczmap.roof, bczmap.bcz_step, bczmap.in_section,
+              bczmap.reduce_to_section, bczmap.first_section_hit):
+        width = list(inspect.signature(f).parameters.values())[-1]
+        assert width.name in ("t", "width") and width.default == 1, f.__name__
 
 
 def test_an_unknown_name_raises_attribute_error():

@@ -13,7 +13,6 @@ from bczmap.periodic import (
     discrete_period,
     hierarchy_report,
     orbit_report,
-    period_on_segment,
     periodic_matrix,
     segment_matrix,
     shear_conjugation_check,
@@ -80,12 +79,9 @@ def test_periodic_matrix_formula_at_a_equal_one():
 
 
 def test_period_on_segment():
-    assert period_on_segment(2, 3, 1) == farey_cardinality(3) == 4
-    assert period_on_segment(2, 3, 2) == farey_cardinality(4) == 6
-    with pytest.raises(ValueError):
-        period_on_segment(2, 4, 1)  # not coprime
-    with pytest.raises(ValueError):
-        period_on_segment(2, 3, 3)  # r out of range
+    # the slope-2/3 segment: N(3) on a in (3/4, 1] and N(4) on a in (3/5, 3/4]
+    assert discrete_period((1, F(2, 3))) == farey_cardinality(3) == 4
+    assert discrete_period((F(3, 4), F(1, 2))) == farey_cardinality(4) == 6
 
 
 def test_segment_formula_exhaustive_small():
@@ -98,7 +94,7 @@ def test_segment_formula_exhaustive_small():
                 lo, hi = F(l, l + r), F(l, l + r - 1)
                 a = min((lo + hi) / 2, F(1))
                 p = (a, a * k / l)
-                assert discrete_period(p) == iterated_period(p) == period_on_segment(k, l, r)
+                assert discrete_period(p) == iterated_period(p) == farey_cardinality(l + r - 1)
                 assert continuous_period(p) == F(l * l) / (a * a)
 
 
@@ -199,8 +195,7 @@ def test_index_constant_along_segment():
     lambda: hierarchy_report(1),
     lambda: segment_matrix(2, 4),
     lambda: segment_matrix(0, 3),
-    lambda: period_on_segment(2, 3, 3),
-], ids=["hierarchy q_max=1", "non-coprime", "k=0", "r>k"])
+], ids=["hierarchy q_max=1", "non-coprime", "k=0"])
 def test_bad_arguments_raise_domain_error(call):
     with pytest.raises(DomainError):
         call()
