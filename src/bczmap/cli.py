@@ -52,6 +52,13 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _csv_field(text: str) -> str:
+    """RFC 4180: a field holding a comma or a quote is quoted, its quotes doubled."""
+    if "," in text or '"' in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def emit(args, command: str, params: dict, columns: list, rows: list) -> None:
     meta = {
         "command": command,
@@ -76,9 +83,9 @@ def emit(args, command: str, params: dict, columns: list, rows: list) -> None:
         else:
             for k, v in meta.items():
                 out.write(f"# {k}: {v}\n")
-            out.write(",".join(columns) + "\n")
+            out.write(",".join(map(_csv_field, columns)) + "\n")
             for row in rows:
-                out.write(",".join(_fmt(v) for v in row) + "\n")
+                out.write(",".join(_csv_field(_fmt(v)) for v in row) + "\n")
     finally:
         if args.output:
             out.close()
@@ -225,7 +232,7 @@ def cmd_orbit(args) -> None:
 def cmd_excursions(args) -> None:
     if args.start is not None:
         # checked, and a float start clamped, in its own flavor: the library
-        # demotes an exact start, and warns that its slope is rational
+        # runs an exact start's periodic orbit, and warns that its slope is rational
         start = check_section([parse_scalar(v) for v in args.start])[:2]
     else:
         start = named_start(args.slope_irrational)

@@ -12,14 +12,16 @@ BCZ map
 
 with return time R(a, b) = 1/(ab).  Everything here supports two scalar
 flavors: exact (int/Fraction, used wherever correctness is at stake) and
-float (long ergodic runs, drift-monitored), decided once per input by one
+float (decimal orbit traces, drift-monitored), decided once per input by one
 rule: a point or basis is exact only when every entry (and the width) is
 int/Fraction, and then every result is a Fraction; one decimal entry makes
 the results floats.  After `check_section` one expression runs both
 flavors, since Fraction and float share /, floor, ceil and round.
 `reduce_to_section` takes its one floor on the exact values its inputs
-spell, and `lattices` runs a decimal basis or width as the exact lattice
-its doubles spell, on integers; only their returned numbers are floats.
+spell, `lattices` runs a decimal basis or width as the exact lattice its
+doubles spell, and `excursions.excursion_averages` a decimal start as the
+exact orbit its doubles spell, on integers; only their returned numbers are
+floats.
 
 Orbits run on one kernel, `_orbit`.  By the scaling conjugacy
 T_t o M_t = M_t o T an exact orbit is an integer orbit: with the common
@@ -214,6 +216,32 @@ def _int_orbit(x: int, y: int, w: int):
         k = (w + x) // y
         yield x, y, k
         x, y = y, k * y - x
+
+
+def _lane_lengths(w: int, x, y, bound: int):
+    """Steps from each seed to the next along one integer orbit at width w.
+
+    The int64 arrays x and y hold K + 1 seeds, and lane j walks from
+    (x[j], y[j]) until it meets (x[j+1], y[j+1]).  The lanes step together,
+    so k y <= w + x needs 2 w < 2^63.  A lane that has arrived would meet its
+    seed again only a period later, so with the period past `bound` each
+    lane arrives once; a lane still walking after `bound` steps raises."""
+    import numpy as np
+    tx, ty = x[1:], y[1:]
+    x, y = x[:-1], y[:-1]
+    lengths = np.zeros(len(tx), dtype=np.int64)
+    left = len(tx)
+    for s in range(1, bound + 1):
+        k = (w + x) // y
+        x, y = y, k * y - x
+        hit = (x == tx) & (y == ty)
+        if hit.any():
+            lengths[hit] = s
+            left -= int(np.count_nonzero(hit))
+            if not left:
+                return lengths
+    raise RuntimeError(f"{left} lanes of the width-{w} orbit did not reach their next seed "
+                       f"in {bound} steps")
 
 
 def _float_orbit(x: float, y: float, w: float):

@@ -46,7 +46,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .core import DomainError
+from .core import DomainError, _lane_lengths
 
 if TYPE_CHECKING:
     import numpy as np
@@ -163,28 +163,6 @@ def _lane_seeds(Q: int, K: int):
     return a, b, c, d
 
 
-def _lane_lengths(Q: int, b: np.ndarray, d: np.ndarray, n: int) -> np.ndarray:
-    """Steps from each seed to the next, on denominators alone: the pair
-    (q_i, q_{i+1}) is an orbit point, so it fixes i within the period n.
-    A lane that has arrived would return only n steps later, so each lane
-    hits its next seed once."""
-    import numpy as np
-    tb, td = b[1:], d[1:]
-    x, y = b[:-1], d[:-1]
-    lengths = np.zeros(len(tb), dtype=np.int64)
-    left = len(tb)
-    for s in range(1, n + 1):
-        k = (Q + x) // y
-        x, y = y, k * y - x
-        hit = (x == tb) & (y == td)
-        if hit.any():
-            lengths[hit] = s
-            left -= int(np.count_nonzero(hit))
-            if not left:
-                return lengths
-    raise RuntimeError(f"{left} lanes of F({Q}) did not reach their next seed in {n} steps")
-
-
 def _farey_lanes(Q: int) -> FareySequence:
     """F(Q) from K lanes of the orbit stepped together, each past its stretch
     into the next; each seed and its successor must be where the lanes below
@@ -197,7 +175,7 @@ def _farey_lanes(Q: int) -> FareySequence:
     import numpy as np
     K = min(Q, math.isqrt(n))
     a, b, c, d = _lane_seeds(Q, K)
-    lengths = _lane_lengths(Q, b, d, n)
+    lengths = _lane_lengths(Q, b, d, n)  # the orbit's period is n
     if int(lengths.sum()) != n:
         raise RuntimeError(f"lanes of F({Q}) cover {int(lengths.sum())} fractions, not N = {n}")
     seeds = np.cumsum(lengths)  # where seeds 1..K land; 1/1 at n

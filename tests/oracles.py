@@ -13,9 +13,9 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import zeta
 
-from bczmap.core import (DomainError, _mat2_mul, _orbit, _reproject, bcz_step,
-                         check_section, kappa, reduce_to_section)
-from bczmap.excursions import ExcursionAverages, peak_length
+from bczmap.core import (DomainError, _mat2_mul, _orbit, bcz_step, check_section, kappa,
+                         reduce_to_section)
+from bczmap.excursions import peak_length
 from bczmap.farey import _as_interval, _index_range, farey_orbit
 from bczmap.lattices import _Lattice, _gauss_bound, _gauss_reduce
 from bczmap.measure import _band_breakpoints
@@ -326,30 +326,20 @@ def quadratic_orbit(name: str, n: int):
     return indices, points
 
 
-def excursion_averages_loop(start, n: int, record_every: int = 0) -> ExcursionAverages:
-    """excursion_averages as one plain loop over the steps: the reference the
-    chunked loop must match bit for bit."""
-    a, b, _, _ = check_section(start)
-    a, b = float(a), float(b)
-    sum_alpha = sum_len = sum_peak = sum_rpeak = 0.0
-    repairs = 0
-    history = []
-    for i in range(1, n + 1):
-        sum_alpha += 1.0 / a
-        sum_len += a
-        m = max(a, b, 1.0 / (a + b))
-        sum_peak += m
-        sum_rpeak += 1.0 / m
-        if record_every and (i % record_every == 0 or i == n):
-            history.append((i, sum_alpha / i, sum_len / i, sum_rpeak / i, sum_peak / i))
-        k = math.floor((1.0 + a) / b)
-        a, b = b, k * b - a
-        if not 1.0 - a < b <= 1.0:
-            b, drifted = _reproject(a, b), b
-            repairs += b != drifted
-    return ExcursionAverages(
-        sum_alpha / n, sum_len / n, sum_rpeak / n, sum_peak / n, n, repairs, history
-    )
+def excursion_means(start, n: int, record_every: int = 0):
+    """(means, history) of `excursion_averages` from the exact orbit of the
+    point start spells: Fraction points stepped by `bcz_step`, each term
+    rounded once and the terms summed by `math.fsum`."""
+    a, b = (Fraction(v) for v in check_section(start)[:2])
+    terms = []
+    for _ in range(n):
+        m = max(a, b, 1 / (a + b))
+        terms.append([float(v) for v in (1 / a, a, 1 / m, m)])
+        a, b = bcz_step((a, b))
+    cols = list(zip(*terms))
+    stops = [*range(record_every, n, record_every), n] if record_every else []
+    history = [(i, *(math.fsum(c[:i]) / i for c in cols)) for i in stops]
+    return [math.fsum(c) / n for c in cols], history
 
 
 def _handoff(a, b):

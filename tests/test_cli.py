@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import csv
 import errno
 import io
 import json
@@ -30,15 +31,15 @@ def run_cli(capsys, argv):
 
 
 def parse_csv(text):
-    meta, header, rows = {}, None, []
+    """(metadata, header, rows) of CSV output; quoted fields follow RFC 4180."""
+    meta, table = {}, []
     for line in text.splitlines():
         if line.startswith("# "):
             key, _, val = line[2:].partition(": ")
             meta[key] = val
-        elif header is None:
-            header = line.split(",")
         else:
-            rows.append(line.split(","))
+            table.append(line)
+    header, *rows = csv.reader(table)
     return meta, header, rows
 
 
@@ -254,7 +255,8 @@ def test_a_float_start_just_off_the_section_runs_the_point_it_was_accepted_as(ca
 
 
 def test_an_exact_excursions_start_warns_of_its_rational_slope(capsys):
-    # the library demotes the exact start to the floats the decimal one runs
+    # the library runs the exact start's periodic orbit, the orbit the
+    # decimal start runs too, since its doubles spell the same rationals
     code, out, err = run_cli(capsys, ["excursions", "--start", "1/2", "3/4", "-n", "1000"])
     assert code == 0
     assert [line for line in err.splitlines() if "rational slope" in line] == [
@@ -734,7 +736,9 @@ def test_measure_report(capsys):
     code, out, _ = run_cli(capsys, ["measure"])
     assert code == 0
     _, header, rows = parse_csv(out)
+    assert all(len(r) == len(header) == 4 for r in rows)  # "B(1,0)" is one quoted field
     by_name = {r[0]: r for r in rows}
+    assert by_name["B(1,0)"][1:3] == ["0.666666666667"] * 2
     assert float(by_name["roof_integral"][3]) < 1e-8
     assert float(by_name["min_peak_integral"][3]) < 1e-8
     assert float(by_name["max_peak_integral"][3]) < 1e-8
@@ -746,7 +750,7 @@ def test_measure_labels_name_their_exponents_to_12_digits(capsys):
                                     "--alpha", "1.00000001"])
     assert code == 0
     lines = out.splitlines()
-    assert any(line.startswith("B(-0.99999999,-0.99999999),") for line in lines)
+    assert any(line.startswith('"B(-0.99999999,-0.99999999)",') for line in lines)
     assert any(line.startswith("kappa_moment(1.00000001),") for line in lines)
 
 

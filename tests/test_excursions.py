@@ -1,12 +1,19 @@
 import math
 import random
+import tracemalloc
+import warnings
 from fractions import Fraction as F
+from itertools import islice
+from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bczmap.core import DomainError, DriftError, bcz_step, orbit_trace, roof
+from bczmap import excursions
+from bczmap.core import (DomainError, _int_orbit, _lane_lengths, _orbit, bcz_step, kappa,
+                         orbit_trace, roof)
 from bczmap.excursions import (
     NAMED_STARTS,
     ExcursionTrace,
@@ -20,7 +27,7 @@ from bczmap.lattices import UnimodularBasis
 from bczmap.measure import MAX_PEAK_INTEGRAL, MIN_PEAK_INTEGRAL
 
 from conftest import random_section_point
-from oracles import (QUADRATIC_STARTS, _handoff, excursion_averages_loop, quadratic_orbit,
+from oracles import (QUADRATIC_STARTS, _handoff, excursion_means, quadratic_orbit,
                      shortest_vector_length, vector_length_profile)
 
 
@@ -203,20 +210,67 @@ def float_section_points(draw):
     return a, draw(st.floats(1.0 - a, 1.0, exclude_min=True))
 
 
-# a start whose first step lands one ulp above the section (see below)
+# a start whose float step lands one ulp above the section (see below)
 REPAIR_START = (0.8305930343327381, 0.6101976781109127)
 
 
+@settings(deadline=None)
 @given(st.one_of(st.just(REPAIR_START), st.sampled_from(sorted(NAMED_STARTS.values())),
-                 float_section_points()),
-       st.integers(1, 300), st.integers(0, 40))
-def test_averages_bit_identical_to_plain_loop(start, n, record_every):
-    def run(f):
-        try:
-            return repr(f(start, n, record_every=record_every))
-        except DriftError as exc:
-            return f"DriftError: {exc}"
-    assert run(excursion_averages) == run(excursion_averages_loop)
+                 float_section_points(), exact_section_points()),
+       st.integers(1, 1000), st.integers(0, 40))
+def test_averages_match_the_exact_rational_orbit(start, n, record_every):
+    # the scalar route against Fraction points stepped by bcz_step
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # an exact start warns of its rational slope
+        got = excursion_averages(start, n, record_every=record_every)
+    means, history = excursion_means(start, n, record_every)
+    assert got.steps == n and got.repairs == 0
+    assert list(got[:4]) == pytest.approx(means, rel=1e-13)
+    assert len(got.history) == len(history)
+    for row, want in zip(got.history, history):
+        assert row == pytest.approx(want, rel=1e-13)
+
+
+@settings(max_examples=40, deadline=None)
+# n on both sides of the crossover
+@example(NAMED_STARTS["golden"], excursions._LANES_FROM - 1, 0)
+@example(NAMED_STARTS["sqrt2"], excursions._LANES_FROM, 12_345)
+# the first return, 2^20, swallows every seed time of the first batch
+@example((1.0, 2.0**-20), 1000, 7)
+@given(st.one_of(st.sampled_from(sorted(NAMED_STARTS.values())), float_section_points()),
+       st.integers(1, 20_000), st.sampled_from([0, 1, 2, 37, 500, 4999]))
+def test_lanes_match_the_scalar_loop(start, n, record_every):
+    with mock.patch.object(excursions, "_LANES_FROM", n + 1):
+        scalar = excursion_averages(start, n, record_every=record_every)
+    with mock.patch.object(excursions, "_LANES_FROM", 1), \
+            mock.patch.object(excursions, "_lane_sums", wraps=excursions._lane_sums) as lanes:
+        got = excursion_averages(start, n, record_every=record_every)
+    # other starts may spell a width past int64 or a short period, which run no lanes
+    assert lanes.called or start not in NAMED_STARTS.values()
+    assert list(got[:4]) == pytest.approx(list(scalar[:4]), rel=1e-13)
+    assert len(got.history) == len(scalar.history)
+    for row, want in zip(got.history, scalar.history):
+        assert row == pytest.approx(want, rel=1e-13)
+
+
+def test_a_repeated_seed_raises_from_the_walker_bound():
+    # lane 1 walks from a seed to itself, which its orbit, of period N(10^9 + 7),
+    # revisits only far past 50 steps; lane 0 arrives after one step
+    d = 10**9 + 7
+    (x0, y0, _), (x1, y1, _) = islice(_int_orbit(3, d, d), 2)
+    with pytest.raises(RuntimeError, match="1 lanes .* did not reach their next seed in 50 steps"):
+        _lane_lengths(d, np.array([x0, x1, x1]), np.array([y0, y1, y1]), 50)
+
+
+def test_lanes_hold_memory_to_the_lanes_and_rows():
+    excursion_averages(named_start("golden"), excursions._LANES_FROM)  # imports numpy and lattices
+    tracemalloc.start()
+    try:
+        excursion_averages(named_start("golden"), 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20  # an n-long float64 array alone is 8 MB
 
 
 def test_excursion_averages_smoke():
@@ -232,16 +286,18 @@ def test_excursion_averages_smoke():
 def test_float_orbit_follows_the_exact_orbit(name):
     n = 10**5
     indices, points = quadratic_orbit(name, n)
-    # orbit_trace runs the float step and repair of excursion_averages
+    # orbit_trace runs the float step and its repair
     assert orbit_trace(named_start(name), n).indices == indices
+    # the orbit of the dyadic rational fl(beta) has the same itinerary, and
+    # its means are about 1e-11 from the exact ones: fl(beta)'s own rounding
+    exact_start = tuple(map(F, named_start(name)))
+    assert [k for _, (_, _, k) in zip(range(n), _orbit(exact_start)[2])] == indices
     got = excursion_averages(named_start(name), n)
     assert got.repairs == 0
-    # the float points leave the exact ones by about 5e-10 (golden) and
-    # 2e-11 (sqrt2) at step 10^5, so the means agree to that, not to rounding
     peaks = [max(a, b, 1 / (a + b)) for a, b in points]
     means = [math.fsum(v) / n for v in ([1 / a for a, _ in points], [a for a, _ in points],
                                         [1 / m for m in peaks], peaks)]
-    assert list(got[:4]) == pytest.approx(means, rel=1e-9)
+    assert list(got[:4]) == pytest.approx(means, rel=1e-10)
 
 
 def test_excursion_averages_rational_start_warns():
@@ -256,13 +312,17 @@ def test_excursion_history():
 
 
 def test_excursion_averages_drift_repairs():
-    # (1 + a)/b rounds to exactly 3 at this start, so the first step lands
-    # one ulp above the section and is clamped back; the step after the n-th
-    # visit is taken too, so even n = 1 reports the repair
+    # in floats (1 + a)/b rounds to exactly 3 at this start, so the float step
+    # of orbit_trace lands one ulp above the section and is clamped back; the
+    # exact index of the point its doubles spell is 2, and the averages take it
     start = REPAIR_START
+    trace = orbit_trace(start, 2)
+    assert trace.indices[0] == 3 and trace.points[1] == (start[1], 1.0)
+    assert kappa(tuple(map(F, start))) == 2
     for n in (1, 2, 3):
-        assert excursion_averages(start, n).repairs == 1
-    # the float test fires at (0.1, 0.9), which is inside: nothing moves
+        got = excursion_averages(start, n)
+        assert got.repairs == 0
+        assert list(got[:4]) == pytest.approx(excursion_means(start, n)[0], rel=1e-15)
     assert excursion_averages((0.9, 0.1), 3).repairs == 0
 
 
