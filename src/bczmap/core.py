@@ -221,11 +221,13 @@ def _int_orbit(x: int, y: int, w: int):
 def _lane_lengths(w: int, x, y, bound: int):
     """Steps from each seed to the next along one integer orbit at width w.
 
-    The int64 arrays x and y hold K + 1 seeds, and lane j walks from
-    (x[j], y[j]) until it meets (x[j+1], y[j+1]).  The lanes step together,
-    so k y <= w + x needs 2 w < 2^63.  A lane that has arrived would meet its
-    seed again only a period later, so with the period past `bound` each
-    lane arrives once; a lane still walking after `bound` steps raises."""
+    The integer arrays x and y hold K + 1 seeds, and lane j walks from
+    (x[j], y[j]) until it meets (x[j+1], y[j+1]).  The lanes step together
+    in the seeds' dtype, so k y <= w + x <= 2 w must fit it: any integer
+    dtype that holds 2 w + 2 does, int64 for 2 w < 2^63.  A lane that has
+    arrived would meet its seed again only a period later, so with the
+    period past `bound` each lane arrives once; a lane still walking after
+    `bound` steps raises."""
     import numpy as np
     tx, ty = x[1:], y[1:]
     x, y = x[:-1], y[:-1]

@@ -180,10 +180,12 @@ def _scalar_sums(x: int, y: int, d: int, n: int, rows: list):
     """The sums of 1/a, a, 1/M and M over the first n visits of the orbit of
     (x/d, y/d) on Python integers, and the history rows (i, means over the
     first i visits) for each i in `rows`.  Partial sums of at most _CHUNK
-    visits are folded into an exact total."""
+    visits, cut at every row, are folded into an exact total (hi, lo) as
+    `_fold` does, on local floats: a row costs eight `math.fsum` calls."""
+    fsum = math.fsum
     den = float(d) if d <= 2**53 else d  # y/den is y/d correctly rounded either way
     stops = sorted({*rows, *range(_CHUNK, n, _CHUNK), n})
-    acc = [(0.0, 0.0)] * 4
+    h1 = l1 = h2 = l2 = h3 = l3 = h4 = l4 = 0.0
     history = []
     a, i = x / den, 0
     for stop in stops:
@@ -201,10 +203,14 @@ def _scalar_sums(x: int, y: int, d: int, n: int, rows: list):
             s4 += m
             x, y, a = y, k * y - x, b
         i = stop
-        acc = [_fold(c, s) for c, s in zip(acc, (s1, s2, s3, s4))]
+        t1, t2, t3, t4 = fsum((h1, l1, s1)), fsum((h2, l2, s2)), fsum((h3, l3, s3)), \
+            fsum((h4, l4, s4))
+        l1, l2, l3, l4 = fsum((h1, l1, s1, -t1)), fsum((h2, l2, s2, -t2)), \
+            fsum((h3, l3, s3, -t3)), fsum((h4, l4, s4, -t4))
+        h1, h2, h3, h4 = t1, t2, t3, t4
         if len(history) < len(rows) and rows[len(history)] == i:
-            history.append((i, *[hi / i for hi, _ in acc]))
-    return [hi for hi, _ in acc], history
+            history.append((i, h1 / i, h2 / i, h3 / i, h4 / i))
+    return [h1, h2, h3, h4], history
 
 
 def _lane_sums(x: int, y: int, d: int, n: int, rows: list):
@@ -219,7 +225,8 @@ def _lane_sums(x: int, y: int, d: int, n: int, rows: list):
     (`core._lane_lengths`), more seeds following the last one until the lanes
     hold n visits; a second sums each lane, the last cut at visit n, and
     snapshots every lane where it ends and where a row falls.  Memory is
-    O(K + rows).
+    O(K + rows), and the rows are built a block at a time, within
+    `cli.ROW_BYTES` each.
     """
     import numpy as np
     from .lattices import UnimodularBasis, _first_hit, _Lattice
@@ -281,10 +288,14 @@ def _lane_sums(x: int, y: int, d: int, n: int, rows: list):
         if ptr[s] < ptr[s + 1]:
             e = order[ptr[s]:ptr[s + 1]]
             snap[:, e] = run[:, ev_lane[e]]
+    del ev_lane, ev_step, order  # the rows need none of them
     prefix = [list(accumulate(t, _fold, initial=(0.0, 0.0))) for t in snap[:, :nl].tolist()]
     totals = [p[-1][0] for p in prefix]
     before = np.array([[hi for hi, _ in p] for p in prefix])  # lanes 0..j-1, for each j
-    means = snap[:, nl:]
-    means += before[:, row_lane]
-    means /= at
-    return totals, list(zip(rows, *means.tolist()))
+    history = []  # a block of rows at a time: no row-long float lists beside the tuples
+    for j in range(0, len(rows), _CHUNK):
+        e = slice(j, j + _CHUNK)
+        means = snap[:, nl + j:nl + j + _CHUNK] + before[:, row_lane[e]]
+        means /= at[e]
+        history += zip(rows[e], *means.tolist())
+    return totals, history

@@ -56,6 +56,25 @@ if TYPE_CHECKING:
 _COUNT_ENTRY_BYTES = 160
 
 
+def _itemsize(Q: int) -> int:
+    """Bytes of the signed integer that level Q's arrays are stored and
+    stepped in: the least of 1, 2, 4, 8 whose range holds 2Q + 2.  So int8
+    up to Q = 62, int16 up to 16382 and int32 up to 2^30 - 2.
+
+    2Q + 2 bounds every value a kept entry is computed from.  Denominators:
+    each q is in F(Q), and k q = q' + q'' <= Q + q' <= 2Q, q' the one
+    before.  Numerators: up to 1/1, p <= q, so k p <= k q <= 2Q.  Past 1/1 a
+    lane reads 1 + F(Q), p/q becoming (p + q)/q, and its two overshoot
+    steps that the seed check reads, at 1/1 and (Q + 1)/Q, have
+    k p <= 2Q (1 + 1/Q).  Later steps are cut off; they feed neither k nor a
+    denominator, and fixed-width integers wrap rather than raise, so they
+    cannot spoil a kept entry."""
+    size = 1
+    while 2 * Q + 2 >= 2 ** (8 * size - 1):
+        size *= 2
+    return size
+
+
 def _check_memory(nbytes: int, what: str) -> None:
     """Refuse, before allocating, what could not fit in physical memory."""
     total = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -107,6 +126,8 @@ class FareySequence:
     The cycle is stored closed: `q` and `p` hold N + 1 entries, the last one
     gamma_{N+1} = 1/1, so each neighbour pair (q_i, q_{i+1}) is two views of
     one array.  `denominators` and `numerators` are the first N entries.
+    Both are in the narrowest signed integer that holds 2Q + 2 (`_itemsize`),
+    so a product of two entries can overflow: cast before multiplying.
     """
 
     def __init__(self, level: int, q: np.ndarray, p: np.ndarray):
@@ -122,8 +143,8 @@ class FareySequence:
 
 
 #: bytes of denominators and numerators `_orbit_cache` may hold: levels up
-#: to Q = 1020, 2020 and 3020 together take about 70 MB.  The level used
-#: last stays cached even when it alone is larger.
+#: to Q = 1020, 2020 and 3020 together take about 17 MB in int16.  The level
+#: used last stays cached even when it alone is larger.
 _CACHE_BYTES = 100 * 2**20
 
 #: level -> FareySequence, least recently used first
@@ -166,23 +187,26 @@ def _lane_seeds(Q: int, K: int):
 def _farey_lanes(Q: int) -> FareySequence:
     """F(Q) from K lanes of the orbit stepped together, each past its stretch
     into the next; each seed and its successor must be where the lanes below
-    left them, and the lanes must cover N(Q) fractions."""
+    left them, and the lanes must cover N(Q) fractions.  Every operand is in
+    the level's dtype (`_itemsize`); Q is a Python int, which keeps it."""
+    width = _itemsize(Q)
     # 2 N(Q) - 1, the coprime pairs in [1, Q]^2, is >= Q^2 (1 - sum_p p^-2) > 0.547 Q^2:
     # the bound N(Q) >= Q^2/4 refuses hopeless levels before counting, never a feasible one
-    _check_memory(16 * (Q * Q // 4 + 1), f"F({Q}), with at least {Q * Q // 4} fractions,")
+    _check_memory(2 * width * (Q * Q // 4 + 1), f"F({Q}), with at least {Q * Q // 4} fractions,")
     n = farey_cardinality(Q)
-    _check_memory(16 * (n + 1), f"F({Q}), with {n} fractions,")
+    _check_memory(2 * width * (n + 1), f"F({Q}), with {n} fractions,")
     import numpy as np
     K = min(Q, math.isqrt(n))
-    a, b, c, d = _lane_seeds(Q, K)
+    dtype = f"i{width}"
+    a, b, c, d = (v.astype(dtype) for v in _lane_seeds(Q, K))
     lengths = _lane_lengths(Q, b, d, n)  # the orbit's period is n
     if int(lengths.sum()) != n:
         raise RuntimeError(f"lanes of F({Q}) cover {int(lengths.sum())} fractions, not N = {n}")
     seeds = np.cumsum(lengths)  # where seeds 1..K land; 1/1 at n
     at = seeds - lengths
     steps = int(lengths.max()) + 2
-    p = np.empty(n + steps, dtype=np.int64)
-    q = np.empty(n + steps, dtype=np.int64)
+    p = np.empty(n + steps, dtype=dtype)
+    q = np.empty(n + steps, dtype=dtype)
     p0, q0, p1, q1 = a[:-1], b[:-1], c[:-1], d[:-1]
     for _ in range(steps):
         p[at], q[at] = p0, q0
@@ -220,6 +244,7 @@ def farey_bruteforce(Q: int) -> FareySequence:
 
     The sort key floor(p * 2^64 / q) is an order-preserving integer since
     distinct level-Q fractions differ by more than 2^-64 for any sane Q.
+    The arrays are in the dtype `farey_orbit` uses.
     """
     import numpy as np
     if Q < 1:
@@ -229,10 +254,11 @@ def farey_bruteforce(Q: int) -> FareySequence:
         pairs.extend((p, q) for p in range(1, q) if math.gcd(p, q) == 1)
     pairs.sort(key=lambda pq: (pq[0] << 64) // pq[1])
     pairs.append((1, 1))
+    dtype = f"i{_itemsize(Q)}"
     return FareySequence(
         Q,
-        np.array([q for _, q in pairs], dtype=np.int64),
-        np.array([p for p, _ in pairs], dtype=np.int64),
+        np.array([q for _, q in pairs], dtype=dtype),
+        np.array([p for p, _ in pairs], dtype=dtype),
     )
 
 
@@ -241,13 +267,15 @@ def orbit_flow_period(Q: int) -> Fraction:
 
     The return time Q^2/(q_i q_{i+1}) equals Q^2 (gamma_{i+1} - gamma_i)
     when the neighbour determinant p_{i+1} q_i - p_i q_{i+1} is 1.  All N
-    determinants are checked, one block of _BLOCK pairs at a time; the sum
-    then telescopes to Q^2 (gamma_{N+1} - gamma_1).
+    determinants are checked in int64, as p q reaches Q^2, one block of
+    _BLOCK pairs at a time; the sum then telescopes to
+    Q^2 (gamma_{N+1} - gamma_1).
     """
+    import numpy as np
     seq = farey_orbit(Q)
     p, q = seq.p, seq.q
     for k in range(0, len(seq), _BLOCK):
-        pk, qk = p[k:k + _BLOCK + 1], q[k:k + _BLOCK + 1]
+        pk, qk = (a[k:k + _BLOCK + 1].astype(np.int64) for a in (p, q))
         det = pk[1:] * qk[:-1]
         det -= pk[:-1] * qk[1:]
         if (det != 1).any():
@@ -405,13 +433,15 @@ def index_values(Q: int, interval=(0, 1)) -> np.ndarray:
     Neighbors are cyclic; division is exact (a Farey-neighbor identity),
     checked at runtime on every block: the float quotient times q_i must
     give q_{i-1} + q_{i+1} back in integers.  An empty selection raises, as
-    for every statistic.
+    for every statistic.  The indices are at most 2Q and come in the level's
+    dtype; q_{i-1} + q_{i+1} <= 2Q fits it, and so does the check's product,
+    which is at most that sum.  Cast them before multiplying.
     """
     if Q < 2:
         raise DomainError("indices need Q >= 2")
     m, blocks = _blocks(Q, interval, before=1)
     import numpy as np
-    nu = np.empty(m, dtype=np.int64)
+    nu = np.empty(m, dtype=f"i{_itemsize(Q)}")
     for k, w in blocks:
         qi, total = w[1:-1], w[:-2] + w[2:]
         v = np.true_divide(total, qi, out=nu[k:k + len(qi)], casting="unsafe")

@@ -262,6 +262,35 @@ def test_a_repeated_seed_raises_from_the_walker_bound():
         _lane_lengths(d, np.array([x0, x1, x1]), np.array([y0, y1, y1]), 50)
 
 
+def test_lanes_history_stays_within_the_row_budget():
+    # `cli._check_rows` assumes at most cli.ROW_BYTES a row
+    from bczmap import cli
+    n = 20_000
+    with mock.patch.object(excursions, "_LANES_FROM", 1), \
+            mock.patch.object(excursions, "_lane_sums", wraps=excursions._lane_sums) as lanes:
+        excursion_averages(named_start("golden"), 1000, record_every=1)  # imports numpy, lattices
+        tracemalloc.start()
+        try:
+            res = excursion_averages(named_start("golden"), n, record_every=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert lanes.call_count == 2 and len(res.history) == n
+    assert peak <= cli.ROW_BYTES * n
+
+
+@pytest.mark.parametrize("record_every", [1, 7])
+def test_dense_rows_match_the_exact_orbit_across_chunks(record_every):
+    # rows cut the partial sums inside a chunk and at its end alike
+    n = 3 * excursions._CHUNK + 5
+    got = excursion_averages(named_start("sqrt2"), n, record_every=record_every)
+    means, history = excursion_means(named_start("sqrt2"), n, record_every)
+    assert list(got[:4]) == pytest.approx(means, rel=1e-14)
+    assert len(got.history) == len(history)
+    for row, want in zip(got.history, history):
+        assert row == pytest.approx(want, rel=1e-14)
+
+
 def test_lanes_hold_memory_to_the_lanes_and_rows():
     excursion_averages(named_start("golden"), excursions._LANES_FROM)  # imports numpy and lattices
     tracemalloc.start()

@@ -307,7 +307,7 @@ def test_window_is_the_cyclic_run_of_denominators(case, before, share):
         m, blocks = farey._blocks(Q, interval, before, after)
         run = []
         for k, b in blocks:
-            assert b.dtype == np.int64
+            assert b.dtype == seq.q.dtype == f"i{farey._itemsize(Q)}"
             run += b[:min(farey._BLOCK, m - k)].tolist()
         run += b[min(farey._BLOCK, m - k):].tolist()
         assert m == end - start and run == expected.tolist()
@@ -506,11 +506,12 @@ def test_level_is_refused_by_the_quadratic_bound_before_counting(monkeypatch):
         raise AssertionError(f"N({Q}) was computed")
 
     monkeypatch.setattr(farey, "farey_cardinality", uncounted)
-    _fake_memory(monkeypatch, 16 * (300 * 300 // 4 + 1) - 1)
+    # F(300) is int16: 4 bytes a fraction
+    _fake_memory(monkeypatch, 4 * (300 * 300 // 4 + 1) - 1)
     with pytest.raises(DomainError, match=r"F\(300\), with at least 22500 fractions"):
         farey_orbit(300)
     # memory for the bound alone: the exact count is asked for next
-    _fake_memory(monkeypatch, 16 * (300 * 300 // 4 + 1))
+    _fake_memory(monkeypatch, 4 * (300 * 300 // 4 + 1))
     with pytest.raises(AssertionError, match=r"N\(300\) was computed"):
         farey_orbit(300)
 
@@ -518,12 +519,72 @@ def test_level_is_refused_by_the_quadratic_bound_before_counting(monkeypatch):
 def test_lanes_beyond_memory_are_refused_before_allocating(monkeypatch):
     monkeypatch.setattr(farey, "_orbit_cache", {})
     n = farey_cardinality(300)
-    _fake_memory(monkeypatch, 16 * (n + 1))
+    _fake_memory(monkeypatch, 4 * (n + 1))  # int16: 4 bytes a fraction
     assert len(farey_orbit(300)) == n
     farey._orbit_cache.clear()
-    _fake_memory(monkeypatch, 16 * (n + 1) - 1)
+    _fake_memory(monkeypatch, 4 * (n + 1) - 1)
     with pytest.raises(DomainError, match=f"F\\(300\\), with {n} fractions"):
         farey_orbit(300)
+
+
+@pytest.mark.parametrize("Q, size", [(1, 1), (62, 1), (63, 2), (16382, 2), (16383, 4),
+                                     (2**30 - 2, 4), (2**30 - 1, 8)])
+def test_itemsize_is_the_narrowest_signed_integer_holding_2q_plus_2(Q, size):
+    assert farey._itemsize(Q) == size
+    assert np.iinfo(f"i{size}").max >= 2 * Q + 2
+    if size > 1:
+        assert np.iinfo(f"i{size // 2}").max < 2 * Q + 2
+
+
+@pytest.mark.parametrize("Q", [62, 63])
+def test_levels_at_the_int8_boundary(Q):
+    dtype = np.dtype("i1" if Q == 62 else "i2")
+    seq, brute = farey._farey_lanes(Q), farey_bruteforce(Q)
+    assert seq.q.dtype == seq.p.dtype == brute.q.dtype == brute.p.dtype == dtype
+    assert seq.denominators.tolist() == brute.denominators.tolist()
+    assert seq.numerators.tolist() == brute.numerators.tolist()
+    assert orbit_flow_period(Q) == Q * Q  # 62^2 overflows int8
+
+
+def test_flow_period_takes_determinants_past_the_level_dtype(monkeypatch):
+    # 300 * 300 - 17 * 1439 = 65537: 1 once wrapped to int16, so only a check
+    # in a wider integer refuses this pair
+    bad = farey.FareySequence(300, np.array([300, 1439], dtype=np.int16),
+                              np.array([17, 300], dtype=np.int16))
+    monkeypatch.setattr(farey, "farey_orbit", lambda Q: bad)
+    with pytest.raises(RuntimeError, match="determinant is not 1"):
+        orbit_flow_period(300)
+
+
+def _int64_level(Q):
+    seq = farey_orbit(Q)
+    return farey.FareySequence(Q, seq.q.astype(np.int64), seq.p.astype(np.int64))
+
+
+@pytest.mark.parametrize("Q", [62, 63, 300])
+@pytest.mark.parametrize("interval", [(0, 1), (F(1, 5), F(3, 7))])
+def test_index_values_in_the_level_dtype(Q, interval):
+    nu = index_values(Q, interval)
+    assert nu.dtype == f"i{farey._itemsize(Q)}" and nu.max() <= 2 * Q
+    q = np.append(_int64_level(Q).denominators, 1)  # gamma_{N+1} = 1/1
+    qm = np.roll(q[:-1], 1)
+    start, end = farey._index_range(farey_orbit(Q), interval)
+    expected = ((qm + q[1:]) // q[:-1])[start:end]
+    assert expected.dtype == np.int64 and nu.tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("Q", [62, 63, 300])
+def test_statistics_match_an_int64_copy_of_the_level(monkeypatch, Q):
+    interval, box = (F(1, 5), F(3, 7)), [(0.2, 1.5), (0.1, 2.0)]
+
+    def statistics():
+        return (moment_sum(Q, interval, 1.5, -0.5), moment_sum(Q, interval, complex(0.5, 1), 2),
+                h_spacing_proportion(Q, interval, box))
+
+    narrow = statistics()
+    wide = _int64_level(Q)
+    monkeypatch.setattr(farey, "farey_orbit", lambda Q: wide)
+    assert narrow == statistics()
 
 
 def test_neighbor_identities():
@@ -532,6 +593,9 @@ def test_neighbor_identities():
         p, q = seq.numerators, seq.denominators
         pn, qn = np.roll(p, -1), np.roll(q, -1)
         pn[-1], qn[-1] = 1, 1  # gamma_{N+1} = 1/1
+        # in int64: p q overflows the level's dtype, and a wrapped determinant
+        # would only be checked modulo 2^8 or 2^16
+        p, q, pn, qn = (a.astype(np.int64) for a in (p, q, pn, qn))
         assert np.all(pn * q - p * qn == 1)
         assert np.all(q + qn > Q)
 
