@@ -17,24 +17,23 @@ rule: a point or basis is exact only when every entry (and the width) is
 int/Fraction, and then every result is a Fraction; one decimal entry makes
 the results floats.  After `check_section` one expression runs both
 flavors, since Fraction and float share /, floor, ceil and round.
-`reduce_to_section` takes its one floor on the exact values its inputs
-spell, `lattices` runs a decimal basis or width as the exact lattice its
-doubles spell, and `excursions.excursion_averages` a decimal start as the
-exact orbit its doubles spell, on integers; only their returned numbers are
-floats.
 
-Orbits run on one kernel, `_orbit`.  By the scaling conjugacy
-T_t o M_t = M_t o T an exact orbit is an integer orbit: with the common
-denominator D of the point and the width t cleared, it is the map
-(x, y) -> (y, floor((tD + x)/y) y - x).  Fractions appear only at the API
-boundary, built for the values a function returns.  `orbit_trace` and
-`excursion_trace` pass their step count n to `_orbit`, which builds each
-distinct value once per call when n > tD: the integer coordinates lie in
-(0, tD], so they must repeat.  The same conjugacy
-makes the unit section the width-1 case of the width-t one, so every
-section function takes its width t = 1 by default; the one-step functions
-bcz_step, kappa and roof keep Fraction arithmetic and are the reference the
-kernel is tested against.
+By the scaling conjugacy T_t o M_t = M_t o T an exact orbit is an integer
+orbit: with the common denominator D of the point and the width t cleared,
+it is the map (x, y) -> (y, floor((tD + x)/y) y - x).  Exact and dyadic
+values are spelled as integers over D once, by `_spell`: in `_orbit` and
+`reduce_to_section` here, for the lattice of a basis in `lattices`, and for
+the orbit a decimal start spells in `excursions.excursion_averages`.  Every
+integer orbit, on Python integers or in numpy lanes (`farey`, `excursions`),
+then runs the one kernel `_int_orbit`, lanes in the integer type `_itemsize`
+gives.  Fractions and floats appear only at the API boundary, built for
+the values a function returns.  `orbit_trace` and `excursion_trace` pass
+their step count n to `_orbit`, which builds each distinct value once per
+call when n > tD: the integer coordinates lie in (0, tD], so they must
+repeat.  The same conjugacy makes the unit section the width-1 case of the
+width-t one, so every section function takes its width t = 1 by default;
+the one-step functions bcz_step, kappa and roof keep Fraction arithmetic and
+are the reference the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -43,6 +42,7 @@ import functools
 import math
 from collections import namedtuple
 from fractions import Fraction
+from itertools import islice
 from operator import truediv
 from typing import NamedTuple, Union
 
@@ -206,16 +206,37 @@ def _orbit(p: Point, t: Scalar = 1, n: int = 0):
     a, b, w, exact = check_section(p, width=t)
     if not exact:
         return 1.0, truediv, _float_orbit(a, b, w)
-    d = math.lcm(a.denominator, b.denominator, w.denominator)
-    x, y, w = (f.numerator * (d // f.denominator) for f in (a, b, w))
+    d, (x, y, w) = _spell(a, b, w)
     return d, functools.cache(Fraction) if w < n else Fraction, _int_orbit(x, y, w)
 
 
-def _int_orbit(x: int, y: int, w: int):
+def _spell(*values):
+    """(d, numerators): int, Fraction or finite float values as integers
+    over their least common denominator d, value i being numerators[i]/d."""
+    ratios = [v.as_integer_ratio() for v in values]
+    d = math.lcm(*(den for _, den in ratios))
+    return d, [num * (d // den) for num, den in ratios]
+
+
+def _int_orbit(x, y, w: int):
+    """(x, y, k) at each visit of the integer orbit (x, y) -> (y, k y - x),
+    k = floor((w + x)/y), on Python integers or on integer arrays stepped
+    together in their dtype: the width w, a Python int, keeps it."""
     while True:
         k = (w + x) // y
         yield x, y, k
         x, y = y, k * y - x
+
+
+def _itemsize(w: int) -> int:
+    """Bytes of the signed integer a width-w lane steps in: the least of 1,
+    2, 4, 8, 16, ... whose range holds 2w + 2, so int8 up to w = 62, int16 up
+    to 16382 and int32 up to 2^30 - 2.  It holds every k y <= w + x <= 2w of
+    a step, and the overshoot steps of a Farey lane (`farey._farey_lanes`)."""
+    size = 1
+    while 2 * w + 2 >= 2 ** (8 * size - 1):
+        size *= 2
+    return size
 
 
 def _lane_lengths(w: int, x, y, bound: int):
@@ -223,19 +244,14 @@ def _lane_lengths(w: int, x, y, bound: int):
 
     The integer arrays x and y hold K + 1 seeds, and lane j walks from
     (x[j], y[j]) until it meets (x[j+1], y[j+1]).  The lanes step together
-    in the seeds' dtype, so k y <= w + x <= 2 w must fit it: any integer
-    dtype that holds 2 w + 2 does, int64 for 2 w < 2^63.  A lane that has
-    arrived would meet its seed again only a period later, so with the
-    period past `bound` each lane arrives once; a lane still walking after
-    `bound` steps raises."""
+    in the seeds' dtype, which must be at least `_itemsize(w)` bytes wide.
+    A lane that has arrived would meet its seed again only a period later,
+    so with the period past `bound` each lane arrives once; a lane still
+    walking after `bound` steps raises."""
     import numpy as np
     tx, ty = x[1:], y[1:]
-    x, y = x[:-1], y[:-1]
-    lengths = np.zeros(len(tx), dtype=np.int64)
-    left = len(tx)
-    for s in range(1, bound + 1):
-        k = (w + x) // y
-        x, y = y, k * y - x
+    lengths, left = np.zeros(len(tx), dtype=np.int64), len(tx)
+    for s, (x, y, _) in enumerate(islice(_int_orbit(x[:-1], y[:-1], w), 1, bound + 1), 1):
         hit = (x == tx) & (y == ty)
         if hit.any():
             lengths[hit] = s
@@ -309,9 +325,9 @@ def reduce_to_section(a: Scalar, b_raw: Scalar, width: Scalar = 1):
     (a, b_raw, width), exact = _uniform(a, b_raw, width)
     if not (0 < a <= width < math.inf and -math.inf < b_raw < math.inf):
         raise DomainError(f"need finite a, b_raw and width with 0 < a <= width: {a}, {b_raw}, {width}")
-    (an, ad), (bn, bd), (wn, wd) = (v.as_integer_ratio() for v in (a, b_raw, width))
-    shift = (wn * bd - bn * wd) * ad // (wd * bd * an)
-    b = (Fraction if exact else truediv)(shift * an * bd + bn * ad, ad * bd)
+    d, (an, bn, wn) = _spell(a, b_raw, width)
+    shift = (wn - bn) // an
+    b = (Fraction if exact else truediv)(shift * an + bn, d)
     return (a, b), shift
 
 

@@ -43,10 +43,10 @@ import math
 import os
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .core import DomainError, _lane_lengths
+from .core import DomainError, _int_orbit, _itemsize, _lane_lengths
 
 if TYPE_CHECKING:
     import numpy as np
@@ -54,25 +54,6 @@ if TYPE_CHECKING:
 #: bytes one memo entry of `farey_cardinality` takes at its peak: 80-144
 #: measured for Q = 10^4..10^8, depending on where the dict last resized
 _COUNT_ENTRY_BYTES = 160
-
-
-def _itemsize(Q: int) -> int:
-    """Bytes of the signed integer that level Q's arrays are stored and
-    stepped in: the least of 1, 2, 4, 8 whose range holds 2Q + 2.  So int8
-    up to Q = 62, int16 up to 16382 and int32 up to 2^30 - 2.
-
-    2Q + 2 bounds every value a kept entry is computed from.  Denominators:
-    each q is in F(Q), and k q = q' + q'' <= Q + q' <= 2Q, q' the one
-    before.  Numerators: up to 1/1, p <= q, so k p <= k q <= 2Q.  Past 1/1 a
-    lane reads 1 + F(Q), p/q becoming (p + q)/q, and its two overshoot
-    steps that the seed check reads, at 1/1 and (Q + 1)/Q, have
-    k p <= 2Q (1 + 1/Q).  Later steps are cut off; they feed neither k nor a
-    denominator, and fixed-width integers wrap rather than raise, so they
-    cannot spoil a kept entry."""
-    size = 1
-    while 2 * Q + 2 >= 2 ** (8 * size - 1):
-        size *= 2
-    return size
 
 
 def _check_memory(nbytes: int, what: str) -> None:
@@ -188,13 +169,25 @@ def _farey_lanes(Q: int) -> FareySequence:
     """F(Q) from K lanes of the orbit stepped together, each past its stretch
     into the next; each seed and its successor must be where the lanes below
     left them, and the lanes must cover N(Q) fractions.  Every operand is in
-    the level's dtype (`_itemsize`); Q is a Python int, which keeps it."""
+    the level's dtype (`core._itemsize`); Q is a Python int, which keeps it.
+
+    Every value a kept entry is computed from is at most 2Q + 2: k q = q' + q''
+    <= Q + q' <= 2Q for denominators, q' the one before, and k p <= k q up to
+    1/1.  Past 1/1 a lane reads 1 + F(Q), p/q becoming (p + q)/q, and the two
+    overshoot steps the seed check reads, at 1/1 and (Q + 1)/Q, have
+    k p <= 2Q (1 + 1/Q).  Later steps are cut off: they feed neither k nor a
+    denominator, and fixed-width integers wrap rather than raise."""
     width = _itemsize(Q)
     # 2 N(Q) - 1, the coprime pairs in [1, Q]^2, is >= Q^2 (1 - sum_p p^-2) > 0.547 Q^2:
     # the bound N(Q) >= Q^2/4 refuses hopeless levels before counting, never a feasible one
     _check_memory(2 * width * (Q * Q // 4 + 1), f"F({Q}), with at least {Q * Q // 4} fractions,")
     n = farey_cardinality(Q)
-    _check_memory(2 * width * (n + 1), f"F({Q}), with {n} fractions,")
+    nbytes = 2 * width * (n + 1)
+    _check_memory(nbytes, f"F({Q}), with {n} fractions,")
+    # before allocating, least recently used first, until this level fits beside the rest
+    while _orbit_cache and \
+            sum(s.q.nbytes + s.p.nbytes for s in _orbit_cache.values()) + nbytes > _CACHE_BYTES:
+        del _orbit_cache[next(iter(_orbit_cache))]
     import numpy as np
     K = min(Q, math.isqrt(n))
     dtype = f"i{width}"
@@ -207,13 +200,12 @@ def _farey_lanes(Q: int) -> FareySequence:
     steps = int(lengths.max()) + 2
     p = np.empty(n + steps, dtype=dtype)
     q = np.empty(n + steps, dtype=dtype)
-    p0, q0, p1, q1 = a[:-1], b[:-1], c[:-1], d[:-1]
-    for _ in range(steps):
+    # the denominators walk the orbit, and the numerators ride on its k
+    p0, p1 = a[:-1], c[:-1]
+    for q0, _, k in islice(_int_orbit(b[:-1], d[:-1], Q), steps):
         p[at], q[at] = p0, q0
         at += 1
-        k = (Q + q0) // q1
         p0, p1 = p1, k * p1 - p0
-        q0, q1 = q1, k * q1 - q0
     if not (np.array_equal(p[seeds], a[1:]) and np.array_equal(q[seeds], b[1:])
             and np.array_equal(p[seeds + 1], c[1:]) and np.array_equal(q[seeds + 1], d[1:])):
         raise RuntimeError(f"a lane of F({Q}) missed its next seed")
@@ -225,17 +217,14 @@ def _farey_lanes(Q: int) -> FareySequence:
 def farey_orbit(Q: int) -> FareySequence:
     """F(Q) generated by iterating the BCZ map from (1/Q, 1) until first return.
 
-    Levels are cached, least recently used first out once the cache holds
-    more than _CACHE_BYTES."""
+    Levels are cached, least recently used first out when a new level
+    would take the cache past _CACHE_BYTES (`_farey_lanes`)."""
     if Q < 1:
         raise DomainError("Q must be >= 1")
     seq = _orbit_cache.pop(Q, None)
     if seq is None:
         seq = _farey_lanes(Q)
     _orbit_cache[Q] = seq
-    while len(_orbit_cache) > 1 and \
-            sum(s.q.nbytes + s.p.nbytes for s in _orbit_cache.values()) > _CACHE_BYTES:
-        del _orbit_cache[next(iter(_orbit_cache))]
     return seq
 
 

@@ -24,7 +24,7 @@ from itertools import islice
 from operator import truediv
 from typing import NamedTuple
 
-from .core import DomainError, _int_orbit, _uniform, check_section, is_exact
+from .core import DomainError, _int_orbit, _spell, _uniform, check_section, is_exact
 from .farey import _farey_predecessor, _predecessor
 
 _FLOAT_DET_TOL = 1e-12
@@ -99,10 +99,7 @@ class _Lattice:
             raise DomainError(f"width t = {t} must be positive and finite")
         x1, y1, x2, y2, width = map(Fraction, (basis.x1, basis.y1, basis.x2, basis.y2, t))
         delta = x1 * y2 - x2 * y1  # 1 for an exact basis
-        y1, y2 = y1 / delta, y2 / delta
-        d = math.lcm(*(v.denominator for v in (x1, y1, x2, y2, width)))
-        x1, y1, x2, y2, self.w = (v.numerator * (d // v.denominator)
-                                  for v in (x1, y1, x2, y2, width))
+        d, (x1, y1, x2, y2, self.w) = _spell(x1, y1 / delta, x2, y2 / delta, width)
         self.cols, self.d = ((x1, y1), (x2, y2)), d
         self.delta = delta.numerator, delta.denominator
         self.ratio = Fraction if isinstance(basis.x1, Fraction) and is_exact(t) else truediv
@@ -140,9 +137,9 @@ def _gauss_reduce(u, v):
     raise RuntimeError(f"Gauss reduction did not finish in {bound} iterations")
 
 
-def _vertical(lat: _Lattice) -> int:
-    """y of the shortest vertical vector (0, y) of the integer lattice."""
-    (x1, y1), (x2, y2) = lat.cols
+def _vertical(cols) -> int:
+    """y of the shortest vertical vector (0, y) of the lattice of the integer columns."""
+    (x1, y1), (x2, y2) = cols
     g = math.gcd(x1, x2)  # (m, n) = (x2, -x1)/g is the primitive solution of m x1 + n x2 = 0
     return abs(x2 // g * y1 - x1 // g * y2)
 
@@ -248,16 +245,16 @@ def first_section_hit(basis: UnimodularBasis, t=1):
     meet it at the fixed corner), and for a hit time beyond the float range.
     """
     lat = _Lattice(basis, t)
-    x0, y0, b = _first_hit(lat)
+    x0, y0, b = _first_hit(lat.cols, lat.w)
     try:
         return lat.scaled(y0, x0), (lat.ratio(x0, lat.d), lat.ratio(b, lat.d))
     except OverflowError:
         raise DomainError(_BEYOND_FLOATS) from None
 
 
-def _first_hit(lat: _Lattice):
-    """(x0, y0, b): the hit vector (x0, y0) of the integer lattice and its
-    section point (x0, b), all times D.
+def _first_hit(cols, w: int):
+    """(x0, y0, b): the hit vector (x0, y0) of the lattice of the integer
+    columns, of determinant D^2, and its section point (x0, b) at width w.
 
     With g = gcd(y1, y2) the lattice is Z(xs, 0) + Z(c, g), xs = D^2/g, so
     its points at height j g sit at x = j c mod xs.  With step = gcd(c, xs)
@@ -266,11 +263,11 @@ def _first_hit(lat: _Lattice):
     has k/f the last fraction <= i/q in the Farey sequence F(w // step).  When
     xs <= w, i/q is in F(w // step) itself, and the hit is (xs, 0).
     """
-    w, det = lat.w, lat.d * lat.d
+    (x1, y1), (x2, y2) = cols
+    det = x1 * y2 - x2 * y1
     # vertical vectors of length y/D put the lattice on lines D/y apart
-    if _vertical(lat) * w < det:
+    if _vertical(cols) * w < det:
         raise DomainError("lattice is vertically short; orbit misses the section")
-    (x1, y1), (x2, y2) = lat.cols
     g, u, v = _ext_gcd(y1, y2)
     xs = det // g
     c = (u * x1 + v * x2) % xs
@@ -308,7 +305,7 @@ def slope_gaps_via_bcz(basis: UnimodularBasis, t, n: int) -> SlopeGapSeries:
     if n < 0:
         raise DomainError("n must be >= 0")
     lat = _Lattice(basis, t)
-    x0, y0, b = _first_hit(lat)
+    x0, y0, b = _first_hit(lat.cols, lat.w)
     # x_{i+2} = kappa_i x_{i+1} - x_i telescopes the roofs D^2/(x_i x_{i+1}):
     # the first i sum to D^2 u_i / (x_0 x_i), where u_0 = 0, u_1 = 1 obey the
     # same recurrence.  So slope i, delta (y0/x0 + that sum), is

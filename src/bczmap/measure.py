@@ -124,43 +124,43 @@ def _hurwitz_zeta(s: float, a: float) -> float:
     return math.fsum(head) + tail
 
 
-def _lgamma(z: complex) -> complex:
-    """log Gamma(z) for Re z > 0, up to a multiple of 2 pi i.
-
-    The recurrence Gamma(z) = Gamma(z + n) / (z (z+1) ... (z+n-1)) raises |z|
-    to 16, where the Stirling series with six Bernoulli terms is exact to
-    rounding.
-    """
-    z, prod = complex(z), 1.0
-    while abs(z) < 16:
-        prod *= z
-        z += 1
-    return (z - 0.5) * cmath.log(z) - z + 0.5 * math.log(2 * math.pi) + _stirling_series(z) \
-        - cmath.log(prod)
-
-
 def _stirling_series(z):
     """log Gamma(z) - ((z - 1/2) log z - z + log(2 pi)/2), exact to rounding for |z| >= 16."""
     w = 1 / z
     return sum(b / (2 * j * (2 * j - 1)) * w ** (2 * j - 1) for j, b in enumerate(_BERNOULLI, 1))
 
 
-def _log_beta(x: float, y: float) -> float:
-    """log B(x, y) = lgamma(x) + lgamma(y) - lgamma(x + y) for max(x, y) >= 16.
+def _log_beta(x, y):
+    """log B(x, y) = lgamma(x) + lgamma(y) - lgamma(x + y) for real x, y > 0
+    with max(x, y) >= 16, or complex x, y with positive real parts (up to a
+    multiple of 2 pi i).
 
     The difference cancels: at x = 1e17 it has no correct digit, and lgamma
-    overflows from 2.6e305.  With a <= b the arguments, Stirling's series
-    gives lgamma(b) - lgamma(a + b), and lgamma(a) too when a >= 16, with
+    overflows from 2.6e305.  With |a| <= |b| the arguments, Stirling's series
+    gives lgamma(b) - lgamma(a + b), and lgamma(a) too when |a| >= 16, with
     log(a + b) = log b + log1p(a/b), so nothing cancels or overflows (the
-    betaln of ACM TOMS 708).
+    betaln of ACM TOMS 708).  Complex arguments first have both real parts
+    raised to 16 by B(x, y) = B(x + 1, y) (x + y)/x, and take log1p(h) as
+    log1p(2 Re h + |h|^2)/2 + i arg(1 + h), which keeps its relative precision.
     """
-    a, b = sorted((x, y))
+    log, raised = math.log, 0
+    if isinstance(x + y, complex):
+        log, x, y = cmath.log, complex(x), complex(y)
+        while x.real < 16:
+            raised += cmath.log((x + y) / x)
+            x += 1
+        while y.real < 16:
+            raised += cmath.log((x + y) / y)
+            y += 1
+    a, b = sorted((x, y), key=abs)
     h = a / b
+    log1p_h = math.log1p(h) if log is math.log else \
+        complex(0.5 * math.log1p(2 * h.real + abs(h) ** 2), math.atan2(h.imag, 1 + h.real))
     tail = _stirling_series(b) - _stirling_series(a + b)
-    if a < 16:
-        return math.lgamma(a) + tail + a - a * math.log(b) - (a + b - 0.5) * math.log1p(h)
-    return tail + _stirling_series(a) + 0.5 * math.log(2 * math.pi / b) \
-        + (a - 0.5) * math.log(h / (1 + h)) - b * math.log1p(h)
+    if abs(a) < 16:
+        return math.lgamma(a) + tail + a - a * log(b) - (a + b - 0.5) * log1p_h
+    return raised + tail + _stirling_series(a) + 0.5 * log(2 * math.pi / b) \
+        + (a - 0.5) * log(h / (1 + h)) - b * log1p_h
 
 
 # -- tiles -------------------------------------------------------------------
@@ -303,9 +303,10 @@ def moment_integral(s, t):
     """B_{s,t} = int x^s y^t dm = 2 (1/((s+1)(t+1)) - G(s+1)G(t+1)/G(s+t+3)).
 
     Defined for Re s, Re t > -1, with the limiting values at the poles the
-    theory assigns: B_{-1,0} = B_{0,-1} = 2 and B_{-1,-1} = pi^2/3.  Real
-    exponents from 15 up take the Gamma ratio through `_log_beta`, whose
-    relative error stays near rounding up to the largest float.
+    theory assigns: B_{-1,0} = B_{0,-1} = 2 and B_{-1,-1} = pi^2/3.  Complex
+    exponents, and real ones from 15 up, take the Gamma ratio through
+    `_log_beta`, whose relative error stays near rounding up to the largest
+    float.
     """
     special = {(-1, 0): 2.0, (0, -1): 2.0, (-1, -1): PI2_3}
     key = (s, t)
@@ -315,12 +316,11 @@ def moment_integral(s, t):
     tr = t.real if isinstance(t, complex) else float(t)
     if not (-1 < sr < math.inf and -1 < tr < math.inf):
         raise DomainError(f"B_{{{s},{t}}} undefined: exponents must be finite and exceed -1")
-    if isinstance(s + t, complex):
-        g = cmath.exp(_lgamma(s + 1) + _lgamma(t + 1) - _lgamma(s + t + 3))
-    elif max(sr, tr) < 15:
-        g = math.exp(math.lgamma(s + 1) + math.lgamma(t + 1) - math.lgamma(s + t + 3))
+    exp = cmath.exp if isinstance(s + t, complex) else math.exp
+    if exp is math.exp and max(sr, tr) < 15:
+        g = exp(math.lgamma(s + 1) + math.lgamma(t + 1) - math.lgamma(s + t + 3))
     else:  # G(s+1)G(t+1)/G(s+t+3) = B(s+1, t+1)/(s+t+2)
-        g = math.exp(_log_beta(s + 1, t + 1)) / (s + t + 2)
+        g = exp(_log_beta(s + 1, t + 1)) / (s + t + 2)
     return 2.0 * (1.0 / ((s + 1) * (t + 1)) - g)
 
 

@@ -14,6 +14,7 @@ from bczmap.core import (
     IntMatrix2,
     _orbit,
     _reproject,
+    _spell,
     bcz_step,
     check_section,
     cocycle,
@@ -559,3 +560,14 @@ def test_int_float_mix_runs_in_floats(call, value):
     out = _leaves(call())
     assert all(type(v) is float for v in out)
     assert out == pytest.approx(_leaves(value), abs=1e-12)
+
+
+@given(st.lists(st.one_of(st.integers(), st.fractions(),
+                          st.floats(allow_nan=False, allow_infinity=False)), min_size=1))
+@example([5e-324, 1e300, 0, -3, F(-7, 12), -0.1])
+@example([0.0])
+def test_spelling_is_exact_over_the_least_common_denominator(values):
+    d, nums = _spell(*values)
+    assert d == math.lcm(*(F(v).denominator for v in values))
+    assert len(nums) == len(values)
+    assert all(isinstance(u, int) and F(u, d) == F(v) for u, v in zip(nums, values))

@@ -262,6 +262,20 @@ def test_a_repeated_seed_raises_from_the_walker_bound():
         _lane_lengths(d, np.array([x0, x1, x1]), np.array([y0, y1, y1]), 50)
 
 
+@pytest.mark.parametrize("e, lanes", [(62, False), (61, True)])
+def test_widths_past_int64_lanes_run_the_scalar_loop(monkeypatch, e, lanes):
+    # the orbit of (1, (2^e - 1)/2^e) has period N(2^e), far past n; at
+    # d = 2^62 a lane's k y <= 2 d no longer fits int64 (`core._itemsize`)
+    routes = []
+    monkeypatch.setattr(excursions, "_lane_sums",
+                        lambda *a: routes.append("lanes") or ([1.0] * 4, []))
+    monkeypatch.setattr(excursions, "_scalar_sums",
+                        lambda *a: routes.append("scalar") or ([1.0] * 4, []))
+    with pytest.warns(UserWarning, match="rational slope"):
+        excursion_averages((1, F(2**e - 1, 2**e)), excursions._LANES_FROM)
+    assert routes == ["lanes" if lanes else "scalar"]
+
+
 def test_lanes_history_stays_within_the_row_budget():
     # `cli._check_rows` assumes at most cli.ROW_BYTES a row
     from bczmap import cli

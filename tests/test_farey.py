@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 from fractions import Fraction as F
 from unittest import mock
 
@@ -435,6 +436,22 @@ def test_orbit_cache_is_bounded_lru(monkeypatch):
     monkeypatch.setattr(farey, "_CACHE_BYTES", 1)
     assert farey_orbit(50) is farey_orbit(50)
     assert list(farey._orbit_cache) == [50]
+
+
+def test_the_cache_evicts_before_building_the_next_level(monkeypatch):
+    # room for F(1000) alone: it must leave before F(1001) is allocated
+    monkeypatch.setattr(farey, "_orbit_cache", {})
+    tracemalloc.start()  # before F(1000), so its arrays are traced until freed
+    try:
+        first = farey_orbit(1000).q.nbytes * 2
+        monkeypatch.setattr(farey, "_CACHE_BYTES", first)
+        tracemalloc.reset_peak()
+        second = farey_orbit(1001).q.nbytes * 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert list(farey._orbit_cache) == [1001]
+    assert peak < first + second
 
 
 @pytest.mark.parametrize("call", [farey_cardinality, farey_orbit, interval_count])

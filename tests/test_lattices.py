@@ -173,8 +173,8 @@ def test_section_point_is_the_second_hit(basis, t, decimal):
     # the section point (x0, b) steps to the hit (b, .), so b is the x of the
     # strip vector with the second-least slope >= 0, found here by sweeping
     lat = lattices._Lattice(basis, float(t) if decimal else t)
-    assume(lattices._vertical(lat) * lat.w >= lat.d**2)
-    x0, y0, b = lattices._first_hit(lat)
+    assume(lattices._vertical(lat.cols) * lat.w >= lat.d**2)
+    x0, y0, b = lattices._first_hit(lat.cols, lat.w)
     h = 1
     while True:
         found = sorted(lattices._strip_vectors(lat, h), key=lambda v: F(v[1], v[0]))

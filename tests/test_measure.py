@@ -2,6 +2,7 @@ import math
 import warnings
 from fractions import Fraction as F
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -287,6 +288,30 @@ def test_moment_integral_vs_scipy_complex(s, t):
     ref = complex(_moment_reference(s, t))
     assert isinstance(v, complex)
     assert abs(v - ref) <= 1e-13 * abs(ref)
+
+
+def _exact_bits(*values) -> int:
+    """Bits that hold every sum of the values and small integers exactly."""
+    exps = [math.frexp(v)[1] for v in (3.0, *(p for z in values for p in (z.real, z.imag))) if v]
+    return max(exps) - min(exps) + 128
+
+
+COMPLEX_EXPONENT = st.builds(complex, st.floats(-0.5, 1e17), st.floats(-40.0, 40.0))
+
+
+@settings(deadline=None)
+@given(COMPLEX_EXPONENT, st.one_of(st.floats(-0.5, 1e17), COMPLEX_EXPONENT))
+@example(complex(1e17, 0), 0.0)  # lgamma(s+1) - lgamma(s+t+3) keeps no digit here
+@example(complex(3e16, 7), complex(-0.5, -40))
+@example(complex(5e-324, 1e-300), complex(1e17, 40))
+def test_moment_integral_vs_mpmath_complex(s, t):
+    with mpmath.workprec(_exact_bits(s, t)):
+        S, T = mpmath.mpmathify(s), mpmath.mpmathify(t)
+        g = mpmath.exp(mpmath.loggamma(S + 1) + mpmath.loggamma(T + 1) - mpmath.loggamma(S + T + 3))
+        ref = 2 * (1 / ((S + 1) * (T + 1)) - g)
+        v = moment_integral(s, t)
+        assert isinstance(v, complex)
+        assert abs(mpmath.mpc(v) - ref) <= 1e-13 * abs(ref)
 
 
 def test_kappa_moment():
